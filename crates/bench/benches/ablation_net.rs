@@ -12,7 +12,7 @@ use ksa_bench::microbench;
 use ksa_core::experiments::{net_corpus, Scale};
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
 use ksa_kernel::Category;
-use ksa_varbench::{run, RunConfig, RunResult};
+use ksa_varbench::{run_hooked, RunConfig, RunResult};
 
 const MACHINE: Machine = Machine {
     cores: 8,
@@ -20,7 +20,7 @@ const MACHINE: Machine = Machine {
 };
 
 fn trial(corpus: &ksa_kernel::prog::Corpus, kind: EnvKind) -> RunResult {
-    run(
+    run_hooked(
         &RunConfig {
             env: EnvSpec::new(MACHINE, kind),
             iterations: 6,
@@ -32,6 +32,7 @@ fn trial(corpus: &ksa_kernel::prog::Corpus, kind: EnvKind) -> RunResult {
             spec: None,
         },
         corpus,
+        |_| {},
     )
     .expect("ablation_net trial failed")
 }

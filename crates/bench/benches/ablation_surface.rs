@@ -8,7 +8,7 @@ use ksa_bench::microbench;
 use ksa_core::experiments::{default_corpus, Scale};
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
 use ksa_kernel::Category;
-use ksa_varbench::{run, RunConfig};
+use ksa_varbench::{run_hooked, RunConfig};
 
 fn tail(res: &mut ksa_varbench::RunResult, cat: Category) -> u64 {
     let mut p99s = res.per_site(Some(cat), |s| s.p99());
@@ -24,7 +24,7 @@ fn main() {
     // memory-rich sweep (cores shrink, memory constant per instance).
     for (label, mem_mib) in [("proportional", 4096u64), ("memory_rich", 16_384)] {
         group.bench(label, || {
-            run(
+            run_hooked(
                 &RunConfig {
                     env: EnvSpec::new(Machine { cores: 8, mem_mib }, EnvKind::Vm(8)),
                     iterations: 4,
@@ -36,12 +36,13 @@ fn main() {
                     spec: None,
                 },
                 &corpus,
+                |_| {},
             )
         });
     }
 
     for (label, mem) in [("proportional-4G", 4096u64), ("memory-rich-16G", 16_384)] {
-        let mut res = run(
+        let mut res = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(
                     Machine {
@@ -59,6 +60,7 @@ fn main() {
                 spec: None,
             },
             &corpus,
+            |_| {},
         )
         .expect("trial failed");
         eprintln!(

@@ -8,7 +8,7 @@
 use ksa_bench::microbench;
 use ksa_core::experiments::{default_corpus, Scale};
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
-use ksa_varbench::{run, RunConfig};
+use ksa_varbench::{run_hooked, RunConfig};
 
 fn main() {
     let corpus = default_corpus(Scale::Tiny).corpus;
@@ -19,7 +19,7 @@ fn main() {
     let group = microbench::group("ablation_sync").sample_size(10);
     for sync in [true, false] {
         group.bench(if sync { "synced" } else { "unsynced" }, || {
-            run(
+            run_hooked(
                 &RunConfig {
                     env: EnvSpec::new(machine, EnvKind::Native),
                     iterations: 4,
@@ -31,6 +31,7 @@ fn main() {
                     spec: None,
                 },
                 &corpus,
+                |_| {},
             )
         });
     }
@@ -38,7 +39,7 @@ fn main() {
     // Report the measurement-quality difference once.
     let mut stats = Vec::new();
     for sync in [true, false] {
-        let mut res = run(
+        let mut res = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, EnvKind::Native),
                 iterations: 8,
@@ -50,6 +51,7 @@ fn main() {
                 spec: None,
             },
             &corpus,
+            |_| {},
         )
         .expect("trial failed");
         let p99s = res.per_site(None, |s| s.p99());

@@ -5,7 +5,7 @@ use ksa_bench::microbench;
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::{Arg, Call, Program, SysNo};
-use ksa_varbench::{run, RunConfig};
+use ksa_varbench::{run_hooked, RunConfig};
 
 fn mixed_corpus() -> Corpus {
     Corpus {
@@ -41,7 +41,7 @@ fn main() {
         for kind in [EnvKind::Native, EnvKind::Vm(cores)] {
             let label = format!("{}c/{}", cores, kind.label());
             group.bench(&label, || {
-                run(
+                run_hooked(
                     &RunConfig {
                         env: EnvSpec::new(
                             Machine {
@@ -59,6 +59,7 @@ fn main() {
                         spec: None,
                     },
                     &corpus,
+                    |_| {},
                 )
             });
         }

@@ -26,7 +26,7 @@ use ksa_tailbench::single_node::SingleNodeConfig;
 use ksa_tailbench::suite;
 use ksa_varbench::traceout::chrome_trace_json;
 
-/// The Figure-4-shaped cluster for `scale`, sized like `fig4_jobs` but
+/// The Figure-4-shaped cluster for `scale`, sized like `experiments::fig4` but
 /// restoring the paper's 64 nodes at full scale (the failover gates are
 /// about membership behaviour, so node count is the interesting axis).
 fn cluster_config(scale: Scale, seed: u64, jobs: usize) -> ClusterConfig {

@@ -27,7 +27,7 @@ use ksa_kernel::attribution_frames;
 use ksa_tailbench::single_node::{run_single_node, SingleNodeConfig, TailResult};
 use ksa_tailbench::suite;
 use ksa_telemetry::export::{collapsed, prometheus_text, speedscope_json, timeseries_json};
-use ksa_varbench::{run_configs_jobs, RunConfig, RunResult};
+use ksa_varbench::{run_configs, RunConfig, RunResult};
 
 struct Gates {
     failures: u32,
@@ -79,8 +79,8 @@ fn main() {
         metrics,
         spec: None,
     };
-    let off = expect_one(run_configs_jobs(&[mk_cfg(false)], &corpus.corpus, cli.jobs));
-    let on = expect_one(run_configs_jobs(&[mk_cfg(true)], &corpus.corpus, cli.jobs));
+    let off = run_one(mk_cfg(false), &corpus.corpus, cli.jobs);
+    let on = run_one(mk_cfg(true), &corpus.corpus, cli.jobs);
     println!(
         "varbench: {} events / clock {} / {} telemetry samples",
         on.events,
@@ -198,8 +198,8 @@ fn main() {
     );
 
     // Gate 4: replay and pool width reproduce results *and* registries.
-    let seq = expect_one(run_configs_jobs(&[mk_cfg(true)], &corpus.corpus, 1));
-    let replay = expect_one(run_configs_jobs(&[mk_cfg(true)], &corpus.corpus, cli.jobs));
+    let seq = run_one(mk_cfg(true), &corpus.corpus, 1);
+    let replay = run_one(mk_cfg(true), &corpus.corpus, cli.jobs);
     gates.check(
         "determinism/jobs-and-replay",
         same_sim(&seq, &on)
@@ -239,8 +239,8 @@ fn main() {
     println!("\nablation_obs: all gates passed");
 }
 
-fn expect_one(mut results: Vec<Result<RunResult, ksa_varbench::RunError>>) -> RunResult {
-    results
+fn run_one(cfg: RunConfig, corpus: &ksa_kernel::prog::Corpus, jobs: usize) -> RunResult {
+    run_configs(&[cfg], corpus, jobs, &|_, _| {})
         .remove(0)
         .unwrap_or_else(|e| panic!("ablation_obs trial failed: {e:?}"))
 }

@@ -2,12 +2,12 @@
 //! versus with a 48-core syscall-noise corpus, KVM versus Docker.
 
 use ksa_bench::{cell_ns, Cli};
-use ksa_core::experiments::{fig3_metered, noise_corpus};
+use ksa_core::experiments::{fig3, noise_corpus};
 
 fn main() {
     let cli = Cli::parse();
     let noise = noise_corpus(cli.scale);
-    let (rows, metered) = fig3_metered(&noise, cli.scale, cli.seed, cli.jobs, cli.metrics());
+    let (rows, metered) = fig3(&noise, cli.scale, cli.seed, cli.jobs, cli.metrics());
 
     println!("Figure 3(a): 99th percentile latency, isolated");
     println!("{:<12}{:>14}{:>14}", "app", "KVM", "Docker");

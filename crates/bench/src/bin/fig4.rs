@@ -2,12 +2,12 @@
 //! multi-tenant, KVM versus Docker.
 
 use ksa_bench::{cell_ns, Cli};
-use ksa_core::experiments::{fig4_metered, noise_corpus};
+use ksa_core::experiments::{fig4, noise_corpus};
 
 fn main() {
     let cli = Cli::parse();
     let noise = noise_corpus(cli.scale);
-    let (rows, metered) = fig4_metered(&noise, cli.scale, cli.seed, cli.jobs, cli.metrics());
+    let (rows, metered) = fig4(&noise, cli.scale, cli.seed, cli.jobs, cli.metrics());
 
     println!("Figure 4(a): cluster runtime, isolated");
     println!("{:<12}{:>14}{:>14}", "app", "KVM", "Docker");

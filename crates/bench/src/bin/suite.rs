@@ -69,7 +69,7 @@ use ksa_kernel::{attribution_frames, SpecMask};
 use ksa_tailbench::apps::{cluster_suite, suite as app_suite};
 use ksa_tailbench::churn::{run_churn_points, ChurnConfig};
 use ksa_tailbench::single_node::{run_points, SingleNodeConfig};
-use ksa_varbench::{run_configs_jobs, RunConfig};
+use ksa_varbench::{run_configs, RunConfig};
 
 /// The pinned suite seed: the committed baseline is only valid for this
 /// seed, so it is not a CLI knob.
@@ -139,7 +139,7 @@ fn timed(f: impl FnOnce() -> SimOut) -> Pass {
 /// Runs a varbench campaign and folds every trial's samples into the
 /// digest (trial order is input order, so the fold is stable).
 fn varbench_case(configs: &[RunConfig], corpus: &Corpus, jobs: usize) -> SimOut {
-    let results = run_configs_jobs(configs, corpus, jobs);
+    let results = run_configs(configs, corpus, jobs, &|_, _| {});
     let mut d = Digest::new();
     let (mut sim_ns, mut events) = (0u64, 0u64);
     for r in results {
@@ -635,7 +635,7 @@ fn main() {
             })
             .collect();
         let t0 = Instant::now();
-        let results = run_configs_jobs(&configs, &corpus, jobs);
+        let results = run_configs(&configs, &corpus, jobs, &|_, _| {});
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let (mut sim_ns, mut samples) = (0u64, 0u64);
         let mut queue_peak = 0u64;

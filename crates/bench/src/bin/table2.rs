@@ -3,7 +3,7 @@
 //! containers.
 
 use ksa_bench::Cli;
-use ksa_core::experiments::{default_corpus, table2_metered};
+use ksa_core::experiments::{default_corpus, table2};
 
 fn main() {
     let cli = Cli::parse();
@@ -16,8 +16,7 @@ fn main() {
         corpus.stats.blocks,
         t0.elapsed()
     );
-    let (result, metered) =
-        table2_metered(&corpus.corpus, cli.scale, cli.seed, cli.jobs, cli.metrics());
+    let (result, metered) = table2(&corpus.corpus, cli.scale, cli.seed, cli.jobs, cli.metrics());
     println!("{}", result.median.render());
     println!("{}", result.p99.render());
     println!("{}", result.max.render());

@@ -16,7 +16,7 @@ use ksa_tailbench::apps::{cluster_suite, suite, AppProfile};
 use ksa_tailbench::single_node::{run_points, SingleNodeConfig};
 use ksa_telemetry::export::Frame;
 use ksa_telemetry::Registry;
-use ksa_varbench::{run_configs_jobs, RunConfig, RunResult};
+use ksa_varbench::{run_configs, RunConfig, RunResult};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,23 +206,15 @@ pub struct Table2Result {
 }
 
 /// Runs Table 2: the corpus on all cores in the three headline
-/// environments (trials in parallel on the auto worker count).
-pub fn table2(corpus: &Corpus, scale: Scale, seed: u64) -> Table2Result {
-    table2_jobs(corpus, scale, seed, 0)
-}
-
-/// [`table2`] with an explicit `--jobs` worker count (0 = auto,
+/// environments, trials in parallel on `jobs` pool workers (0 = auto,
 /// 1 = sequential); results are identical for every count.
-pub fn table2_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Table2Result {
-    table2_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`table2_jobs`] with optional telemetry: when `metrics` is set every
-/// trial runs with its registry enabled and the returned [`Metered`]
-/// carries the merged series (labelled `env=<kind>`) plus latency-
-/// taxonomy flamegraph frames. Telemetry is strictly observational —
-/// the [`Table2Result`] is bit-identical either way.
-pub fn table2_metered(
+///
+/// When `metrics` is set every trial runs with its registry enabled and
+/// the returned [`Metered`] carries the merged series (labelled
+/// `env=<kind>`) plus latency-taxonomy flamegraph frames. Telemetry is
+/// strictly observational — the [`Table2Result`] is bit-identical
+/// either way.
+pub fn table2(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -248,7 +240,7 @@ pub fn table2_metered(
             spec: None,
         })
         .collect();
-    let results = expect_trials("table2", run_configs_jobs(&configs, corpus, jobs));
+    let results = run_trials("table2", &configs, corpus, jobs);
     let mut median = BucketTable::new("Table 2a: median system call runtimes (cumulative %)");
     let mut p99 = BucketTable::new("Table 2b: 99th percentile system call runtimes (cumulative %)");
     let mut max = BucketTable::new("Table 2c: worst-case system call runtimes (cumulative %)");
@@ -266,8 +258,8 @@ pub fn table2_metered(
     (Table2Result { median, p99, max }, metered)
 }
 
-/// Telemetry captured alongside an experiment when its `_metered`
-/// variant runs with `metrics` on: the trials' registries merged under
+/// Telemetry captured alongside an experiment when it runs with
+/// `metrics` on: the trials' registries merged under
 /// distinguishing labels, plus flamegraph frames folded from the
 /// aggregated 13-component latency taxonomy (see
 /// [`ksa_kernel::attribution_frames`]). Empty/disabled when metrics
@@ -295,13 +287,11 @@ impl Metered {
     }
 }
 
-/// Unwraps a campaign where every trial is expected to complete,
-/// panicking with the experiment name and trial index otherwise.
-fn expect_trials(
-    what: &str,
-    results: Vec<Result<RunResult, ksa_varbench::RunError>>,
-) -> Vec<RunResult> {
-    results
+/// Runs a campaign on `jobs` pool workers where every trial is expected
+/// to complete, panicking with the experiment name and trial index
+/// otherwise.
+fn run_trials(what: &str, configs: &[RunConfig], corpus: &Corpus, jobs: usize) -> Vec<RunResult> {
+    run_configs(configs, corpus, jobs, &|_, _| {})
         .into_iter()
         .enumerate()
         .map(|(i, r)| r.unwrap_or_else(|e| panic!("{what} trial {i} failed: {e}")))
@@ -331,20 +321,11 @@ pub struct Fig2Result {
 
 /// Runs Figure 2. Sites are filtered to those with native medians of at
 /// least 10µs, as in the paper (shorter ones are mostly the tiny mmaps
-/// feeding other calls and show no trend).
-pub fn fig2(corpus: &Corpus, scale: Scale, seed: u64) -> Fig2Result {
-    fig2_jobs(corpus, scale, seed, 0)
-}
-
-/// [`fig2`] with an explicit `--jobs` worker count. The native filter
-/// run and the whole VM sweep go through the pool as one batch.
-pub fn fig2_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Fig2Result {
-    fig2_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`fig2_jobs`] with optional telemetry (labels: `env=<kind>`); see
-/// [`table2_metered`] for the contract.
-pub fn fig2_metered(
+/// feeding other calls and show no trend). The native filter run and
+/// the whole VM sweep go through the pool as one batch on `jobs`
+/// workers. Telemetry labels: `env=<kind>`; see [`table2`] for the
+/// `jobs`/`metrics` contract.
+pub fn fig2(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -375,7 +356,7 @@ pub fn fig2_metered(
         metrics,
         spec: None,
     }));
-    let mut results = expect_trials("fig2", run_configs_jobs(&configs, corpus, jobs)).into_iter();
+    let mut results = run_trials("fig2", &configs, corpus, jobs).into_iter();
     let mut metered = Metered::default();
     let mut native = results.next().expect("fig2 native trial missing");
     metered.fold_trial(
@@ -431,20 +412,10 @@ pub fn fig2_metered(
 // ---------------------------------------------------------------- Table 3
 
 /// Table 3: worst-case bucket percentages in Docker as the container
-/// count grows.
-pub fn table3(corpus: &Corpus, scale: Scale, seed: u64) -> BucketTable {
-    table3_jobs(corpus, scale, seed, 0)
-}
-
-/// [`table3`] with an explicit `--jobs` worker count: the container
-/// sweep runs as one parallel batch.
-pub fn table3_jobs(corpus: &Corpus, scale: Scale, seed: u64, jobs: usize) -> BucketTable {
-    table3_metered(corpus, scale, seed, jobs, false).0
-}
-
-/// [`table3_jobs`] with optional telemetry (labels: `env=<kind>`); see
-/// [`table2_metered`] for the contract.
-pub fn table3_metered(
+/// count grows. The container sweep runs as one parallel batch on
+/// `jobs` workers. Telemetry labels: `env=<kind>`; see [`table2`] for
+/// the `jobs`/`metrics` contract.
+pub fn table3(
     corpus: &Corpus,
     scale: Scale,
     seed: u64,
@@ -466,7 +437,7 @@ pub fn table3_metered(
             spec: None,
         })
         .collect();
-    let results = expect_trials("table3", run_configs_jobs(&configs, corpus, jobs));
+    let results = run_trials("table3", &configs, corpus, jobs);
     let mut metered = Metered::default();
     let mut table =
         BucketTable::new("Table 3: worst-case (max) syscall runtimes in Docker (cumulative %)");
@@ -520,24 +491,14 @@ fn pct_increase(base: u64, now: u64) -> f64 {
     }
 }
 
-/// Runs Figure 3 over the full suite (grid points in parallel on the
-/// auto worker count).
-pub fn fig3(noise: &Corpus, scale: Scale, seed: u64) -> Vec<Fig3Row> {
-    fig3_jobs(noise, scale, seed, 0)
-}
-
-/// [`fig3`] with an explicit `--jobs` worker count. The whole noise
-/// grid — apps × {KVM, Docker} × {isolated, noisy} × repetition seeds —
-/// is flattened into one batch of independent points for the pool;
+/// Runs Figure 3 over the full suite. The whole noise grid — apps ×
+/// {KVM, Docker} × {isolated, noisy} × repetition seeds — is flattened
+/// into one batch of independent points for the pool's `jobs` workers;
 /// since point seeds are a pure function of grid position, the result
-/// rows are identical for every worker count.
-pub fn fig3_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig3Row> {
-    fig3_metered(noise, scale, seed, jobs, false).0
-}
-
-/// [`fig3_jobs`] with optional telemetry (labels: `app`, `virt`,
-/// `noise` per grid point); see [`table2_metered`] for the contract.
-pub fn fig3_metered(
+/// rows are identical for every worker count. Telemetry labels: `app`,
+/// `virt`, `noise` per grid point; see [`table2`] for the
+/// `jobs`/`metrics` contract.
+pub fn fig3(
     noise: &Corpus,
     scale: Scale,
     seed: u64,
@@ -668,24 +629,15 @@ impl Fig4Row {
 }
 
 /// Runs Figure 4 over the cluster suite (no shore/specjbb, as in the
-/// paper), simulating nodes in parallel on the auto worker count.
-pub fn fig4(noise: &Corpus, scale: Scale, seed: u64) -> Vec<Fig4Row> {
-    fig4_jobs(noise, scale, seed, 0)
-}
-
-/// [`fig4`] with an explicit `--jobs` worker count for the per-node
-/// simulations (0 = auto, 1 = sequential); node seeds derive from node
-/// indices, so every count yields the same rows.
-pub fn fig4_jobs(noise: &Corpus, scale: Scale, seed: u64, jobs: usize) -> Vec<Fig4Row> {
-    fig4_metered(noise, scale, seed, jobs, false).0
-}
-
-/// [`fig4_jobs`] with optional telemetry. Per-node registries arrive
-/// already merged under `node=<i>` labels (see
-/// [`ksa_cluster::run_cluster`]); this adds `app`/`virt`/`noise` on
-/// top. Cluster runs carry no attribution table, so the metered frames
-/// stay empty.
-pub fn fig4_metered(
+/// paper), simulating nodes in parallel on `jobs` workers (0 = auto,
+/// 1 = sequential); node seeds derive from node indices, so every count
+/// yields the same rows.
+///
+/// With `metrics` on, per-node registries arrive already merged under
+/// `node=<i>` labels (see [`ksa_cluster::run_cluster`]); this adds
+/// `app`/`virt`/`noise` on top. Cluster runs carry no attribution
+/// table, so the metered frames stay empty.
+pub fn fig4(
     noise: &Corpus,
     scale: Scale,
     seed: u64,
@@ -814,7 +766,7 @@ mod tests {
     #[test]
     fn table2_tiny_has_three_rows_each() {
         let corpus = default_corpus(Scale::Tiny);
-        let t2 = table2(&corpus.corpus, Scale::Tiny, 1);
+        let (t2, _) = table2(&corpus.corpus, Scale::Tiny, 1, 0, false);
         assert_eq!(t2.median.rows.len(), 3);
         assert_eq!(t2.p99.rows.len(), 3);
         assert_eq!(t2.max.rows.len(), 3);

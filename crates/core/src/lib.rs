@@ -25,7 +25,8 @@
 //! // Generate a small coverage-guided corpus and measure it natively
 //! // versus in 4 single-core VMs.
 //! let corpus = experiments::default_corpus(Scale::Tiny);
-//! let t2 = experiments::table2(&corpus.corpus, Scale::Tiny, 42);
+//! // Seed 42, auto worker count (`jobs` 0), telemetry off.
+//! let (t2, _metered) = experiments::table2(&corpus.corpus, Scale::Tiny, 42, 0, false);
 //! println!("{}", t2.p99.render());
 //! ```
 

@@ -27,18 +27,11 @@ const GUEST_TICK_COST: Ns = 3 * US;
 /// Builds `spec` on `engine`: adds cores, partitions them into kernel
 /// instances, registers the shared host disk, and spawns each instance's
 /// daemons. Returns the core handles.
-pub fn build_env<W: HasKernel + 'static>(
-    engine: &mut Engine<W>,
-    spec: &EnvSpec,
-    seed: u64,
-) -> BuiltEnv {
-    build_env_with(engine, spec, seed, None)
-}
-
-/// [`build_env`] with an optional specialization mask applied to every
-/// instance. `None` (and `Some(SpecMask::full())`) build the
-/// unspecialized kernel bit-identically; a narrower mask gates each
-/// instance's daemons and lock footprint at construction.
+///
+/// `mask` is an optional specialization mask applied to every instance.
+/// `None` (and `Some(SpecMask::full())`) build the unspecialized kernel
+/// bit-identically; a narrower mask gates each instance's daemons and
+/// lock footprint at construction.
 pub fn build_env_with<W: HasKernel + 'static>(
     engine: &mut Engine<W>,
     spec: &EnvSpec,
@@ -140,7 +133,7 @@ mod tests {
             },
             EnvKind::Native,
         );
-        let built = build_env(&mut eng, &spec, 1);
+        let built = build_env_with(&mut eng, &spec, 1, None);
         assert_eq!(built.cores.len(), 8);
         assert_eq!(built.instances, 1);
         let w = eng.world().kernel();
@@ -161,7 +154,7 @@ mod tests {
                 },
                 EnvKind::Vm(n),
             );
-            let built = build_env(&mut eng, &spec, 1);
+            let built = build_env_with(&mut eng, &spec, 1, None);
             let w = eng.world().kernel();
             assert_eq!(w.instances.len(), n);
             assert_eq!(built.instances, n);
@@ -187,7 +180,7 @@ mod tests {
             },
             EnvKind::Container(16),
         );
-        build_env(&mut eng, &spec, 1);
+        build_env_with(&mut eng, &spec, 1, None);
         let w = eng.world().kernel();
         assert_eq!(w.instances.len(), 1);
         assert_eq!(w.instances[0].tenancy.containers, 16);
@@ -239,7 +232,7 @@ mod tests {
             },
             EnvKind::Native,
         );
-        build_env(&mut eng, &spec, 1);
+        build_env_with(&mut eng, &spec, 1, None);
         // No user processes: run() exits immediately (live_users == 0).
         let res = eng.run().unwrap();
         assert_eq!(res.clock, 0);
@@ -256,6 +249,6 @@ mod tests {
             },
             EnvKind::Vm(4),
         );
-        build_env(&mut eng, &spec, 1);
+        build_env_with(&mut eng, &spec, 1, None);
     }
 }

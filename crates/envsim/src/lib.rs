@@ -20,6 +20,6 @@ pub mod build;
 pub mod spec;
 pub mod tenant;
 
-pub use build::{build_env, build_env_with, BuiltEnv};
+pub use build::{build_env_with, BuiltEnv};
 pub use spec::{container_sweep, vm_sweep, EnvKind, EnvSpec, Machine, SweepRow};
 pub use tenant::{spawn_churn_hosts, ChurnParams, TenantHost};

@@ -223,22 +223,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
 /// run, so any pool width yields bit-identical results. A panicking
 /// point propagates after every sibling finished.
 pub fn run_churn_points(configs: &[ChurnConfig], jobs: usize) -> Vec<ChurnResult> {
-    let tasks: Vec<_> = configs.iter().map(|cfg| move || run_churn(cfg)).collect();
-    let mut panic_payload = None;
-    let results: Vec<Option<ChurnResult>> = ksa_desim::pool::run_tasks(jobs, tasks)
-        .into_iter()
-        .map(|r| match r {
-            Ok(res) => Some(res),
-            Err(payload) => {
-                panic_payload.get_or_insert(payload);
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    results.into_iter().map(|r| r.unwrap()).collect()
+    ksa_desim::pool::parallel_indexed(jobs, configs.len(), |i| run_churn(&configs[i]))
 }
 
 #[cfg(test)]

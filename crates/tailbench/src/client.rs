@@ -108,8 +108,8 @@ pub struct Client {
     issued_in_round: u64,
     batch: u64,
     batch_start: Ns,
-    /// Lossy-link policy (None = perfect link, today's behavior).
-    retry: Option<RetryPolicy>,
+    /// Lossy-link policy ([`RetryPolicy::lossless`] = perfect link).
+    retry: RetryPolicy,
     /// Requests attempted this round (issued + abandoned).
     attempted_in_round: u64,
     /// Send attempts made for the in-flight request (0 = none yet).
@@ -143,7 +143,7 @@ impl Client {
             issued_in_round: 0,
             batch: 0,
             batch_start: 0,
-            retry: None,
+            retry: RetryPolicy::lossless(),
             attempted_in_round: 0,
             attempt: 0,
             first_try: 0,
@@ -153,7 +153,7 @@ impl Client {
 
     /// Sends over a lossy link under `policy` (builder style).
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.retry = policy;
         self
     }
 
@@ -181,29 +181,28 @@ impl Client {
             self.first_try = now;
         }
         let attempt = self.attempt + 1;
-        if let Some(p) = self.retry {
-            if attempt > 1 && (now - self.first_try >= p.timeout_ns || attempt > p.max_attempts) {
-                // The give-up path: the request is abandoned, counted,
-                // and excluded from the latency samples.
-                ctx.world.client_gave_up += 1;
-                self.next_request();
-                return SendOutcome::GaveUp;
-            }
-            let dropped = p.drop_milli > 0
-                && node_decision_hash(
-                    p.seed,
-                    "client.link",
-                    self.app_id as u64,
-                    self.req_seq,
-                    attempt as u64,
-                ) % 1000
-                    < p.drop_milli as u64;
-            if dropped {
-                self.attempt = attempt;
-                ctx.world.client_retries += 1;
-                let jitter = self.rng.gen::<u64>();
-                return SendOutcome::Backoff(p.backoff.delay(attempt, jitter).max(1));
-            }
+        let p = self.retry;
+        if attempt > 1 && (now - self.first_try >= p.timeout_ns || attempt > p.max_attempts) {
+            // The give-up path: the request is abandoned, counted,
+            // and excluded from the latency samples.
+            ctx.world.client_gave_up += 1;
+            self.next_request();
+            return SendOutcome::GaveUp;
+        }
+        let dropped = p.drop_milli > 0
+            && node_decision_hash(
+                p.seed,
+                "client.link",
+                self.app_id as u64,
+                self.req_seq,
+                attempt as u64,
+            ) % 1000
+                < p.drop_milli as u64;
+        if dropped {
+            self.attempt = attempt;
+            ctx.world.client_retries += 1;
+            let jitter = self.rng.gen::<u64>();
+            return SendOutcome::Backoff(p.backoff.delay(attempt, jitter).max(1));
         }
         let arrival = self.first_try;
         self.issue_arrived(ctx, arrival);

@@ -29,7 +29,5 @@ pub mod world;
 pub use apps::{suite, AppProfile};
 pub use churn::{run_churn, run_churn_points, ChurnConfig, ChurnResult};
 pub use client::RetryPolicy;
-pub use single_node::{
-    run_points, run_single_node, run_single_node_retry, SingleNodeConfig, TailResult,
-};
+pub use single_node::{run_points, run_single_node, SingleNodeConfig, TailResult};
 pub use world::{Request, RequestAttribution, TbWorld};

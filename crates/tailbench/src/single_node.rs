@@ -139,7 +139,13 @@ pub fn run_single_node(
     cfg: &SingleNodeConfig,
     noise_corpus: &Corpus,
 ) -> TailResult {
-    run_node(app, cfg, &SharedNoise::new(noise_corpus), None, None)
+    run_node(
+        app,
+        cfg,
+        &SharedNoise::new(noise_corpus),
+        None,
+        RetryPolicy::lossless(),
+    )
 }
 
 /// The noise corpus prepared for sharing across sweep points: the
@@ -160,24 +166,6 @@ impl SharedNoise {
     }
 }
 
-/// Runs one app under `cfg` with the client sending over a lossy link
-/// under `policy` — the fabric's timeout/retry/backoff discipline at
-/// request granularity, so partition-like loss shows up in p99.
-pub fn run_single_node_retry(
-    app: &AppProfile,
-    cfg: &SingleNodeConfig,
-    noise_corpus: &Corpus,
-    policy: RetryPolicy,
-) -> TailResult {
-    run_node(
-        app,
-        cfg,
-        &SharedNoise::new(noise_corpus),
-        None,
-        Some(policy),
-    )
-}
-
 /// Runs a whole sweep of independent `(app, config)` points concurrently
 /// on the deterministic work-stealing pool (`jobs` workers; 0 = auto,
 /// 1 = sequential), returning results in input order. This is the
@@ -193,26 +181,10 @@ pub fn run_points(
     jobs: usize,
 ) -> Vec<TailResult> {
     let noise = SharedNoise::new(noise_corpus);
-    let noise = &noise;
-    let tasks: Vec<_> = points
-        .iter()
-        .map(|(app, cfg)| move || run_node(app, cfg, noise, None, None))
-        .collect();
-    let mut panic_payload = None;
-    let results: Vec<Option<TailResult>> = ksa_desim::pool::run_tasks(jobs, tasks)
-        .into_iter()
-        .map(|r| match r {
-            Ok(res) => Some(res),
-            Err(payload) => {
-                panic_payload.get_or_insert(payload);
-                None
-            }
-        })
-        .collect();
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    results.into_iter().map(|r| r.unwrap()).collect()
+    ksa_desim::pool::parallel_indexed(jobs, points.len(), |i| {
+        let (app, cfg) = &points[i];
+        run_node(app, cfg, &noise, None, RetryPolicy::lossless())
+    })
 }
 
 /// Runs one cluster node: `batches` rounds of `per_batch` requests with a
@@ -229,7 +201,7 @@ pub fn run_node_batched(
         cfg,
         &SharedNoise::new(noise_corpus),
         Some((batches, per_batch)),
-        None,
+        RetryPolicy::lossless(),
     )
 }
 
@@ -238,7 +210,7 @@ fn run_node(
     cfg: &SingleNodeConfig,
     noise: &SharedNoise,
     batched: Option<(u64, u64)>,
-    retry: Option<RetryPolicy>,
+    retry: RetryPolicy,
 ) -> TailResult {
     assert!(cfg.machine.cores.is_multiple_of(cfg.groups));
     let per_group = cfg.machine.cores / cfg.groups;
@@ -305,10 +277,8 @@ fn run_node(
     };
     // Client runs on the app's first core; it mostly sleeps. Started
     // slightly late so server setup completes first.
-    let mut client = Client::new(app_id, req_q, done_q, rate, mode, cfg.seed ^ 0xc11e);
-    if let Some(policy) = retry {
-        client = client.with_retry(policy);
-    }
+    let client =
+        Client::new(app_id, req_q, done_q, rate, mode, cfg.seed ^ 0xc11e).with_retry(retry);
     engine.spawn(app_cores[0], Box::new(client), 50_000);
 
     // Noise co-runners on the remaining cores.
@@ -533,7 +503,8 @@ mod tests {
         let app = &suite()[1];
         let cfg = SingleNodeConfig::quick(false, false, 23);
         let plain = run_single_node(app, &cfg, &noise_corpus());
-        let wrapped = run_single_node_retry(app, &cfg, &noise_corpus(), RetryPolicy::lossless());
+        let noise = SharedNoise::new(&noise_corpus());
+        let wrapped = run_node(app, &cfg, &noise, None, RetryPolicy::lossless());
         assert_eq!(plain.p99, wrapped.p99);
         assert_eq!(plain.sim_ns, wrapped.sim_ns);
         assert_eq!(plain.sojourns.raw(), wrapped.sojourns.raw());
@@ -546,8 +517,9 @@ mod tests {
         let app = &suite()[1];
         let cfg = SingleNodeConfig::quick(false, false, 27);
         let clean = run_single_node(app, &cfg, &noise_corpus());
+        let noise = SharedNoise::new(&noise_corpus());
         let policy = RetryPolicy::lossy(300, 91);
-        let lossy = run_single_node_retry(app, &cfg, &noise_corpus(), policy);
+        let lossy = run_node(app, &cfg, &noise, None, policy);
         assert!(
             lossy.client_retries > 0,
             "a 30% drop rate must force retransmits"
@@ -566,7 +538,7 @@ mod tests {
             "issued = measured + warmup + gave_up"
         );
         // Bit-identical replay, counters included.
-        let again = run_single_node_retry(app, &cfg, &noise_corpus(), policy);
+        let again = run_node(app, &cfg, &noise, None, policy);
         assert_eq!(lossy.p99, again.p99);
         assert_eq!(lossy.sim_ns, again.sim_ns);
         assert_eq!(lossy.client_retries, again.client_retries);

@@ -4,7 +4,7 @@
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
 use ksa_stats::{fmt_ns, BucketTable};
 use ksa_syzgen::{generate, GenConfig};
-use ksa_varbench::{run, RunConfig};
+use ksa_varbench::{run_hooked, RunConfig};
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -34,7 +34,7 @@ fn main() {
         EnvKind::Vm(1),
     ] {
         let t = std::time::Instant::now();
-        let mut res = run(
+        let mut res = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, kind),
                 iterations: 20,
@@ -46,6 +46,7 @@ fn main() {
                 spec: None,
             },
             &gen.corpus,
+            |_| {},
         )
         .expect("trial failed");
         let meds = res.per_site(None, |s| s.median());
@@ -70,7 +71,7 @@ fn main() {
     println!("{}", max_table.render());
 
     // Worst native sites by median, to see what dominates contention.
-    let mut res = run(
+    let mut res = run_hooked(
         &RunConfig {
             env: EnvSpec::new(machine, EnvKind::Native),
             iterations: 20,
@@ -82,6 +83,7 @@ fn main() {
             spec: None,
         },
         &gen.corpus,
+        |_| {},
     )
     .expect("trial failed");
     let mut by_med: Vec<(u64, u64, String)> = res

@@ -9,7 +9,8 @@
 //! latent variability measurable.
 //!
 //! Each worker records one latency sample per `(program, call index)`
-//! site per iteration; [`run`] aggregates them into per-site
+//! site per iteration; [`run_hooked`] (one trial) and [`run_configs`]
+//! (a campaign on the worker pool) aggregate them into per-site
 //! distributions tagged with the syscall and its categories.
 
 pub mod contention;
@@ -18,10 +19,6 @@ pub mod traceout;
 pub mod worker;
 
 pub use contention::{ContentionProfile, LockContention};
-pub use run::{
-    outcomes_to_json, run, run_configs, run_configs_hooked, run_configs_jobs, run_configs_retry,
-    run_configs_retry_jobs, run_hooked, run_isolated, RunConfig, RunError, RunResult, SiteResult,
-    TrialOutcome,
-};
+pub use run::{run_configs, run_hooked, RunConfig, RunError, RunResult, SiteResult};
 pub use traceout::{attribution_json, chrome_trace_json};
 pub use worker::CorpusWorker;

@@ -3,12 +3,10 @@
 //! The harness is **crash-proof** and **parallel**: a trial that
 //! deadlocks, livelocks or panics must not take the rest of a
 //! measurement campaign with it, and independent trials must not wait on
-//! each other. [`run`] returns `Result` instead of panicking;
+//! each other. [`run_hooked`] returns `Result` instead of panicking;
 //! [`run_configs`] executes trials concurrently on the deterministic
 //! work-stealing pool ([`ksa_desim::pool`]) with each trial isolated
-//! behind `catch_unwind`; [`run_configs_retry`] re-runs failed trials a
-//! bounded number of times under derived seeds while preserving every
-//! completed result. Worker counts come from the caller (`--jobs`) or
+//! behind `catch_unwind`. Worker counts come from the caller (`--jobs`) or
 //! the `KSA_JOBS` environment variable; `jobs == 1` is the sequential
 //! baseline, and for every worker count the output vector is
 //! **bit-identical** to that baseline (the engine is single-threaded per
@@ -16,7 +14,6 @@
 //! `parallel_runner_matches_sequential_bit_identically` in
 //! `tests/properties.rs` pins this).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ksa_desim::{Engine, EngineParams, SimError, TraceConfig, TraceLog};
@@ -92,24 +89,6 @@ impl From<SimError> for RunError {
     }
 }
 
-/// One trial's final outcome under [`run_configs_retry`].
-#[derive(Debug)]
-pub struct TrialOutcome {
-    /// The last attempt's result.
-    pub result: Result<RunResult, RunError>,
-    /// Attempts made (1 = succeeded or failed terminally first try).
-    pub attempts: u32,
-    /// Errors from the earlier failed attempts, in order.
-    pub failures: Vec<RunError>,
-}
-
-impl TrialOutcome {
-    /// The completed result, if the trial ever succeeded.
-    pub fn ok(&self) -> Option<&RunResult> {
-        self.result.as_ref().ok()
-    }
-}
-
 /// Per-site aggregated latencies.
 #[derive(Debug, Clone)]
 pub struct SiteResult {
@@ -177,13 +156,9 @@ impl RunResult {
 }
 
 /// Deploys `corpus` on `cfg.env` with one worker per core and runs to
-/// completion, aggregating per-site samples.
-pub fn run(cfg: &RunConfig, corpus: &Corpus) -> Result<RunResult, RunError> {
-    run_hooked(cfg, corpus, |_| {})
-}
-
-/// Like [`run`], but lets the caller mutate the engine after the
-/// environment is built and before workers spawn — used by ablations
+/// completion, aggregating per-site samples. `hook` may mutate the
+/// engine after the environment is built and before workers spawn
+/// (pass `|_| {}` for a plain run) — used by ablations
 /// (e.g. zeroing virtualization profiles to isolate the isolation
 /// benefit from the virtualization cost, or installing a
 /// [`ksa_desim::FaultPlan`] for fault-injection trials).
@@ -317,16 +292,6 @@ fn run_hooked_shared(
     })
 }
 
-/// Runs one trial with panic isolation: a panic anywhere inside the
-/// engine or the handlers becomes a [`RunError::Panicked`] instead of
-/// unwinding into the caller.
-pub fn run_isolated(cfg: &RunConfig, corpus: &Corpus) -> Result<RunResult, RunError> {
-    match catch_unwind(AssertUnwindSafe(|| run(cfg, corpus))) {
-        Ok(r) => r,
-        Err(payload) => Err(RunError::Panicked(panic_message(payload.as_ref()))),
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -338,33 +303,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs several configurations concurrently on the deterministic
-/// work-stealing pool, with results in input order. Worker count is the
-/// auto default (`KSA_JOBS` or available parallelism); see
-/// [`run_configs_jobs`] for an explicit `--jobs` knob. Each trial is
-/// panic-isolated: one failing trial never discards the others' results.
-pub fn run_configs(configs: &[RunConfig], corpus: &Corpus) -> Vec<Result<RunResult, RunError>> {
-    run_configs_jobs(configs, corpus, 0)
-}
-
-/// Like [`run_configs`] with an explicit worker count (`0` = auto,
-/// `1` = strictly sequential on the calling thread). Every worker count
+/// work-stealing pool, with results in input order. `jobs` is the worker
+/// count (`0` = auto: `KSA_JOBS` or available parallelism; `1` =
+/// strictly sequential on the calling thread). Every worker count
 /// produces a bit-identical output vector: the engine is single-threaded
-/// per trial and results land in index-addressed slots.
-pub fn run_configs_jobs(
-    configs: &[RunConfig],
-    corpus: &Corpus,
-    jobs: usize,
-) -> Vec<Result<RunResult, RunError>> {
-    run_configs_hooked(configs, corpus, jobs, &|_, _| {})
-}
-
-/// The fully general campaign runner: [`run_configs_jobs`] plus a
-/// per-trial engine hook (`hook(trial_index, &mut engine)`) applied
-/// after the environment is built and before workers spawn — how a
+/// per trial and results land in index-addressed slots. Each trial is
+/// panic-isolated: one failing trial never discards the others' results.
+///
+/// `hook(trial_index, &mut engine)` runs after the environment is built
+/// and before workers spawn (pass `&|_, _| {}` for plain trials) — how a
 /// campaign installs [`ksa_desim::FaultPlan`]s or ablation overrides on
 /// specific trials. The hook must be `Sync`: it is shared by all pool
 /// workers (each invocation still runs on exactly one trial's thread).
-pub fn run_configs_hooked<H>(
+pub fn run_configs<H>(
     configs: &[RunConfig],
     corpus: &Corpus,
     jobs: usize,
@@ -392,122 +343,12 @@ where
         .collect()
 }
 
-/// SplitMix64 finalizer, used to derive retry seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// Like [`run_configs`], but failed trials are retried up to
-/// `max_retries` times under derived seeds (`seed ^ splitmix64(attempt)`)
-/// so a seed-dependent pathology doesn't permanently lose the trial.
-/// Completed trials are never re-run; every attempt's error is kept for
-/// the report.
-pub fn run_configs_retry(
-    configs: &[RunConfig],
-    corpus: &Corpus,
-    max_retries: u32,
-) -> Vec<TrialOutcome> {
-    run_configs_retry_jobs(configs, corpus, max_retries, 0)
-}
-
-/// [`run_configs_retry`] with an explicit pool worker count (`0` = auto,
-/// `1` = sequential). Retry semantics are identical for every worker
-/// count: outcome `i` always corresponds to input config `i`, retries
-/// re-run only failed indices, and retry seeds derive from the *input*
-/// config's seed — never from execution order.
-pub fn run_configs_retry_jobs(
-    configs: &[RunConfig],
-    corpus: &Corpus,
-    max_retries: u32,
-    jobs: usize,
-) -> Vec<TrialOutcome> {
-    let first = run_configs_jobs(configs, corpus, jobs);
-    let mut outcomes: Vec<TrialOutcome> = first
-        .into_iter()
-        .map(|result| TrialOutcome {
-            result,
-            attempts: 1,
-            failures: Vec::new(),
-        })
-        .collect();
-    for attempt in 1..=max_retries {
-        let retry_idx: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.result.is_err())
-            .map(|(i, _)| i)
-            .collect();
-        if retry_idx.is_empty() {
-            break;
-        }
-        let retry_cfgs: Vec<RunConfig> = retry_idx
-            .iter()
-            .map(|&i| RunConfig {
-                seed: configs[i].seed ^ splitmix64(attempt as u64),
-                ..configs[i]
-            })
-            .collect();
-        let results = run_configs_jobs(&retry_cfgs, corpus, jobs);
-        for (&i, result) in retry_idx.iter().zip(results) {
-            let o = &mut outcomes[i];
-            let prev = std::mem::replace(&mut o.result, result);
-            if let Err(e) = prev {
-                o.failures.push(e);
-            }
-            o.attempts += 1;
-        }
-    }
-    outcomes
-}
-
-/// Serializes trial outcomes to JSON — the partial-result record a
-/// campaign persists so completed trials survive later failures. Failed
-/// trials appear with their error strings instead of data.
-pub fn outcomes_to_json(outcomes: &[TrialOutcome]) -> String {
-    use ksa_json::Value;
-    Value::array(outcomes.iter().map(|o| {
-        let mut fields = vec![
-            ("attempts", Value::from(o.attempts)),
-            (
-                "failures",
-                Value::array(o.failures.iter().map(|e| Value::str(e.to_string()))),
-            ),
-        ];
-        match &o.result {
-            Ok(res) => {
-                fields.push(("ok", Value::from(true)));
-                fields.push(("env", Value::str(format!("{:?}", res.config.env))));
-                fields.push(("seed", Value::from(res.config.seed)));
-                fields.push(("sim_ns", Value::from(res.sim_ns)));
-                fields.push(("sites", Value::from(res.sites.len())));
-                fields.push((
-                    "samples",
-                    Value::from(
-                        res.sites
-                            .iter()
-                            .map(|s| s.samples.len() as u64)
-                            .sum::<u64>(),
-                    ),
-                ));
-            }
-            Err(e) => {
-                fields.push(("ok", Value::from(false)));
-                fields.push(("error", Value::str(e.to_string())));
-            }
-        }
-        Value::object(fields)
-    }))
-    .render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ksa_envsim::{EnvKind, Machine};
     use ksa_kernel::{Arg, Call, Program};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn tiny_corpus() -> Corpus {
         Corpus {
@@ -558,7 +399,7 @@ mod tests {
     #[test]
     fn run_collects_all_samples() {
         let corpus = tiny_corpus();
-        let res = run(&cfg(EnvKind::Native, 5), &corpus).unwrap();
+        let res = run_hooked(&cfg(EnvKind::Native, 5), &corpus, |_| {}).unwrap();
         assert_eq!(res.sites.len(), 8);
         for s in &res.sites {
             assert_eq!(
@@ -579,13 +420,14 @@ mod tests {
         // latencies for the contended fsync site should exceed the
         // unsynced case on average (contention is concentrated).
         let corpus = tiny_corpus();
-        let mut synced = run(&cfg(EnvKind::Native, 10), &corpus).unwrap();
-        let mut unsynced = run(
+        let mut synced = run_hooked(&cfg(EnvKind::Native, 10), &corpus, |_| {}).unwrap();
+        let mut unsynced = run_hooked(
             &RunConfig {
                 sync: false,
                 ..cfg(EnvKind::Native, 10)
             },
             &corpus,
+            |_| {},
         )
         .unwrap();
         // Just verify both produce complete data and the synced run is
@@ -599,7 +441,7 @@ mod tests {
     #[test]
     fn vm_env_runs_and_isolates() {
         let corpus = tiny_corpus();
-        let res = run(&cfg(EnvKind::Vm(4), 5), &corpus).unwrap();
+        let res = run_hooked(&cfg(EnvKind::Vm(4), 5), &corpus, |_| {}).unwrap();
         assert_eq!(res.sites.len(), 8);
         for s in &res.sites {
             assert_eq!(s.samples.len(), 20);
@@ -609,14 +451,14 @@ mod tests {
     #[test]
     fn container_env_runs() {
         let corpus = tiny_corpus();
-        let res = run(&cfg(EnvKind::Container(4), 3), &corpus).unwrap();
+        let res = run_hooked(&cfg(EnvKind::Container(4), 3), &corpus, |_| {}).unwrap();
         assert_eq!(res.sites[0].samples.len(), 12);
     }
 
     #[test]
     fn per_site_filters_by_category() {
         let corpus = tiny_corpus();
-        let mut res = run(&cfg(EnvKind::Native, 2), &corpus).unwrap();
+        let mut res = run_hooked(&cfg(EnvKind::Native, 2), &corpus, |_| {}).unwrap();
         let mm = res.per_site(Some(Category::Memory), |s| s.median());
         assert_eq!(mm.len(), 2, "mmap + munmap");
         let all = res.per_site(None, |s| s.median());
@@ -626,7 +468,7 @@ mod tests {
     #[test]
     fn attribution_is_collected_and_exact() {
         let corpus = tiny_corpus();
-        let res = run(&cfg(EnvKind::Native, 3), &corpus).unwrap();
+        let res = run_hooked(&cfg(EnvKind::Native, 3), &corpus, |_| {}).unwrap();
         // 8 sites × 4 cores × 3 iterations.
         assert_eq!(res.attrib.calls(), 8 * 4 * 3);
         let grand = res.attrib.grand_total();
@@ -645,7 +487,7 @@ mod tests {
     #[test]
     fn contention_profile_reports_wait_durations() {
         let corpus = tiny_corpus();
-        let res = run(&cfg(EnvKind::Native, 5), &corpus).unwrap();
+        let res = run_hooked(&cfg(EnvKind::Native, 5), &corpus, |_| {}).unwrap();
         assert!(
             res.contention.total_wait_ns() > 0,
             "4 synced cores must queue somewhere"
@@ -668,13 +510,14 @@ mod tests {
     #[test]
     fn tracing_is_observationally_neutral_and_records() {
         let corpus = tiny_corpus();
-        let off = run(&cfg(EnvKind::Vm(2), 2), &corpus).unwrap();
-        let on = run(
+        let off = run_hooked(&cfg(EnvKind::Vm(2), 2), &corpus, |_| {}).unwrap();
+        let on = run_hooked(
             &RunConfig {
                 trace: true,
                 ..cfg(EnvKind::Vm(2), 2)
             },
             &corpus,
+            |_| {},
         )
         .unwrap();
         assert_eq!(off.sim_ns, on.sim_ns, "tracing must not perturb timing");
@@ -695,8 +538,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let corpus = tiny_corpus();
-        let a = run(&cfg(EnvKind::Native, 3), &corpus).unwrap();
-        let b = run(&cfg(EnvKind::Native, 3), &corpus).unwrap();
+        let a = run_hooked(&cfg(EnvKind::Native, 3), &corpus, |_| {}).unwrap();
+        let b = run_hooked(&cfg(EnvKind::Native, 3), &corpus, |_| {}).unwrap();
         assert_eq!(a.sim_ns, b.sim_ns);
         for (x, y) in a.sites.iter().zip(&b.sites) {
             assert_eq!(x.samples.raw(), y.samples.raw());
@@ -707,8 +550,11 @@ mod tests {
     fn parallel_configs_match_serial() {
         let corpus = tiny_corpus();
         let cfgs = [cfg(EnvKind::Native, 2), cfg(EnvKind::Vm(2), 2)];
-        let par = run_configs(&cfgs, &corpus);
-        let ser: Vec<RunResult> = cfgs.iter().map(|c| run(c, &corpus).unwrap()).collect();
+        let par = run_configs(&cfgs, &corpus, 0, &|_, _| {});
+        let ser: Vec<RunResult> = cfgs
+            .iter()
+            .map(|c| run_hooked(c, &corpus, |_| {}).unwrap())
+            .collect();
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.as_ref().unwrap().sim_ns, s.sim_ns);
         }
@@ -717,12 +563,13 @@ mod tests {
     #[test]
     fn watchdog_reports_stalled_instead_of_hanging() {
         let corpus = tiny_corpus();
-        let res = run(
+        let res = run_hooked(
             &RunConfig {
                 max_events: 50,
                 ..cfg(EnvKind::Native, 5)
             },
             &corpus,
+            |_| {},
         );
         match res {
             Err(RunError::Sim(SimError::Stalled { events, .. })) => {
@@ -746,7 +593,7 @@ mod tests {
             },
             cfg(EnvKind::Container(4), 2),
         ];
-        let results = run_configs(&cfgs, &corpus);
+        let results = run_configs(&cfgs, &corpus, 0, &|_, _| {});
         assert_eq!(results.len(), 3);
         let ok = results[0].as_ref().unwrap();
         assert_eq!(ok.sites.len(), 8);
@@ -761,95 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_reruns_only_failures_and_keeps_their_history() {
-        let corpus = tiny_corpus();
-        let cfgs = [
-            cfg(EnvKind::Native, 2),
-            RunConfig {
-                max_events: 50,
-                ..cfg(EnvKind::Native, 2)
-            },
-        ];
-        let outcomes = run_configs_retry(&cfgs, &corpus, 2);
-        assert_eq!(outcomes.len(), 2);
-        // Trial 0 succeeded first try; no retries, no recorded failures.
-        assert_eq!(outcomes[0].attempts, 1);
-        assert!(outcomes[0].failures.is_empty());
-        assert!(outcomes[0].ok().is_some());
-        // Trial 1 keeps stalling (the budget retries with it) and records
-        // every attempt.
-        assert_eq!(outcomes[1].attempts, 3);
-        assert_eq!(outcomes[1].failures.len(), 2);
-        assert!(outcomes[1].result.is_err());
-        // Retry seeds are derived, not repeated.
-        assert_ne!(
-            cfgs[1].seed,
-            cfgs[1].seed ^ super::splitmix64(1),
-            "retry must change the seed"
-        );
-    }
-
-    #[test]
-    fn retry_outcomes_map_one_to_one_to_input_indices() {
-        // Mixed pass/fail campaign with per-trial distinguishable
-        // configs: every outcome must sit in the slot of the config that
-        // produced it — pass/fail pattern, env kind and iteration count
-        // all have to line up, sequentially and on the pool alike.
-        let corpus = tiny_corpus();
-        let cfgs = [
-            RunConfig {
-                seed: 101,
-                ..cfg(EnvKind::Native, 2)
-            },
-            RunConfig {
-                max_events: 50,
-                seed: 102,
-                ..cfg(EnvKind::Vm(2), 3)
-            },
-            RunConfig {
-                seed: 103,
-                ..cfg(EnvKind::Container(4), 4)
-            },
-            RunConfig {
-                max_events: 50,
-                seed: 104,
-                ..cfg(EnvKind::Native, 5)
-            },
-            RunConfig {
-                seed: 105,
-                ..cfg(EnvKind::Vm(4), 6)
-            },
-        ];
-        for jobs in [1usize, 4] {
-            let outcomes = run_configs_retry_jobs(&cfgs, &corpus, 1, jobs);
-            assert_eq!(outcomes.len(), cfgs.len(), "jobs={jobs}");
-            for (i, (o, input)) in outcomes.iter().zip(&cfgs).enumerate() {
-                if input.max_events > 0 {
-                    // Budget-killed trials fail on every derived seed.
-                    assert!(o.result.is_err(), "jobs={jobs}: slot {i} should fail");
-                    assert_eq!(o.attempts, 2, "jobs={jobs}: slot {i} retried once");
-                } else {
-                    let res = o
-                        .ok()
-                        .unwrap_or_else(|| panic!("jobs={jobs}: slot {i} failed"));
-                    assert_eq!(o.attempts, 1, "jobs={jobs}: slot {i}");
-                    // The result's embedded config identifies the input.
-                    assert_eq!(res.config.seed, input.seed, "jobs={jobs}: slot {i}");
-                    assert_eq!(res.config.env.kind, input.env.kind, "jobs={jobs}: slot {i}");
-                    assert_eq!(
-                        res.config.iterations, input.iterations,
-                        "jobs={jobs}: slot {i}"
-                    );
-                    assert!(res
-                        .sites
-                        .iter()
-                        .all(|s| s.samples.len() == 4 * input.iterations));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn jobs_counts_produce_identical_outcome_vectors() {
         let corpus = tiny_corpus();
         let cfgs = [
@@ -860,9 +618,9 @@ mod tests {
             },
             cfg(EnvKind::Container(2), 3),
         ];
-        let seq = run_configs_jobs(&cfgs, &corpus, 1);
+        let seq = run_configs(&cfgs, &corpus, 1, &|_, _| {});
         for jobs in [2usize, 4, 0] {
-            let par = run_configs_jobs(&cfgs, &corpus, jobs);
+            let par = run_configs(&cfgs, &corpus, jobs, &|_, _| {});
             for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
                 match (a, b) {
                     (Ok(x), Ok(y)) => {
@@ -893,7 +651,7 @@ mod tests {
             cfg(EnvKind::Native, 3),
         ];
         for jobs in [1usize, 3] {
-            let results = run_configs_hooked(&cfgs, &corpus, jobs, &|i, _| {
+            let results = run_configs(&cfgs, &corpus, jobs, &|i, _| {
                 if i == 1 {
                     panic!("poisoned trial {i}");
                 }
@@ -918,54 +676,19 @@ mod tests {
     }
 
     #[test]
-    fn retried_success_is_kept() {
-        // A trial whose failure is seed-independent keeps failing; one
-        // with a sane config succeeds on attempt 1 and is never re-run.
-        // Here we check the bookkeeping when everything succeeds.
-        let corpus = tiny_corpus();
-        let outcomes = run_configs_retry(&[cfg(EnvKind::Native, 2)], &corpus, 3);
-        assert_eq!(outcomes[0].attempts, 1);
-        assert!(outcomes[0].ok().is_some());
-    }
-
-    #[test]
-    fn outcomes_json_reports_partial_results() {
-        let corpus = tiny_corpus();
-        let cfgs = [
-            cfg(EnvKind::Native, 2),
-            RunConfig {
-                max_events: 50,
-                ..cfg(EnvKind::Native, 2)
-            },
-        ];
-        let outcomes = run_configs_retry(&cfgs, &corpus, 1);
-        let json = outcomes_to_json(&outcomes);
-        let v = ksa_json::parse(&json).unwrap();
-        let arr = v.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert!(arr[0].get("ok").unwrap().as_bool().unwrap());
-        assert!(arr[0].get("samples").unwrap().as_u64().unwrap() > 0);
-        assert!(!arr[1].get("ok").unwrap().as_bool().unwrap());
-        let err = arr[1].get("error").unwrap().as_str().unwrap();
-        assert!(
-            err.contains("stall") || err.contains("livelock") || err.contains("budget"),
-            "error string should describe the stall: {err}"
-        );
-    }
-
-    #[test]
     fn metrics_are_observationally_neutral() {
         // The ablation_obs gate in unit-test form: a metered run must be
         // bit-identical to an unmetered one — same clock, same samples,
         // same event count.
         let corpus = tiny_corpus();
-        let off = run(&cfg(EnvKind::Vm(2), 2), &corpus).unwrap();
-        let on = run(
+        let off = run_hooked(&cfg(EnvKind::Vm(2), 2), &corpus, |_| {}).unwrap();
+        let on = run_hooked(
             &RunConfig {
                 metrics: true,
                 ..cfg(EnvKind::Vm(2), 2)
             },
             &corpus,
+            |_| {},
         )
         .unwrap();
         assert_eq!(off.sim_ns, on.sim_ns, "telemetry must not perturb timing");
@@ -985,12 +708,13 @@ mod tests {
         // must mirror the attribution table to the nanosecond, and the
         // engine's own dispatch counter must equal the processed count.
         let corpus = tiny_corpus();
-        let res = run(
+        let res = run_hooked(
             &RunConfig {
                 metrics: true,
                 ..cfg(EnvKind::Native, 3)
             },
             &corpus,
+            |_| {},
         )
         .unwrap();
         let grand = res.attrib.grand_total();

@@ -18,7 +18,7 @@
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::experiments::{net_corpus, Scale};
 use ksa_core::kernel::Category;
-use ksa_core::varbench::{attribution_json, chrome_trace_json, run, RunConfig};
+use ksa_core::varbench::{attribution_json, chrome_trace_json, run_hooked, RunConfig};
 use ksa_core::KernelSurfaceArea;
 
 /// `<path>.json` → `<path>.attrib.json`; anything else gets the suffix
@@ -68,7 +68,7 @@ fn main() {
         // Tracing is strictly observational, so turning it on for the
         // shared-kernel run leaves every printed number unchanged.
         let trace = count == 1 && trace_out.is_some();
-        let mut res = run(
+        let mut res = run_hooked(
             &RunConfig {
                 env: spec,
                 iterations: 2,
@@ -80,6 +80,7 @@ fn main() {
                 spec: None,
             },
             &corpus,
+            |_| {},
         )
         .expect("net storm trial failed");
         if trace {

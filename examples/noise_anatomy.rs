@@ -9,7 +9,7 @@
 
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::experiments::{default_corpus, Scale};
-use ksa_core::varbench::{run, RunConfig};
+use ksa_core::varbench::{run_hooked, RunConfig};
 
 fn main() {
     let corpus = default_corpus(Scale::Tiny);
@@ -18,7 +18,7 @@ fn main() {
         mem_mib: 4 * 1024,
     };
     for kind in [EnvKind::Native, EnvKind::Vm(8)] {
-        let res = run(
+        let res = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, kind),
                 iterations: 8,
@@ -30,6 +30,7 @@ fn main() {
                 spec: None,
             },
             &corpus.corpus,
+            |_| {},
         )
         .expect("trial failed");
         println!("=== {} ===", kind.label());

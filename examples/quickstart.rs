@@ -7,7 +7,7 @@
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::stats::BucketTable;
 use ksa_core::syzgen::{generate, GenConfig};
-use ksa_core::varbench::{run, RunConfig};
+use ksa_core::varbench::{run_hooked, RunConfig};
 
 fn main() {
     // 1. Build a corpus: programs are kept only when they reach kernel
@@ -34,7 +34,7 @@ fn main() {
     };
     let mut table = BucketTable::new("p99 syscall runtimes (cumulative % below each bound)");
     for kind in [EnvKind::Native, EnvKind::Vm(16)] {
-        let mut result = run(
+        let mut result = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, kind),
                 iterations: 10,
@@ -46,6 +46,7 @@ fn main() {
                 spec: None,
             },
             &generated.corpus,
+            |_| {},
         )
         .expect("trial failed");
         let p99s = result.per_site(None, |s| s.p99());

@@ -4,7 +4,7 @@
 
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::experiments::{self, Scale};
-use ksa_core::varbench::{run, RunConfig};
+use ksa_core::varbench::{run_hooked, RunConfig};
 use ksa_core::KernelSurfaceArea;
 
 #[test]
@@ -17,7 +17,7 @@ fn corpus_to_measurement_pipeline() {
         cores: 8,
         mem_mib: 4 * 1024,
     };
-    let mut res = run(
+    let mut res = run_hooked(
         &RunConfig {
             env: EnvSpec::new(machine, EnvKind::Native),
             iterations: 3,
@@ -29,6 +29,7 @@ fn corpus_to_measurement_pipeline() {
             spec: None,
         },
         &corpus.corpus,
+        |_| {},
     )
     .expect("trial failed");
     assert_eq!(res.sites.len(), corpus.corpus.total_calls());
@@ -52,7 +53,7 @@ fn isolation_bounds_the_tail() {
         mem_mib: 4 * 1024,
     };
     let run_kind = |kind| {
-        let mut r = run(
+        let mut r = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, kind),
                 iterations: 5,
@@ -64,6 +65,7 @@ fn isolation_bounds_the_tail() {
                 spec: None,
             },
             &corpus.corpus,
+            |_| {},
         )
         .expect("trial failed");
         let mut p99s = r.per_site(None, |s| s.p99());
@@ -88,7 +90,7 @@ fn virtualization_costs_at_the_median() {
         mem_mib: 4 * 1024,
     };
     let run_kind = |kind| {
-        let mut r = run(
+        let mut r = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(machine, kind),
                 iterations: 4,
@@ -100,6 +102,7 @@ fn virtualization_costs_at_the_median() {
                 spec: None,
             },
             &corpus.corpus,
+            |_| {},
         )
         .expect("trial failed");
         let mut meds = r.per_site(None, |s| s.median());
@@ -129,7 +132,7 @@ fn surface_area_api_is_consistent_with_envs() {
 #[test]
 fn experiments_table2_runs_at_tiny_scale() {
     let corpus = experiments::default_corpus(Scale::Tiny);
-    let t2 = experiments::table2(&corpus.corpus, Scale::Tiny, 5);
+    let (t2, _) = experiments::table2(&corpus.corpus, Scale::Tiny, 5, 0, false);
     // Cumulative percentages must be monotone within a row.
     for table in [&t2.median, &t2.p99, &t2.max] {
         for row in &table.rows {
@@ -146,7 +149,7 @@ fn experiments_fig2_trends_are_negative_where_expected() {
     use ksa_core::analysis::surface_trends;
     use ksa_core::kernel::Category;
     let corpus = experiments::default_corpus(Scale::Tiny);
-    let f2 = experiments::fig2(&corpus.corpus, Scale::Tiny, 5);
+    let (f2, _) = experiments::fig2(&corpus.corpus, Scale::Tiny, 5, 0, false);
     let trends = surface_trends(&f2);
     // Filesystem and permissions: the paper's two reliable responders.
     for want in [Category::Filesystem, Category::Permissions] {
@@ -162,4 +165,48 @@ fn experiments_fig2_trends_are_negative_where_expected() {
             "{want:?} outliers must shrink with surface area"
         );
     }
+}
+
+/// Asserts that an experiment's `(jobs 1, metrics off)` and `(jobs 2,
+/// metrics on)` runs give the same result and that only the metered run
+/// carries an enabled registry.
+fn assert_neutral<R: std::fmt::Debug>(
+    what: &str,
+    (plain, unmetered): (R, experiments::Metered),
+    (wide, metered): (R, experiments::Metered),
+) {
+    assert_eq!(
+        format!("{plain:?}"),
+        format!("{wide:?}"),
+        "{what}: jobs/metrics moved the result"
+    );
+    assert!(
+        !unmetered.registry.enabled(),
+        "{what}: metrics off, registry on"
+    );
+    assert!(
+        metered.registry.enabled(),
+        "{what}: metrics on, registry off"
+    );
+}
+
+#[test]
+fn experiments_are_neutral_to_jobs_and_metrics() {
+    let corpus = experiments::default_corpus(Scale::Tiny);
+    let c = &corpus.corpus;
+    assert_neutral(
+        "table2",
+        experiments::table2(c, Scale::Tiny, 5, 1, false),
+        experiments::table2(c, Scale::Tiny, 5, 2, true),
+    );
+    assert_neutral(
+        "fig2",
+        experiments::fig2(c, Scale::Tiny, 5, 1, false),
+        experiments::fig2(c, Scale::Tiny, 5, 2, true),
+    );
+    assert_neutral(
+        "table3",
+        experiments::table3(c, Scale::Tiny, 5, 1, false),
+        experiments::table3(c, Scale::Tiny, 5, 2, true),
+    );
 }

@@ -198,7 +198,7 @@ fn engine_clock_is_monotone() {
 fn net_trial_replays_bit_identically() {
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run, RunConfig};
+    use ksa_core::varbench::{run_hooked, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     for seed in [3u64, 0x77, 0xdead_beef] {
         let cfg = RunConfig {
@@ -217,8 +217,8 @@ fn net_trial_replays_bit_identically() {
             metrics: false,
             spec: None,
         };
-        let a = run(&cfg, &corpus).expect("net trial failed");
-        let b = run(&cfg, &corpus).expect("net replay failed");
+        let a = run_hooked(&cfg, &corpus, |_| {}).expect("net trial failed");
+        let b = run_hooked(&cfg, &corpus, |_| {}).expect("net replay failed");
         assert_eq!(a.sim_ns, b.sim_ns, "seed {seed:#x}: clocks differ");
         assert_eq!(a.sites.len(), b.sites.len());
         for (sa, sb) in a.sites.iter().zip(b.sites.iter()) {
@@ -333,7 +333,7 @@ fn socket_buffers_bound_and_conserve_bytes() {
 fn tracing_has_zero_observer_effect() {
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run, RunConfig};
+    use ksa_core::varbench::{run_hooked, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     let machine = Machine {
         cores: 4,
@@ -354,8 +354,8 @@ fn tracing_has_zero_observer_effect() {
             metrics: false,
             spec: None,
         };
-        let off = run(&cfg(false), &corpus).expect("untraced run failed");
-        let on = run(&cfg(true), &corpus).expect("traced run failed");
+        let off = run_hooked(&cfg(false), &corpus, |_| {}).expect("untraced run failed");
+        let on = run_hooked(&cfg(true), &corpus, |_| {}).expect("traced run failed");
         assert_eq!(off.sim_ns, on.sim_ns, "{kind:?}: tracing moved the clock");
         for (a, b) in off.sites.iter().zip(on.sites.iter()) {
             assert_eq!(a.samples.raw(), b.samples.raw(), "{kind:?}: samples differ");
@@ -383,7 +383,7 @@ fn tracing_has_zero_observer_effect() {
 fn traced_runs_replay_bit_identically() {
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run, RunConfig};
+    use ksa_core::varbench::{run_hooked, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     for seed in [5u64, 0xfeed] {
         let cfg = RunConfig {
@@ -402,8 +402,8 @@ fn traced_runs_replay_bit_identically() {
             metrics: false,
             spec: None,
         };
-        let a = run(&cfg, &corpus).expect("traced run failed");
-        let b = run(&cfg, &corpus).expect("traced replay failed");
+        let a = run_hooked(&cfg, &corpus, |_| {}).expect("traced run failed");
+        let b = run_hooked(&cfg, &corpus, |_| {}).expect("traced replay failed");
         assert_eq!(a.trace.total_dropped(), b.trace.total_dropped());
         let ea = a.trace.merged();
         let eb = b.trace.merged();
@@ -421,10 +421,10 @@ fn traced_runs_replay_bit_identically() {
 fn attribution_components_sum_exactly() {
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run, RunConfig};
+    use ksa_core::varbench::{run_hooked, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     for (seed, kind) in [(21u64, EnvKind::Native), (22, EnvKind::Vm(4))] {
-        let res = run(
+        let res = run_hooked(
             &RunConfig {
                 env: EnvSpec::new(
                     Machine {
@@ -442,6 +442,7 @@ fn attribution_components_sum_exactly() {
                 spec: None,
             },
             &corpus,
+            |_| {},
         )
         .expect("attribution run failed");
         let grand = res.attrib.grand_total();
@@ -527,7 +528,7 @@ fn parallel_runner_matches_sequential_bit_identically() {
     use ksa_core::desim::{FaultKind, FaultPlan, FaultSchedule};
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run_configs_hooked, RunConfig};
+    use ksa_core::varbench::{run_configs, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     let machine = Machine {
         cores: 4,
@@ -576,9 +577,9 @@ fn parallel_runner_matches_sequential_bit_identically() {
             }
         };
 
-    let seq = run_configs_hooked(&configs, &corpus, 1, &hook);
+    let seq = run_configs(&configs, &corpus, 1, &hook);
     for jobs in [4usize, 0] {
-        let par = run_configs_hooked(&configs, &corpus, jobs, &hook);
+        let par = run_configs(&configs, &corpus, jobs, &hook);
         assert_eq!(seq.len(), par.len());
         for (i, (s, p)) in seq.iter().zip(par.iter()).enumerate() {
             let (s, p) = match (s, p) {
@@ -622,7 +623,7 @@ fn parallel_runner_matches_sequential_bit_identically() {
 fn full_allowlist_specialization_is_bit_identical() {
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{net_corpus, Scale};
-    use ksa_core::varbench::{run_configs_jobs, RunConfig, RunResult};
+    use ksa_core::varbench::{run_configs, RunConfig, RunResult};
     let corpus = net_corpus(Scale::Tiny);
     let machine = Machine {
         cores: 4,
@@ -669,15 +670,15 @@ fn full_allowlist_specialization_is_bit_identical() {
     };
     let plain = mk(None);
     let full = mk(Some(SpecMask::full()));
-    let baseline = digest(&run_configs_jobs(&plain, &corpus, 1));
+    let baseline = digest(&run_configs(&plain, &corpus, 1, &|_, _| {}));
     for jobs in [1usize, 4, 0] {
         assert_eq!(
-            digest(&run_configs_jobs(&plain, &corpus, jobs)),
+            digest(&run_configs(&plain, &corpus, jobs, &|_, _| {})),
             baseline,
             "jobs {jobs}: unspecialized campaign not replayable"
         );
         assert_eq!(
-            digest(&run_configs_jobs(&full, &corpus, jobs)),
+            digest(&run_configs(&full, &corpus, jobs, &|_, _| {})),
             baseline,
             "jobs {jobs}: full allowlist must gate nothing"
         );
@@ -977,7 +978,7 @@ fn engine_slab_reuse_is_bit_identical() {
     // simulated outputs for every pool width, twice.
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{default_corpus, Scale};
-    use ksa_core::varbench::{run_configs_jobs, RunConfig, RunResult};
+    use ksa_core::varbench::{run_configs, RunConfig, RunResult};
     let corpus = default_corpus(Scale::Tiny).corpus;
     let machine = Machine {
         cores: 4,
@@ -1018,10 +1019,10 @@ fn engine_slab_reuse_is_bit_identical() {
                 })
         })
         .collect();
-    let baseline = digest(&run_configs_jobs(&configs, &corpus, 1));
+    let baseline = digest(&run_configs(&configs, &corpus, 1, &|_, _| {}));
     for jobs in [1usize, 4, 0] {
         assert_eq!(
-            digest(&run_configs_jobs(&configs, &corpus, jobs)),
+            digest(&run_configs(&configs, &corpus, jobs, &|_, _| {})),
             baseline,
             "jobs {jobs}: slab-backed campaign not bit-identical on replay"
         );
