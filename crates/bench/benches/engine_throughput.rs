@@ -42,22 +42,17 @@ fn main() {
             let label = format!("{}c/{}", cores, kind.label());
             group.bench(&label, || {
                 run_hooked(
-                    &RunConfig {
-                        env: EnvSpec::new(
+                    &RunConfig::new(
+                        EnvSpec::new(
                             Machine {
                                 cores,
                                 mem_mib: 1024 * cores as u64 / 4,
                             },
                             kind,
                         ),
-                        iterations: 5,
-                        sync: true,
-                        seed: 1,
-                        max_events: 0,
-                        trace: false,
-                        metrics: false,
-                        spec: None,
-                    },
+                        5,
+                        1,
+                    ),
                     &corpus,
                     |_| {},
                 )

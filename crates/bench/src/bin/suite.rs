@@ -161,16 +161,7 @@ fn varbench_case(configs: &[RunConfig], corpus: &Corpus, jobs: usize) -> SimOut 
 }
 
 fn base_cfg(machine: Machine, kind: EnvKind) -> RunConfig {
-    RunConfig {
-        env: EnvSpec::new(machine, kind),
-        iterations: Scale::Tiny.iterations(),
-        sync: true,
-        seed: SEED,
-        max_events: 0,
-        trace: false,
-        metrics: false,
-        spec: None,
-    }
+    RunConfig::new(EnvSpec::new(machine, kind), Scale::Tiny.iterations(), SEED)
 }
 
 fn main() {

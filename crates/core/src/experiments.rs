@@ -152,9 +152,10 @@ pub fn noise_corpus(scale: Scale) -> Corpus {
 }
 
 /// A networking-heavy corpus for the `Category::Network` surface-area
-/// study (`ablation_net`): socket setup/teardown, loopback traffic
-/// through the simulated stack, and epoll readiness scans. Send/receive
-/// appear twice so data-path calls dominate control-path ones.
+/// study (`ablate net` and `ablate trace`): socket setup/teardown,
+/// loopback traffic through the simulated stack, and epoll readiness
+/// scans. Send/receive appear twice so data-path calls dominate
+/// control-path ones.
 pub fn net_corpus(scale: Scale) -> Corpus {
     use ksa_kernel::SysNo;
     use ksa_syzgen::ProgramGenerator;
@@ -230,14 +231,8 @@ pub fn table2(
     let configs: Vec<RunConfig> = kinds
         .iter()
         .map(|&kind| RunConfig {
-            env: EnvSpec::new(machine, kind),
-            iterations: scale.iterations(),
-            sync: true,
-            seed,
-            max_events: 0,
-            trace: false,
             metrics,
-            spec: None,
+            ..RunConfig::new(EnvSpec::new(machine, kind), scale.iterations(), seed)
         })
         .collect();
     let results = run_trials("table2", &configs, corpus, jobs);
@@ -337,24 +332,20 @@ pub fn fig2(
     // One batch: the native run (which decides the site filter) plus
     // every VM-sweep point.
     let mut configs = vec![RunConfig {
-        env: EnvSpec::new(machine, EnvKind::Native),
-        iterations: scale.iterations(),
-        sync: true,
-        seed,
-        max_events: 0,
-        trace: false,
         metrics,
-        spec: None,
+        ..RunConfig::new(
+            EnvSpec::new(machine, EnvKind::Native),
+            scale.iterations(),
+            seed,
+        )
     }];
     configs.extend(sweep.iter().map(|row| RunConfig {
-        env: EnvSpec::new(machine, EnvKind::Vm(row.count)),
-        iterations: scale.iterations(),
-        sync: true,
-        seed,
-        max_events: 0,
-        trace: false,
         metrics,
-        spec: None,
+        ..RunConfig::new(
+            EnvSpec::new(machine, EnvKind::Vm(row.count)),
+            scale.iterations(),
+            seed,
+        )
     }));
     let mut results = run_trials("fig2", &configs, corpus, jobs).into_iter();
     let mut metered = Metered::default();
@@ -427,14 +418,12 @@ pub fn table3(
     let configs: Vec<RunConfig> = sweep
         .iter()
         .map(|row| RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Container(row.count)),
-            iterations: scale.iterations(),
-            sync: true,
-            seed,
-            max_events: 0,
-            trace: false,
             metrics,
-            spec: None,
+            ..RunConfig::new(
+                EnvSpec::new(machine, EnvKind::Container(row.count)),
+                scale.iterations(),
+                seed,
+            )
         })
         .collect();
     let results = run_trials("table3", &configs, corpus, jobs);

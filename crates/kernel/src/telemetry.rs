@@ -5,7 +5,7 @@
 //! The counters use the same primary-category rule as the attribution
 //! table (`no.categories().first()`, defaulting to process/sched), so a
 //! run's `syscall_ns{category=…}` totals must equal the table's
-//! per-category sums to the nanosecond — `ablation_obs` gates on it.
+//! per-category sums to the nanosecond — `ablate obs` gates on it.
 //! Gauges (run-queue depth, NIC ring and softirq backlog, socket buffer
 //! bytes, free/dirty/LRU pages, journal backlog, dentry count, spec-gated
 //! footprint) are read from [`SubsysState`](crate::state::SubsysState) on

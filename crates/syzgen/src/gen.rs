@@ -94,8 +94,8 @@ impl ProgramGenerator {
         prog
     }
 
-    /// Generates a program biased toward one syscall category (used by
-    /// the ablation benches to build focused corpora).
+    /// Generates a program biased toward one syscall category (used to
+    /// build focused corpora such as the noise and networking corpora).
     pub fn random_program_in(&mut self, pool: &[SysNo]) -> Program {
         assert!(!pool.is_empty());
         let len = self.rng.gen_range(self.len_range.0..self.len_range.1);

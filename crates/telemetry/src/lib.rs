@@ -6,7 +6,7 @@
 //! never schedules an event and never blocks a process, so enabling
 //! telemetry cannot move a single simulated nanosecond — and when
 //! disabled every operation is one branch on a `bool`, making the
-//! disabled build bit-identical *and* cost-free (the `ablation_obs`
+//! disabled build bit-identical *and* cost-free (the `ablate obs`
 //! gate pins both properties).
 //!
 //! The model:

@@ -52,7 +52,7 @@ pub struct RunConfig {
     /// Collect telemetry (engine self-profile counters plus kernel
     /// subsystem gauges and per-category syscall series). Strictly
     /// observational like `trace`: a disabled run is bit-identical to
-    /// one that never heard of telemetry (`ablation_obs` gates this).
+    /// one that never heard of telemetry (`ablate obs` gates this).
     pub metrics: bool,
     /// Specialization mask applied to every kernel instance. `None`
     /// (and `Some(SpecMask::full())`) is the unspecialized kernel,
@@ -60,6 +60,25 @@ pub struct RunConfig {
     /// daemons and lock footprint and turns out-of-allowlist calls into
     /// `ENOSYS` error paths.
     pub spec: Option<SpecMask>,
+}
+
+impl RunConfig {
+    /// The paper's default measurement: `iterations` barrier-synced
+    /// passes over `env` with `seed`, no watchdog, no trace rings, no
+    /// telemetry and the unspecialized kernel. Override fields with
+    /// struct-update syntax: `RunConfig { sync: false, ..RunConfig::new(..) }`.
+    pub fn new(env: EnvSpec, iterations: usize, seed: u64) -> Self {
+        RunConfig {
+            env,
+            iterations,
+            sync: true,
+            seed,
+            max_events: 0,
+            trace: false,
+            metrics: false,
+            spec: None,
+        }
+    }
 }
 
 /// Why a trial failed.
@@ -378,22 +397,11 @@ mod tests {
     }
 
     fn cfg(kind: EnvKind, iters: usize) -> RunConfig {
-        RunConfig {
-            env: EnvSpec::new(
-                Machine {
-                    cores: 4,
-                    mem_mib: 1024,
-                },
-                kind,
-            ),
-            iterations: iters,
-            sync: true,
-            seed: 99,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        }
+        let machine = Machine {
+            cores: 4,
+            mem_mib: 1024,
+        };
+        RunConfig::new(EnvSpec::new(machine, kind), iters, 99)
     }
 
     #[test]
@@ -677,7 +685,7 @@ mod tests {
 
     #[test]
     fn metrics_are_observationally_neutral() {
-        // The ablation_obs gate in unit-test form: a metered run must be
+        // The `ablate obs` gate in unit-test form: a metered run must be
         // bit-identical to an unmetered one — same clock, same samples,
         // same event count.
         let corpus = tiny_corpus();

@@ -44,22 +44,17 @@ fn tiny_corpus() -> Corpus {
 }
 
 fn cfg(seed: u64) -> RunConfig {
-    RunConfig {
-        env: EnvSpec::new(
+    RunConfig::new(
+        EnvSpec::new(
             Machine {
                 cores: 4,
                 mem_mib: 1024,
             },
             EnvKind::Native,
         ),
-        iterations: 3,
-        sync: true,
+        3,
         seed,
-        max_events: 0,
-        trace: false,
-        metrics: false,
-        spec: None,
-    }
+    )
 }
 
 #[test]

@@ -70,14 +70,8 @@ fn main() {
         let trace = count == 1 && trace_out.is_some();
         let mut res = run_hooked(
             &RunConfig {
-                env: spec,
-                iterations: 2,
-                sync: true,
-                seed: 42,
-                max_events: 0,
                 trace,
-                metrics: false,
-                spec: None,
+                ..RunConfig::new(spec, 2, 42)
             },
             &corpus,
             |_| {},

@@ -35,16 +35,7 @@ fn main() {
     let mut table = BucketTable::new("p99 syscall runtimes (cumulative % below each bound)");
     for kind in [EnvKind::Native, EnvKind::Vm(16)] {
         let mut result = run_hooked(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 10,
-                sync: true,
-                seed: 42,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 10, 42),
             &generated.corpus,
             |_| {},
         )

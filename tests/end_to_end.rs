@@ -18,16 +18,7 @@ fn corpus_to_measurement_pipeline() {
         mem_mib: 4 * 1024,
     };
     let mut res = run_hooked(
-        &RunConfig {
-            env: EnvSpec::new(machine, EnvKind::Native),
-            iterations: 3,
-            sync: true,
-            seed: 1,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        },
+        &RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 3, 1),
         &corpus.corpus,
         |_| {},
     )
@@ -54,16 +45,7 @@ fn isolation_bounds_the_tail() {
     };
     let run_kind = |kind| {
         let mut r = run_hooked(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 5,
-                sync: true,
-                seed: 3,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 5, 3),
             &corpus.corpus,
             |_| {},
         )
@@ -91,16 +73,7 @@ fn virtualization_costs_at_the_median() {
     };
     let run_kind = |kind| {
         let mut r = run_hooked(
-            &RunConfig {
-                env: EnvSpec::new(machine, kind),
-                iterations: 4,
-                sync: true,
-                seed: 4,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            &RunConfig::new(EnvSpec::new(machine, kind), 4, 4),
             &corpus.corpus,
             |_| {},
         )

@@ -201,22 +201,17 @@ fn net_trial_replays_bit_identically() {
     use ksa_core::varbench::{run_hooked, RunConfig};
     let corpus = net_corpus(Scale::Tiny);
     for seed in [3u64, 0x77, 0xdead_beef] {
-        let cfg = RunConfig {
-            env: EnvSpec::new(
+        let cfg = RunConfig::new(
+            EnvSpec::new(
                 Machine {
                     cores: 4,
                     mem_mib: 2 * 1024,
                 },
                 EnvKind::Vm(2),
             ),
-            iterations: 3,
-            sync: true,
+            3,
             seed,
-            max_events: 0,
-            trace: false,
-            metrics: false,
-            spec: None,
-        };
+        );
         let a = run_hooked(&cfg, &corpus, |_| {}).expect("net trial failed");
         let b = run_hooked(&cfg, &corpus, |_| {}).expect("net replay failed");
         assert_eq!(a.sim_ns, b.sim_ns, "seed {seed:#x}: clocks differ");
@@ -345,14 +340,8 @@ fn tracing_has_zero_observer_effect() {
         (13, EnvKind::Container(2)),
     ] {
         let cfg = |trace| RunConfig {
-            env: EnvSpec::new(machine, kind),
-            iterations: 2,
-            sync: true,
-            seed,
-            max_events: 0,
             trace,
-            metrics: false,
-            spec: None,
+            ..RunConfig::new(EnvSpec::new(machine, kind), 2, seed)
         };
         let off = run_hooked(&cfg(false), &corpus, |_| {}).expect("untraced run failed");
         let on = run_hooked(&cfg(true), &corpus, |_| {}).expect("traced run failed");
@@ -387,20 +376,18 @@ fn traced_runs_replay_bit_identically() {
     let corpus = net_corpus(Scale::Tiny);
     for seed in [5u64, 0xfeed] {
         let cfg = RunConfig {
-            env: EnvSpec::new(
-                Machine {
-                    cores: 4,
-                    mem_mib: 2 * 1024,
-                },
-                EnvKind::Vm(2),
-            ),
-            iterations: 2,
-            sync: true,
-            seed,
-            max_events: 0,
             trace: true,
-            metrics: false,
-            spec: None,
+            ..RunConfig::new(
+                EnvSpec::new(
+                    Machine {
+                        cores: 4,
+                        mem_mib: 2 * 1024,
+                    },
+                    EnvKind::Vm(2),
+                ),
+                2,
+                seed,
+            )
         };
         let a = run_hooked(&cfg, &corpus, |_| {}).expect("traced run failed");
         let b = run_hooked(&cfg, &corpus, |_| {}).expect("traced replay failed");
@@ -425,22 +412,17 @@ fn attribution_components_sum_exactly() {
     let corpus = net_corpus(Scale::Tiny);
     for (seed, kind) in [(21u64, EnvKind::Native), (22, EnvKind::Vm(4))] {
         let res = run_hooked(
-            &RunConfig {
-                env: EnvSpec::new(
+            &RunConfig::new(
+                EnvSpec::new(
                     Machine {
                         cores: 4,
                         mem_mib: 2 * 1024,
                     },
                     kind,
                 ),
-                iterations: 2,
-                sync: true,
+                2,
                 seed,
-                max_events: 0,
-                trace: false,
-                metrics: false,
-                spec: None,
-            },
+            ),
             &corpus,
             |_| {},
         )
@@ -544,14 +526,12 @@ fn parallel_runner_matches_sequential_bit_identically() {
             for trace in [false, true] {
                 for fault in [false, true] {
                     configs.push(RunConfig {
-                        env: EnvSpec::new(machine, kind),
-                        iterations: 2,
-                        sync: true,
-                        seed: seed ^ (configs.len() as u64) << 8,
-                        max_events: 0,
                         trace,
-                        metrics: false,
-                        spec: None,
+                        ..RunConfig::new(
+                            EnvSpec::new(machine, kind),
+                            2,
+                            seed ^ (configs.len() as u64) << 8,
+                        )
                     });
                     faulted.push(fault);
                 }
@@ -655,14 +635,8 @@ fn full_allowlist_specialization_is_bit_identical() {
         for seed in [41u64, 0xcafe] {
             for kind in [EnvKind::Native, EnvKind::Vm(2), EnvKind::Container(4)] {
                 configs.push(RunConfig {
-                    env: EnvSpec::new(machine, kind),
-                    iterations: 2,
-                    sync: true,
-                    seed,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
                     spec,
+                    ..RunConfig::new(EnvSpec::new(machine, kind), 2, seed)
                 });
             }
         }
@@ -1007,16 +981,7 @@ fn engine_slab_reuse_is_bit_identical() {
         .flat_map(|seed| {
             [EnvKind::Native, EnvKind::Vm(2), EnvKind::Container(4)]
                 .into_iter()
-                .map(move |kind| RunConfig {
-                    env: EnvSpec::new(machine, kind),
-                    iterations: 2,
-                    sync: true,
-                    seed,
-                    max_events: 0,
-                    trace: false,
-                    metrics: false,
-                    spec: None,
-                })
+                .map(move |kind| RunConfig::new(EnvSpec::new(machine, kind), 2, seed))
         })
         .collect();
     let baseline = digest(&run_configs(&configs, &corpus, 1, &|_, _| {}));
