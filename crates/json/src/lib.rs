@@ -265,7 +265,12 @@ impl From<String> for Value {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string literal: `"` and `\`
+/// are backslash-escaped, `\n`, `\r` and `\t` use their short escapes,
+/// and every other control character below U+0020 becomes `\u00XX`.
+/// [`Value::render`] writes every string and key through it, so a
+/// streaming writer that calls it produces the same bytes.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -281,29 +286,41 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts (serde_json's default
+/// recursion limit). The parser recurses once per level, so without a
+/// bound a document of a few thousand `[` overflows the stack and aborts
+/// the process instead of returning an [`Error`].
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring the input be fully consumed.
+/// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(Error::new("trailing characters after document", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread byte. Only whole chars or ASCII
+    /// bytes are ever consumed, so it always lies on a char boundary.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -313,7 +330,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -331,8 +348,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::new(
                 format!("unexpected byte `{}`", b as char),
@@ -343,12 +360,26 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
             Err(Error::new(format!("expected `{word}`"), self.pos))
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(
+                format!("nesting deeper than {MAX_DEPTH}"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -426,11 +457,9 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::new("truncated \\u escape", start))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("bad \\u escape", start))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| Error::new("bad \\u escape", start))?;
                             // Surrogate pairs are not needed for our data
@@ -444,13 +473,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid utf-8 in string", start))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let rest = &self.src[self.pos..];
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -482,8 +510,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number", start))?;
+        let text = &self.src[start..self.pos];
         if !float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -542,6 +569,40 @@ mod tests {
         let v = parse("[1]").unwrap();
         assert!(v.get("x").is_err());
         assert!(v.as_str().is_err());
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_roundtrip() {
+        // Each unescaped char used to re-validate the rest of the input,
+        // which made this 4 MiB literal take minutes to parse.
+        let long = "abcdefgh".repeat(512 * 1024);
+        let v = Value::array([Value::str(long.clone()), Value::from(7u64)]);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+
+        let mixed = "é😀中文\"\\\n\u{1}x";
+        let v = Value::object([(mixed, Value::str(mixed.repeat(3)))]);
+        let text = v.render();
+        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(parse(&text).unwrap().render(), text);
+        assert_eq!(parse(r#""\u00e9\u4e2d""#).unwrap().as_str().unwrap(), "é中");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&deep("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(r#"{"k":"#, "}", MAX_DEPTH - 1).replace(":}", ":{}}")).is_ok());
+        for text in [
+            deep("[", "]", MAX_DEPTH + 1),
+            deep(r#"{"k":"#, "}", MAX_DEPTH).replace(":}", ":{}}"),
+            "[".repeat(50_000),
+            r#"{"k":"#.repeat(50_000),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        let err = parse(&("[".repeat(MAX_DEPTH) + "[1]" + &"]".repeat(MAX_DEPTH))).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "offset of the first too-deep `[`");
     }
 
     #[test]

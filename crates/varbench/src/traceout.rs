@@ -16,107 +16,159 @@
 //! Both return strings; callers (`--trace-out` in the examples, CI
 //! gates) decide where to write them.
 
+use std::fmt::{self, Write};
+
 use ksa_desim::{TraceEvent, TraceEventKind, TraceLog};
-use ksa_json::Value;
+use ksa_json::{write_escaped, Value};
 use ksa_kernel::{Attribution, AttributionTable};
 
-/// Renders one event's `args` object (exact ns values as JSON integers).
-fn event_args(ev: &TraceEvent) -> Value {
-    let mut args: Vec<(&'static str, Value)> = vec![("ts_ns", Value::from(ev.t))];
-    match &ev.kind {
-        TraceEventKind::Wake { reason } => args.push(("reason", Value::from(*reason))),
-        TraceEventKind::Block { comp } => args.push(("comp", Value::from(comp.name()))),
-        TraceEventKind::LockContend { lock, label } => {
-            args.push(("lock", Value::from(lock.index())));
-            args.push(("label", Value::from(*label)));
+/// One `args` value, written as `Value::UInt`, `Value::Bool` and
+/// `Value::Str` would render it.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    U(u64),
+    B(bool),
+    S(&'a str),
+}
+
+/// Writes an `args` object. `fields` must be in key order: the bytes
+/// then equal a rendered `Value::Object`, whose `BTreeMap` sorts keys.
+fn write_args(out: &mut String, fields: &[(&str, Arg<'_>)]) -> fmt::Result {
+    out.push('{');
+    for (i, &(key, val)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        write_escaped(key, out);
+        out.push(':');
+        match val {
+            Arg::U(u) => write!(out, "{u}")?,
+            Arg::B(b) => write!(out, "{b}")?,
+            Arg::S(s) => write_escaped(s, out),
+        }
+    }
+    out.push('}');
+    Ok(())
+}
+
+/// Writes one event's `args` object (exact ns values as JSON integers).
+fn write_event_args(out: &mut String, ev: &TraceEvent) -> fmt::Result {
+    use Arg::{B, S, U};
+    let ts = ("ts_ns", U(ev.t));
+    match &ev.kind {
+        TraceEventKind::Wake { reason } => write_args(out, &[("reason", S(reason)), ts]),
+        TraceEventKind::Block { comp } => write_args(out, &[("comp", S(comp.name())), ts]),
+        TraceEventKind::LockContend { lock, label } => write_args(
+            out,
+            &[("label", S(label)), ("lock", U(lock.index() as u64)), ts],
+        ),
         TraceEventKind::LockAcquired {
             lock,
             label,
             wait_ns,
             contended,
-        } => {
-            args.push(("lock", Value::from(lock.index())));
-            args.push(("label", Value::from(*label)));
-            args.push(("wait_ns", Value::from(*wait_ns)));
-            args.push(("contended", Value::from(*contended)));
-        }
+        } => write_args(
+            out,
+            &[
+                ("contended", B(*contended)),
+                ("label", S(label)),
+                ("lock", U(lock.index() as u64)),
+                ts,
+                ("wait_ns", U(*wait_ns)),
+            ],
+        ),
         TraceEventKind::LockReleased {
             lock,
             label,
             held_ns,
-        } => {
-            args.push(("lock", Value::from(lock.index())));
-            args.push(("label", Value::from(*label)));
-            args.push(("held_ns", Value::from(*held_ns)));
-        }
-        TraceEventKind::RcuSync { dur_ns } => args.push(("dur_ns", Value::from(*dur_ns))),
+        } => write_args(
+            out,
+            &[
+                ("held_ns", U(*held_ns)),
+                ("label", S(label)),
+                ("lock", U(lock.index() as u64)),
+                ts,
+            ],
+        ),
+        TraceEventKind::RcuSync { dur_ns } => write_args(out, &[("dur_ns", U(*dur_ns)), ts]),
         TraceEventKind::IpiBroadcast {
             targets,
             handler_ns,
-        } => {
-            args.push(("targets", Value::from(*targets)));
-            args.push(("handler_ns", Value::from(*handler_ns)));
-        }
+        } => write_args(
+            out,
+            &[
+                ("handler_ns", U(*handler_ns)),
+                ("targets", U(u64::from(*targets))),
+                ts,
+            ],
+        ),
         TraceEventKind::IoSubmit { bytes, dur_ns } => {
-            args.push(("bytes", Value::from(*bytes)));
-            args.push(("dur_ns", Value::from(*dur_ns)));
+            write_args(out, &[("bytes", U(*bytes)), ("dur_ns", U(*dur_ns)), ts])
         }
         TraceEventKind::TimerTicks { n, cost_ns } => {
-            args.push(("ticks", Value::from(*n)));
-            args.push(("cost_ns", Value::from(*cost_ns)));
+            write_args(out, &[("cost_ns", U(*cost_ns)), ("ticks", U(*n)), ts])
         }
         TraceEventKind::FaultInjected { kind, site } => {
-            args.push(("fault", Value::from(kind.name())));
-            args.push(("site", Value::str(site.clone())));
+            write_args(out, &[("fault", S(kind.name())), ("site", S(site)), ts])
         }
         TraceEventKind::Syscall { no, enter } => {
-            args.push(("no", Value::from(u64::from(*no))));
-            args.push(("enter", Value::from(*enter)));
+            write_args(out, &[("enter", B(*enter)), ("no", U(u64::from(*no))), ts])
         }
         TraceEventKind::VmExit { kind, cost_ns } => {
-            args.push(("kind", Value::from(*kind)));
-            args.push(("cost_ns", Value::from(*cost_ns)));
+            write_args(out, &[("cost_ns", U(*cost_ns)), ("kind", S(kind)), ts])
         }
         TraceEventKind::Mark { label, a, b } => {
-            args.push(("label", Value::from(*label)));
-            args.push(("a", Value::from(*a)));
-            args.push(("b", Value::from(*b)));
+            write_args(out, &[("a", U(*a)), ("b", U(*b)), ("label", S(label)), ts])
         }
     }
-    Value::object(args)
 }
 
 /// Renders a trace in Chrome trace-event JSON (loadable in Perfetto /
 /// `chrome://tracing`). Events are instants on a `(core, process)` lane;
 /// `ts` is microseconds as the format demands, while `args.ts_ns` keeps
 /// the exact virtual nanosecond.
+///
+/// A full-scale run holds ~500k events, so the document is written
+/// straight into one `String` with no `Value` or heap allocation per
+/// event. Keys go in the order a rendered `Value` tree sorts them, so
+/// the bytes equal the tree renderer's, which the tests keep as the
+/// reference.
 pub fn chrome_trace_json(trace: &TraceLog) -> String {
-    let events = trace.merged().into_iter().map(|ev| {
-        Value::object([
-            ("name", Value::from(ev.kind.name())),
-            ("ph", Value::from("i")),
-            ("s", Value::from("t")),
-            ("pid", Value::from(ev.core.index())),
-            ("tid", Value::from(ev.pid.index())),
-            // Chrome's ts unit is µs; sub-µs precision rides in the
-            // fractional part.
-            ("ts", Value::from(ev.t as f64 / 1000.0)),
-            ("args", event_args(ev)),
-        ])
-    });
-    Value::object([
-        ("displayTimeUnit", Value::from("ns")),
-        ("traceEvents", Value::array(events)),
-        (
-            "otherData",
-            Value::object([
-                ("dropped_events", Value::from(trace.total_dropped())),
-                ("retained_events", Value::from(trace.total_events())),
-            ]),
-        ),
-    ])
-    .render()
+    let events = trace.merged();
+    // ~115 bytes per event on the default corpus; reserving up front
+    // spares the doubling copies of a 50 MB document.
+    let mut out = String::with_capacity(128 * (events.len() + 1));
+    write_chrome_trace(&mut out, trace, &events).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_chrome_trace(out: &mut String, trace: &TraceLog, events: &[&TraceEvent]) -> fmt::Result {
+    write!(
+        out,
+        r#"{{"displayTimeUnit":"ns","otherData":{{"dropped_events":{},"retained_events":{}}},"traceEvents":["#,
+        trace.total_dropped(),
+        trace.total_events(),
+    )?;
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(r#"{"args":"#);
+        write_event_args(out, ev)?;
+        out.push_str(r#","name":"#);
+        write_escaped(ev.kind.name(), out);
+        // Chrome's ts unit is µs; sub-µs precision rides in the
+        // fractional part (`{:?}`, as `Value::Float` renders it).
+        write!(
+            out,
+            r#","ph":"i","pid":{},"s":"t","tid":{},"ts":{:?}}}"#,
+            ev.core.index(),
+            ev.pid.index(),
+            ev.t as f64 / 1000.0,
+        )?;
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 /// One attribution as a JSON object (`total_ns` plus every component).
@@ -171,6 +223,103 @@ mod tests {
     use super::*;
     use ksa_desim::{CoreId, LockId, Ns, Pid, TraceRing};
 
+    /// One event's `args` as the reference renderer builds them.
+    fn reference_event_args(ev: &TraceEvent) -> Value {
+        let mut args: Vec<(&'static str, Value)> = vec![("ts_ns", Value::from(ev.t))];
+        match &ev.kind {
+            TraceEventKind::Wake { reason } => args.push(("reason", Value::from(*reason))),
+            TraceEventKind::Block { comp } => args.push(("comp", Value::from(comp.name()))),
+            TraceEventKind::LockContend { lock, label } => {
+                args.push(("lock", Value::from(lock.index())));
+                args.push(("label", Value::from(*label)));
+            }
+            TraceEventKind::LockAcquired {
+                lock,
+                label,
+                wait_ns,
+                contended,
+            } => {
+                args.push(("lock", Value::from(lock.index())));
+                args.push(("label", Value::from(*label)));
+                args.push(("wait_ns", Value::from(*wait_ns)));
+                args.push(("contended", Value::from(*contended)));
+            }
+            TraceEventKind::LockReleased {
+                lock,
+                label,
+                held_ns,
+            } => {
+                args.push(("lock", Value::from(lock.index())));
+                args.push(("label", Value::from(*label)));
+                args.push(("held_ns", Value::from(*held_ns)));
+            }
+            TraceEventKind::RcuSync { dur_ns } => args.push(("dur_ns", Value::from(*dur_ns))),
+            TraceEventKind::IpiBroadcast {
+                targets,
+                handler_ns,
+            } => {
+                args.push(("targets", Value::from(*targets)));
+                args.push(("handler_ns", Value::from(*handler_ns)));
+            }
+            TraceEventKind::IoSubmit { bytes, dur_ns } => {
+                args.push(("bytes", Value::from(*bytes)));
+                args.push(("dur_ns", Value::from(*dur_ns)));
+            }
+            TraceEventKind::TimerTicks { n, cost_ns } => {
+                args.push(("ticks", Value::from(*n)));
+                args.push(("cost_ns", Value::from(*cost_ns)));
+            }
+            TraceEventKind::FaultInjected { kind, site } => {
+                args.push(("fault", Value::from(kind.name())));
+                args.push(("site", Value::str(site.clone())));
+            }
+            TraceEventKind::Syscall { no, enter } => {
+                args.push(("no", Value::from(u64::from(*no))));
+                args.push(("enter", Value::from(*enter)));
+            }
+            TraceEventKind::VmExit { kind, cost_ns } => {
+                args.push(("kind", Value::from(*kind)));
+                args.push(("cost_ns", Value::from(*cost_ns)));
+            }
+            TraceEventKind::Mark { label, a, b } => {
+                args.push(("label", Value::from(*label)));
+                args.push(("a", Value::from(*a)));
+                args.push(("b", Value::from(*b)));
+            }
+        }
+        Value::object(args)
+    }
+
+    /// The `Value`-tree renderer the streaming writer replaced: the
+    /// byte-for-byte reference for [`chrome_trace_json`].
+    fn reference_chrome_trace_json(trace: &TraceLog) -> String {
+        let events = trace.merged().into_iter().map(|ev| {
+            Value::object([
+                ("name", Value::from(ev.kind.name())),
+                ("ph", Value::from("i")),
+                ("s", Value::from("t")),
+                ("pid", Value::from(ev.core.index())),
+                ("tid", Value::from(ev.pid.index())),
+                // Chrome's ts unit is µs; sub-µs precision rides in the
+                // fractional part.
+                ("ts", Value::from(ev.t as f64 / 1000.0)),
+                ("args", reference_event_args(ev)),
+            ])
+        });
+        Value::object([
+            ("displayTimeUnit", Value::from("ns")),
+            ("traceEvents", Value::array(events)),
+            (
+                "otherData",
+                Value::object([
+                    ("dropped_events", Value::from(trace.total_dropped())),
+                    ("retained_events", Value::from(trace.total_events())),
+                ]),
+            ),
+        ])
+        .render()
+    }
+
     fn log_with(events: Vec<(Ns, TraceEventKind)>) -> TraceLog {
         let mut ring = TraceRing::new(events.len().max(1));
         for (i, (t, kind)) in events.into_iter().enumerate() {
@@ -184,6 +333,113 @@ mod tests {
         TraceLog {
             enabled: true,
             rings: vec![ring],
+        }
+    }
+
+    /// One event of every kind, with `u64::MAX` payloads where the kind
+    /// carries any, a fault site that needs every escape, and times
+    /// covering whole, fractional and beyond-2^53 microseconds.
+    fn every_kind(t: Ns) -> Vec<TraceEventKind> {
+        let max = u64::MAX;
+        vec![
+            TraceEventKind::Wake { reason: "lock" },
+            TraceEventKind::Block {
+                comp: ksa_desim::LatComp::IoWait,
+            },
+            TraceEventKind::LockContend {
+                lock: LockId(u32::MAX),
+                label: "mmap_sem",
+            },
+            TraceEventKind::LockAcquired {
+                lock: LockId(3),
+                label: "journal",
+                wait_ns: max,
+                contended: true,
+            },
+            TraceEventKind::LockReleased {
+                lock: LockId(0),
+                label: "journal",
+                held_ns: max,
+            },
+            TraceEventKind::RcuSync { dur_ns: max },
+            TraceEventKind::IpiBroadcast {
+                targets: u32::MAX,
+                handler_ns: max,
+            },
+            TraceEventKind::IoSubmit {
+                bytes: max,
+                dur_ns: t,
+            },
+            TraceEventKind::TimerTicks { n: max, cost_ns: 0 },
+            TraceEventKind::FaultInjected {
+                kind: ksa_desim::FaultKind::IoError,
+                site: "io:\"q\\d\"\n\t\u{1}é😀".to_string(),
+            },
+            TraceEventKind::Syscall {
+                no: u16::MAX,
+                enter: false,
+            },
+            TraceEventKind::VmExit {
+                kind: "io_kick",
+                cost_ns: max,
+            },
+            TraceEventKind::Mark {
+                label: "m",
+                a: max,
+                b: t,
+            },
+        ]
+    }
+
+    #[test]
+    fn streamed_trace_matches_the_value_tree_renderer() {
+        // Fractional, whole (`2.0`, not `2`) and exponent-form (`1.8e16`)
+        // microseconds: `ts` must render as `{:?}` does.
+        let times: [Ns; 6] = [(1 << 60) + 12_345, 1, 1_500, 1_500, 2_000, u64::MAX];
+        let mut rings = vec![
+            TraceRing::new(10),
+            TraceRing::new(1_000),
+            TraceRing::new(1_000),
+        ];
+        for (core, ring) in rings.iter_mut().enumerate() {
+            for (i, &t) in times.iter().enumerate() {
+                for (k, kind) in every_kind(t).into_iter().enumerate() {
+                    // Several cores and pids share each timestamp.
+                    ring.push(TraceEvent {
+                        t,
+                        pid: Pid(if k % 2 == 0 {
+                            u32::MAX
+                        } else {
+                            (core + i) as u32
+                        }),
+                        core: CoreId(core as u32),
+                        kind,
+                    });
+                }
+            }
+        }
+        let log = TraceLog {
+            enabled: true,
+            rings,
+        };
+        assert!(log.total_dropped() > 0, "core 0's ring must overflow");
+        let kinds: std::collections::BTreeSet<_> =
+            log.merged().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds.len(), 13, "every kind survives into the export");
+
+        let streamed = chrome_trace_json(&log);
+        assert_eq!(streamed, reference_chrome_trace_json(&log));
+        for ts in ["0.001", "1.5", "2.0", "1.844674407370955e16"] {
+            assert!(streamed.contains(&format!(r#""ts":{ts}}}"#)), "ts {ts}");
+        }
+        for log in [
+            TraceLog::default(),
+            TraceLog {
+                enabled: true,
+                rings: vec![TraceRing::new(4), TraceRing::new(0)],
+            },
+        ] {
+            assert_eq!(chrome_trace_json(&log), reference_chrome_trace_json(&log));
         }
     }
 

@@ -4,7 +4,7 @@
 
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::experiments::{self, Scale};
-use ksa_core::varbench::{run_hooked, RunConfig};
+use ksa_core::varbench::{chrome_trace_json, run_hooked, RunConfig};
 use ksa_core::KernelSurfaceArea;
 
 #[test]
@@ -182,4 +182,30 @@ fn experiments_are_neutral_to_jobs_and_metrics() {
         experiments::table3(c, Scale::Tiny, 5, 1, false),
         experiments::table3(c, Scale::Tiny, 5, 2, true),
     );
+}
+
+#[test]
+fn chrome_trace_bytes_are_pinned() {
+    // FNV-1a-64 of the Chrome trace of one Tiny-scale default-corpus run,
+    // as the `Value`-tree renderer wrote it before the exporter streamed.
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    };
+    let corpus = experiments::default_corpus(Scale::Tiny);
+    for (kind, events, bytes, digest) in [
+        (EnvKind::Native, 10_481, 1_194_439, 0xaaf9ffdb448277c4),
+        (EnvKind::Vm(2), 11_429, 1_319_064, 0x746b5cc28880758e),
+    ] {
+        let cfg = RunConfig {
+            trace: true,
+            ..RunConfig::new(EnvSpec::new(Scale::Tiny.machine(), kind), 1, 42)
+        };
+        let res = run_hooked(&cfg, &corpus.corpus, |_| {}).expect("trial failed");
+        let json = chrome_trace_json(&res.trace);
+        assert_eq!(res.trace.total_events(), events, "{kind:?}");
+        assert_eq!(json.len(), bytes, "{kind:?}");
+        assert_eq!(fnv1a(json.as_bytes()), digest, "{kind:?}");
+    }
 }
