@@ -25,7 +25,8 @@
 //! so harnesses recover cold-start latency, per-tenant p99 isolation
 //! and churn conservation without any side channel.
 
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 use ksa_desim::{CoreId, Effect, Engine, FaultState, Ns, Process, SimCtx, WakeReason};
 use ksa_kernel::coverage::CoverageSet;
@@ -106,7 +107,8 @@ struct Arrival {
     requests: u64,
 }
 
-/// A resident tenant mid-lifecycle.
+/// A resident tenant mid-lifecycle. Ordered by `(ready_at, id)` — the
+/// host's scheduling key — so the waiting set is a min-heap of tenants.
 #[derive(Debug, Clone, Copy)]
 struct Tenant {
     id: u64,
@@ -123,20 +125,43 @@ struct Tenant {
     cloned: bool,
 }
 
-/// What the host's compiled sequence currently executes.
+impl Tenant {
+    fn key(&self) -> (Ns, u64) {
+        (self.ready_at, self.id)
+    }
+}
+
+impl PartialEq for Tenant {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Tenant {}
+
+impl PartialOrd for Tenant {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tenant {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// What the host's compiled sequence currently executes. The tenant it
+/// runs for is out of the waiting heap until the sequence completes.
 #[derive(Debug, Clone, Copy)]
 enum Running {
     None,
-    Setup {
-        idx: usize,
-    },
+    Setup(Tenant),
     Request {
-        idx: usize,
+        t: Tenant,
         started: Ns,
     },
-    Exit {
-        idx: usize,
-    },
+    Exit(Tenant),
     /// Final slot-wide `exit_group` sweep after the last tenant left.
     HostExit,
 }
@@ -150,7 +175,9 @@ pub struct TenantHost {
     cap: usize,
     params: ChurnParams,
     arrivals: VecDeque<Arrival>,
-    resident: Vec<Tenant>,
+    /// Resident tenants not currently running, min-first by
+    /// `(ready_at, id)`. Between units of work every resident is here.
+    waiting: BinaryHeap<Reverse<Tenant>>,
     rng: SmallRng,
     cover: CoverageSet,
     runner: OpRunner,
@@ -194,8 +221,7 @@ impl TenantHost {
     /// same compiled sequence, so the bound port (= this slot index) is
     /// only held within one compile instant and never collides across
     /// tenants or hosts.
-    fn build_setup<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, idx: usize) {
-        let t = self.resident[idx];
+    fn build_setup<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &mut Tenant) {
         let p = self.params;
         let (world, faults) = ctx.world_and_faults();
         let inst = &mut world.kernel_mut().instances[self.instance];
@@ -233,7 +259,6 @@ impl TenantHost {
         self.runner.relower(&self.seq_buf, inst, self.core);
         self.runner_live = true;
 
-        let t = &mut self.resident[idx];
         t.cloned = cloned;
         t.file_fd = file_fd;
         t.client_fd = client_fd;
@@ -243,8 +268,7 @@ impl TenantHost {
 
     /// Compiles one request: loopback round trip plus the service
     /// compute, against the connection set up at admission.
-    fn build_request<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, idx: usize) {
-        let t = self.resident[idx];
+    fn build_request<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &Tenant) {
         let p = self.params;
         let (world, faults) = ctx.world_and_faults();
         let inst = &mut world.kernel_mut().instances[self.instance];
@@ -272,8 +296,7 @@ impl TenantHost {
     /// Compiles the tenant's exit: close exactly the descriptors it
     /// opened (the socket-table slots reclaim here), unmap its working
     /// set, and reap the forked worker.
-    fn build_exit<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, idx: usize) {
-        let t = self.resident[idx];
+    fn build_exit<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &Tenant) {
         let (world, faults) = ctx.world_and_faults();
         let inst = &mut world.kernel_mut().instances[self.instance];
         self.seq_buf.reset();
@@ -314,36 +337,33 @@ impl TenantHost {
     /// Books the metrics for whatever the runner just finished.
     fn complete<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) {
         let now = ctx.now();
-        match self.running {
+        match std::mem::replace(&mut self.running, Running::None) {
             Running::None | Running::HostExit => {}
-            Running::Setup { idx } => {
-                let t = &mut self.resident[idx];
+            Running::Setup(mut t) => {
                 ctx.record(COLD_START_KEY + t.id, now - t.scheduled);
                 t.ready_at = now;
+                self.waiting.push(Reverse(t));
             }
-            Running::Request { idx, started } => {
-                let t = &mut self.resident[idx];
+            Running::Request { mut t, started } => {
                 ctx.record(REQUEST_KEY + t.id, now - started);
                 t.requests_left -= 1;
                 t.ready_at = now + self.params.think_ns;
+                self.waiting.push(Reverse(t));
             }
-            Running::Exit { idx } => {
-                let t = self.resident.swap_remove(idx);
-                ctx.record(EXIT_KEY + t.id, now);
-            }
+            Running::Exit(t) => ctx.record(EXIT_KEY + t.id, now),
         }
-        self.running = Running::None;
     }
 
     /// Picks and compiles the next unit of work, or sleeps/terminates.
     fn next<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
         let now = ctx.now();
+        // Nothing is running here, so `waiting` holds every resident.
         // Admit the next arrival when below the resident cap.
-        if self.resident.len() < self.cap {
+        if self.waiting.len() < self.cap {
             if let Some(a) = self.arrivals.front().copied() {
                 if a.at <= now {
                     self.arrivals.pop_front();
-                    self.resident.push(Tenant {
+                    let mut t = Tenant {
                         id: a.id,
                         scheduled: a.at,
                         requests_left: a.requests,
@@ -353,36 +373,32 @@ impl TenantHost {
                         conn_fd: None,
                         vma: None,
                         cloned: false,
-                    });
-                    let idx = self.resident.len() - 1;
-                    self.build_setup(ctx, idx);
-                    self.running = Running::Setup { idx };
+                    };
+                    self.build_setup(ctx, &mut t);
+                    self.running = Running::Setup(t);
                     return self.step(ctx);
                 }
             }
         }
         // Run the longest-waiting ready resident (ties by id, so the
-        // order is a pure function of simulated state).
-        let ready = self
-            .resident
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.ready_at <= now)
-            .min_by_key(|(_, t)| (t.ready_at, t.id))
-            .map(|(i, _)| i);
-        if let Some(idx) = ready {
-            if self.resident[idx].requests_left == 0 {
-                self.build_exit(ctx, idx);
-                self.running = Running::Exit { idx };
+        // order is a pure function of simulated state). The heap's
+        // minimum over all residents is ready exactly when any resident
+        // is, and is then also the minimum over the ready ones.
+        let head = self.waiting.peek().map(|Reverse(t)| t.ready_at);
+        if head.is_some_and(|at| at <= now) {
+            let Reverse(t) = self.waiting.pop().expect("peeked");
+            if t.requests_left == 0 {
+                self.build_exit(ctx, &t);
+                self.running = Running::Exit(t);
             } else {
-                self.build_request(ctx, idx);
-                self.running = Running::Request { idx, started: now };
+                self.build_request(ctx, &t);
+                self.running = Running::Request { t, started: now };
             }
             return self.step(ctx);
         }
         // Nothing ready: sleep until the next arrival or wake-up.
-        let mut wake: Option<Ns> = self.resident.iter().map(|t| t.ready_at).min();
-        if self.resident.len() < self.cap {
+        let mut wake = head;
+        if self.waiting.len() < self.cap {
             if let Some(a) = self.arrivals.front() {
                 wake = Some(wake.map_or(a.at, |w| w.min(a.at)));
             }
@@ -469,7 +485,7 @@ pub fn spawn_churn_hosts<W: HasKernel + 'static>(
             cap,
             params: *params,
             arrivals: std::mem::take(&mut per_core[ci]),
-            resident: Vec::new(),
+            waiting: BinaryHeap::new(),
             rng: SmallRng::seed_from_u64(seed ^ (0x7e2a_a27e << 8) ^ ci as u64),
             cover: CoverageSet::new(),
             runner: OpRunner::empty(),

@@ -9,6 +9,8 @@
 //! methods for the recurring kernel patterns (page allocation with
 //! per-CPU magazines and direct reclaim, slab allocation, path walks).
 
+use std::cmp::Reverse;
+
 use ksa_desim::{FaultKind, FaultState, LockId, LockMode, Ns};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -332,10 +334,11 @@ impl<'a> HCtx<'a> {
     }
 
     /// Installs a descriptor in the slot's fd table under the fd-table
-    /// lock. POSIX lowest-free-fd semantics: the lowest `Closed` slot is
-    /// reused before the table grows, so table length stays bounded by
-    /// the peak number of concurrently open descriptors (not the total
-    /// ever opened — the pre-reuse allocator leaked a slot per open).
+    /// lock. POSIX lowest-free-fd semantics: the lowest `Closed` slot
+    /// (the top of the slot's `free_fds` heap) is reused before the
+    /// table grows, so table length stays bounded by the peak number of
+    /// concurrently open descriptors (not the total ever opened — the
+    /// pre-reuse allocator leaked a slot per open).
     pub fn install_fd(&mut self, kind: FdKind) -> u64 {
         let cost = self.cost();
         let fdt = self.k.locks.fdtable[self.slot];
@@ -349,12 +352,8 @@ impl<'a> HCtx<'a> {
             kind,
             offset_pages: 0,
         };
-        match slot
-            .fds
-            .iter()
-            .position(|f| matches!(f.kind, FdKind::Closed))
-        {
-            Some(i) => {
+        match slot.free_fds.pop() {
+            Some(Reverse(i)) => {
                 slot.fds[i] = entry;
                 i as u64
             }
@@ -365,13 +364,14 @@ impl<'a> HCtx<'a> {
         }
     }
 
-    /// Marks fd `fd` closed and drops the slot's open-descriptor count.
-    /// Callers handle the object behind the descriptor (socket release /
-    /// reclaim) themselves.
+    /// Marks fd `fd` closed, queues it for reuse and drops the slot's
+    /// open-descriptor count. Callers handle the object behind the
+    /// descriptor (socket release / reclaim) themselves.
     pub(crate) fn retire_fd(&mut self, fd: usize) {
         let slot = &mut self.k.state.slots[self.slot];
         debug_assert!(!matches!(slot.fds[fd].kind, FdKind::Closed));
         slot.fds[fd].kind = FdKind::Closed;
+        slot.free_fds.push(Reverse(fd));
         slot.open_fds -= 1;
     }
 
@@ -680,7 +680,9 @@ pub fn dispatch_exit(
         let seg = &mut h.k.state.ipc.shms[si];
         seg.attaches = seg.attaches.saturating_sub(1);
     }
-    h.k.state.slots[slot].vmas.clear();
+    let st = &mut h.k.state.slots[slot];
+    st.vmas.clear();
+    st.mapped_vmas = 0;
 
     // Heap: free everything brk grew past the initial break.
     let brk = h.k.state.slots[slot].brk_pages;
@@ -797,14 +799,23 @@ mod tests {
         assert_eq!(slot.fds.len() as u64, slot.peak_open_fds);
     }
 
-    /// Socket slots return to a lowest-first free list when their fd
-    /// dies, so the sock table is bounded by peak concurrency.
+    /// The socket-table index behind fd `fd` of slot 0.
+    fn sock_idx(inst: &KernelInstance, fd: u64) -> usize {
+        match inst.state.slots[0].fds[fd as usize].kind {
+            FdKind::Socket { idx } => idx,
+            other => panic!("fd {fd} is {other:?}, not a socket"),
+        }
+    }
+
+    /// Socket slots are reused lowest-first once their fd dies, so the
+    /// sock table is bounded by peak concurrency.
     #[test]
     fn sock_slots_reclaim_lowest_first() {
         let mut inst = test_instance();
         let mut rng = SmallRng::seed_from_u64(2);
         for i in 0..3u64 {
             assert_eq!(call(&mut inst, &mut rng, SysNo::Socket, &[0]), i);
+            assert_eq!(sock_idx(&inst, i), i as usize);
         }
         assert_eq!(inst.state.net.socks.len(), 3);
         assert_eq!(inst.state.net.peak_socks, 3);
@@ -812,20 +823,24 @@ mod tests {
         call(&mut inst, &mut rng, SysNo::Close, &[1]);
         call(&mut inst, &mut rng, SysNo::Close, &[0]);
         assert_eq!(inst.state.net.live_socks, 1);
-        assert_eq!(
-            inst.state.net.free_socks,
-            vec![1, 0],
-            "descending free list"
-        );
+        assert_eq!(inst.state.net.free_socks.len(), 2);
 
         // Reuse is lowest-first and never grows the table.
-        call(&mut inst, &mut rng, SysNo::Socket, &[0]);
-        call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        let fd = call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        assert_eq!(sock_idx(&inst, fd), 0, "lowest free slot first");
+        let fd = call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        assert_eq!(sock_idx(&inst, fd), 1);
         let net = &inst.state.net;
         assert_eq!(net.socks.len(), 3, "table bounded by peak concurrency");
         assert_eq!(net.live_socks, 3);
         assert_eq!(net.peak_socks, 3);
         assert!(net.free_socks.is_empty());
+
+        // Lowest-first, not last-freed-first: free 0 then 2.
+        call(&mut inst, &mut rng, SysNo::Close, &[0]);
+        call(&mut inst, &mut rng, SysNo::Close, &[2]);
+        let fd = call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        assert_eq!(sock_idx(&inst, fd), 0);
     }
 
     /// shutdown(2) releases the socket but defers slot reclaim to the
@@ -844,9 +859,11 @@ mod tests {
         call(&mut inst, &mut rng, SysNo::Close, &[0]);
         let net = &inst.state.net;
         assert_eq!(net.live_socks, 0);
-        assert_eq!(net.free_socks, vec![0]);
+        assert_eq!(net.free_socks.len(), 1, "reclaimed exactly once");
         assert_eq!(call(&mut inst, &mut rng, SysNo::Socket, &[0]), 0);
+        assert_eq!(sock_idx(&inst, 0), 0, "the reclaimed slot is reused");
         assert_eq!(inst.state.net.socks.len(), 1);
+        assert!(inst.state.net.free_socks.is_empty());
     }
 
     /// Process exit sweeps the whole slot: descriptors, sockets, vmas,
@@ -859,10 +876,23 @@ mod tests {
         call(&mut inst, &mut rng, SysNo::Open, &[3, 1]);
         call(&mut inst, &mut rng, SysNo::Open, &[4, 1]);
         call(&mut inst, &mut rng, SysNo::Mmap, &[24, 1]);
-        call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        call(&mut inst, &mut rng, SysNo::Mmap, &[8, 0]);
+        call(&mut inst, &mut rng, SysNo::Munmap, &[1]);
+        call(&mut inst, &mut rng, SysNo::Close, &[1]);
+        // A listener with a client queued twice on its backlog.
+        let ls = call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        call(&mut inst, &mut rng, SysNo::Bind, &[ls, 7]);
+        call(&mut inst, &mut rng, SysNo::Listen, &[ls, 8]);
+        let c = call(&mut inst, &mut rng, SysNo::Socket, &[0]);
+        call(&mut inst, &mut rng, SysNo::Connect, &[c, 7]);
+        call(&mut inst, &mut rng, SysNo::Connect, &[c, 7]);
         call(&mut inst, &mut rng, SysNo::Brk, &[64]);
-        assert!(inst.state.slots[0].open_fds > 0);
-        assert_eq!(inst.state.slots[0].children_pending, 1);
+        let slot = &inst.state.slots[0];
+        assert!(slot.open_fds > 0);
+        assert_eq!(slot.children_pending, 1);
+        assert_eq!(slot.mapped_vmas, 1);
+        assert_eq!(slot.free_fds.len(), 0, "the closed fd was reused");
+        assert_eq!(inst.state.net.socks[sock_idx(&inst, c)].backlog_refs, 2);
 
         let mut cover = CoverageSet::new();
         let mut faults = FaultState::default();
@@ -874,11 +904,14 @@ mod tests {
         assert_eq!(slot.open_fds, 0);
         assert!(slot.fds_all_closed());
         assert!(slot.fds.len() as u64 <= slot.peak_open_fds);
+        assert_eq!(slot.free_fds.len(), slot.fds.len(), "every fd reusable");
         assert!(slot.vmas.is_empty());
+        assert_eq!(slot.mapped_vmas, 0);
         assert_eq!(slot.brk_pages, 16);
         assert_eq!(slot.children_pending, 0);
         let net = &inst.state.net;
         assert_eq!(net.live_socks, 0);
         assert!(net.socks.len() as u64 <= net.peak_socks);
+        assert!(net.socks.iter().all(|s| s.backlog_refs == 0));
     }
 }

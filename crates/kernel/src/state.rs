@@ -6,6 +6,15 @@
 //! the journal is a dirty-block counter. This is the level of detail the
 //! cost model needs — hash-chain pressure, commit sizes, reclaim scan
 //! lengths — without simulating the actual data structures.
+//!
+//! The host-side bookkeeping is indexed so that no per-event lookup
+//! walks a table that grows with tenant density: free fd and socket
+//! slots sit in min-heaps, sockets count the backlog entries naming
+//! them, and slots count their mapped VMAs. None of it reaches the cost
+//! model, which is charged only through the handlers' `cpu`/`mem` calls.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A file descriptor entry in a slot's fd table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,10 +70,17 @@ pub struct Vma {
 /// of the instance.
 #[derive(Debug, Clone, Default)]
 pub struct SlotState {
-    /// Open descriptors; index = fd number.
+    /// Descriptor table; index = fd number. Closed entries stay in
+    /// place (fd numbers are indices) and are reused lowest-first.
     pub fds: Vec<Fd>,
-    /// VMAs; index+1 = the "address" handle returned by mmap.
+    /// Indices of the `Closed` entries of `fds`, min-first, so the
+    /// lowest free descriptor is a pop instead of a table scan.
+    pub free_fds: BinaryHeap<Reverse<usize>>,
+    /// VMAs; index+1 = the "address" handle returned by mmap. Unmapped
+    /// entries stay until process exit clears the table.
     pub vmas: Vec<Vma>,
+    /// Entries of `vmas` still mapped (what `clone` copies).
+    pub mapped_vmas: u64,
     /// Heap size in pages (brk).
     pub brk_pages: u64,
     /// Effective uid.
@@ -203,6 +219,11 @@ pub struct SockState {
     pub backlog_cap: u64,
     /// Pending connections: socket indices awaiting `accept`.
     pub backlog: Vec<usize>,
+    /// Entries, across every socket's `backlog`, that name this socket.
+    /// A socket that connects twice is queued twice, so this is a count,
+    /// not a back-pointer. Release purges backlogs only while it is
+    /// non-zero.
+    pub backlog_refs: u32,
     /// Connected peer socket index.
     pub peer: Option<usize>,
     /// Bytes buffered for `recvfrom`, bounded by the cost model's
@@ -218,14 +239,16 @@ pub struct NetState {
     /// Socket table; length bounded by the peak number of *concurrent*
     /// sockets (slots are reclaimed on final close and reused).
     pub socks: Vec<SockState>,
-    /// Reclaimed `socks` indices awaiting reuse, kept sorted descending
-    /// so allocation pops the lowest free slot.
-    pub free_socks: Vec<usize>,
+    /// Reclaimed `socks` indices awaiting reuse, min-first, so
+    /// allocation pops the lowest free slot.
+    pub free_socks: BinaryHeap<Reverse<usize>>,
     /// Sockets currently allocated (not on the free list).
     pub live_socks: u64,
     /// High-water mark of `live_socks`; `socks.len() <= peak_socks`.
     pub peak_socks: u64,
-    /// Port table: `(port, socket index)`, instance-global.
+    /// Port table: `(port, socket index)`, instance-global. Searched
+    /// linearly: `bind` refuses a port already present, so it holds at
+    /// most [`NET_PORT_SPACE`] entries, and churn keeps at most one per slot.
     pub ports: Vec<(u64, usize)>,
     /// The instance NIC (virtio-net in VMs, the shared host NIC
     /// otherwise).
@@ -253,7 +276,7 @@ impl NetState {
         let queues = n_slots.clamp(1, 8) as u32;
         Self {
             socks: Vec::new(),
-            free_socks: Vec::new(),
+            free_socks: BinaryHeap::new(),
             live_socks: 0,
             peak_socks: 0,
             ports: Vec::new(),
@@ -275,7 +298,7 @@ impl NetState {
             ..Default::default()
         };
         match self.free_socks.pop() {
-            Some(idx) => {
+            Some(Reverse(idx)) => {
                 self.socks[idx] = sk;
                 idx
             }
@@ -292,12 +315,17 @@ impl NetState {
     /// alias whatever tenant reuses the slot next.
     pub fn reclaim_sock_slot(&mut self, idx: usize) {
         debug_assert!(!self.socks[idx].open, "reclaiming an open socket");
-        debug_assert!(!self.free_socks.contains(&idx), "double reclaim");
+        debug_assert_eq!(
+            self.socks[idx].backlog_refs, 0,
+            "reclaiming a queued socket"
+        );
+        debug_assert!(
+            !self.free_socks.iter().any(|&Reverse(i)| i == idx),
+            "double reclaim"
+        );
         self.socks[idx] = SockState::default();
         self.live_socks -= 1;
-        // Keep descending order so `pop` yields the lowest free index.
-        let pos = self.free_socks.partition_point(|&i| i > idx);
-        self.free_socks.insert(pos, idx);
+        self.free_socks.push(Reverse(idx));
     }
 
     /// Socket index bound to `port`, if any.
@@ -367,7 +395,9 @@ impl SubsysState {
         for _ in 0..n_slots {
             s.slots.push(SlotState {
                 fds: Vec::new(),
+                free_fds: BinaryHeap::new(),
                 vmas: Vec::new(),
+                mapped_vmas: 0,
                 brk_pages: 16,
                 uid: 1000,
                 umask: 0o022,

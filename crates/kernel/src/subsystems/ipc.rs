@@ -251,6 +251,7 @@ pub fn sys_shmat(h: &mut HCtx, shmid: u64) {
         locked: false,
         shm: Some(si),
     });
+    slot.mapped_vmas += 1;
     h.seq.result = slot.vmas.len() as u64;
 }
 
@@ -281,9 +282,10 @@ pub fn sys_shmdt(h: &mut HCtx, vma_sel: u64) {
     h.unlock(mmap_sem);
     let populated = h.k.state.slots[h.slot].vmas[vi].populated;
     h.free_pages(populated);
-    let v = &mut h.k.state.slots[h.slot].vmas[vi];
-    v.mapped = false;
-    v.populated = 0;
+    let slot = &mut h.k.state.slots[h.slot];
+    slot.vmas[vi].mapped = false;
+    slot.vmas[vi].populated = 0;
+    slot.mapped_vmas -= 1;
     h.k.state.ipc.shms[si].attaches = h.k.state.ipc.shms[si].attaches.saturating_sub(1);
 }
 

@@ -53,15 +53,16 @@ pub fn sys_mmap(h: &mut HCtx, len_pages: u64, flags: u64) {
         h.mem(cost.page_touch * pages.min(64));
         populated = pages;
     }
-    let slots = &mut h.k.state.slots[h.slot];
-    slots.vmas.push(Vma {
+    let slot = &mut h.k.state.slots[h.slot];
+    slot.vmas.push(Vma {
         pages,
         populated,
         mapped: true,
         locked: false,
         shm: None,
     });
-    h.seq.result = slots.vmas.len() as u64; // address handle
+    slot.mapped_vmas += 1;
+    h.seq.result = slot.vmas.len() as u64; // address handle
 }
 
 /// munmap(vma): page-table teardown under the PT lock, then the TLB
@@ -92,9 +93,10 @@ pub fn sys_munmap(h: &mut HCtx, vma_sel: u64) {
     h.unlock(mmap_sem);
     let populated = h.k.state.slots[h.slot].vmas[vi].populated;
     h.free_pages(populated);
-    let v = &mut h.k.state.slots[h.slot].vmas[vi];
-    v.mapped = false;
-    v.populated = 0;
+    let slot = &mut h.k.state.slots[h.slot];
+    slot.vmas[vi].mapped = false;
+    slot.vmas[vi].populated = 0;
+    slot.mapped_vmas -= 1;
 }
 
 /// mprotect(vma): PTE rewrite plus shootdown for permission narrowing.

@@ -77,16 +77,23 @@ pub(crate) fn release_sock_locked(h: &mut HCtx, src: usize) -> u64 {
     sk.rx_bytes = 0;
     sk.listening = false;
     sk.port = None;
-    sk.backlog.clear();
     sk.open = false;
+    let pending = std::mem::take(&mut sk.backlog);
     if let Some(p) = sk.peer.take() {
         net.socks[p].peer = None;
     }
-    // Purge the dying socket from every accept backlog: once its table
-    // slot is reclaimed, a stale backlog index would alias whichever
-    // connection reuses the slot next.
-    for other in net.socks.iter_mut() {
-        other.backlog.retain(|&c| c != src);
+    for &c in &pending {
+        net.socks[c].backlog_refs -= 1;
+    }
+    // Purge the dying socket from every accept backlog that still names
+    // it: once its table slot is reclaimed, a stale backlog index would
+    // alias whichever connection reuses the slot next. The count keeps
+    // the all-socket walk off the common path, where nothing names it.
+    if net.socks[src].backlog_refs > 0 {
+        for other in net.socks.iter_mut() {
+            other.backlog.retain(|&c| c != src);
+        }
+        net.socks[src].backlog_refs = 0;
     }
     flushed
 }
@@ -252,7 +259,9 @@ pub fn sys_connect(h: &mut HCtx, sock_sel: u64, port_sel: u64) {
         return;
     }
     h.push(KOp::VmExit(VmExitKind::IoKick));
-    h.k.state.net.socks[l].backlog.push(src);
+    let net = &mut h.k.state.net;
+    net.socks[l].backlog.push(src);
+    net.socks[src].backlog_refs += 1;
     h.unlock(bucket);
 }
 
@@ -278,6 +287,7 @@ pub fn sys_accept(h: &mut HCtx, sock_sel: u64) {
     }
     h.cpu(cost.sock_create);
     let client = h.k.state.net.socks[l].backlog.remove(0);
+    h.k.state.net.socks[client].backlog_refs -= 1;
     let conn = new_sock(h);
     let net = &mut h.k.state.net;
     net.socks[conn].peer = Some(client);

@@ -58,11 +58,7 @@ pub fn sys_clone(h: &mut HCtx, _flags: u64) {
     }
 
     // Copy mm: cost scales with the address-space size built up so far.
-    let vmas = h.k.state.slots[h.slot]
-        .vmas
-        .iter()
-        .filter(|v| v.mapped)
-        .count() as Ns;
+    let vmas = h.k.state.slots[h.slot].mapped_vmas as Ns;
     if vmas > 8 {
         cov!(h, "sched.clone.large_mm");
     }

@@ -101,7 +101,11 @@ pub struct ChurnResult {
     /// Sockets still live after the final sweeps (must be 0).
     pub sock_live_after: u64,
     /// Every slot satisfied `fds.len() <= peak_open_fds` and every
-    /// instance `socks.len() <= peak_socks` — the slot-reuse bound.
+    /// instance `socks.len() <= peak_socks` — the slot-reuse bound —
+    /// and the kernel's lookup indexes agree with the tables they
+    /// index: each slot's free-fd heap holds exactly its closed fds, its
+    /// mapped-VMA count matches its VMA table, and no socket is still
+    /// counted as queued on an accept backlog.
     pub tables_bounded: bool,
     /// Engine locks allocated at build time.
     pub locks_allocated: u32,
@@ -133,7 +137,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
     // Decode the record stream: per-tenant cold starts, sojourns, exits.
     let mut cold = Vec::new();
     let mut reqs = Vec::new();
-    let mut per_tenant: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+    // Tenant ids are dense in `0..tenants`: index by id, no map lookup.
+    let mut per_tenant: Vec<Vec<u64>> = vec![Vec::new(); cfg.params.tenants];
     let mut exited = 0u64;
     let mut digest = 0xcbf29ce484222325u64;
     let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x100000001b3);
@@ -148,14 +153,14 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
             COLD_START_KEY => cold.push(rec.value),
             REQUEST_KEY => {
                 reqs.push(rec.value);
-                per_tenant.entry(id).or_default().push(rec.value);
+                per_tenant[id as usize].push(rec.value);
             }
             EXIT_KEY => exited += 1,
             _ => {}
         }
     }
     let worst_tenant_p99 = per_tenant
-        .into_values()
+        .into_iter()
         .filter_map(|v| Samples::from_values(v).p99())
         .max()
         .unwrap_or(0);
@@ -174,13 +179,16 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
             fd_table_len += slot.fds.len() as u64;
             fd_peak += slot.peak_open_fds;
             fd_open_after += slot.open_fds;
-            tables_bounded &= slot.fds.len() as u64 <= slot.peak_open_fds;
+            tables_bounded &= slot.fds.len() as u64 <= slot.peak_open_fds
+                && slot.free_fds.len() as u64 + slot.open_fds == slot.fds.len() as u64
+                && slot.mapped_vmas == slot.vmas.iter().filter(|v| v.mapped).count() as u64;
         }
         let net = &inst.state.net;
         sock_table_len += net.socks.len() as u64;
         sock_peak += net.peak_socks;
         sock_live_after += net.live_socks;
-        tables_bounded &= net.socks.len() as u64 <= net.peak_socks;
+        tables_bounded &= net.socks.len() as u64 <= net.peak_socks
+            && net.socks.iter().all(|s| s.backlog_refs == 0);
     }
 
     let mut cold_samples = Samples::from_values(cold);

@@ -1068,3 +1068,198 @@ fn churn_conserves_tenants_and_descriptor_tables() {
         );
     }
 }
+
+/// The kernel's indexed lookups answer exactly what the linear scans
+/// they replace would: the lowest `Closed` fd (the free-fd heap), the
+/// lowest free socket slot (the free-socket heap), which sockets sit on
+/// accept backlogs (the per-socket backlog count that gates the release
+/// purge) and how many VMAs are mapped (the count `clone` copies). Two
+/// slots share one socket table; every case opens with one socket
+/// connected to two listeners, once to one of them twice, so it sits in
+/// two backlogs at once.
+#[test]
+fn indexed_kernel_tables_match_linear_scans() {
+    use ksa_core::desim::{DeviceModel, FaultState};
+    use ksa_core::kernel::dispatch::dispatch_exit;
+    use ksa_core::kernel::state::{FdKind, SlotState};
+    use ksa_core::kernel::OpSeq;
+    use std::cmp::Reverse;
+
+    fn lowest_closed_fd(slot: &SlotState) -> Option<usize> {
+        slot.fds
+            .iter()
+            .position(|f| matches!(f.kind, FdKind::Closed))
+    }
+    /// Socket slots some open descriptor holds: every live socket is
+    /// installed behind exactly one fd, so the rest are free.
+    fn held_socks(inst: &KernelInstance) -> Vec<bool> {
+        let mut held = vec![false; inst.state.net.socks.len()];
+        for slot in &inst.state.slots {
+            for fd in &slot.fds {
+                if let FdKind::Socket { idx } = fd.kind {
+                    held[idx] = true;
+                }
+            }
+        }
+        held
+    }
+    fn check(inst: &KernelInstance, ctx: &str) {
+        for (si, slot) in inst.state.slots.iter().enumerate() {
+            assert_eq!(
+                slot.free_fds.peek().map(|&Reverse(i)| i),
+                lowest_closed_fd(slot),
+                "{ctx}: slot {si} lowest closed fd"
+            );
+            let closed = slot
+                .fds
+                .iter()
+                .filter(|f| matches!(f.kind, FdKind::Closed))
+                .count();
+            assert_eq!(slot.free_fds.len(), closed, "{ctx}: slot {si} free fds");
+            let mapped = slot.vmas.iter().filter(|v| v.mapped).count() as u64;
+            assert_eq!(slot.mapped_vmas, mapped, "{ctx}: slot {si} mapped vmas");
+        }
+        let net = &inst.state.net;
+        let held = held_socks(inst);
+        assert_eq!(
+            net.free_socks.peek().map(|&Reverse(i)| i),
+            held.iter().position(|&h| !h),
+            "{ctx}: lowest free socket slot"
+        );
+        let free = held.iter().filter(|&&h| !h).count();
+        assert_eq!(net.free_socks.len(), free, "{ctx}: free socket slots");
+        for (i, sk) in net.socks.iter().enumerate() {
+            let named = net
+                .socks
+                .iter()
+                .map(|o| o.backlog.iter().filter(|&&c| c == i).count())
+                .sum::<usize>();
+            assert_eq!(
+                sk.backlog_refs as usize, named,
+                "{ctx}: sock {i} backlog count"
+            );
+            if named > 0 {
+                assert!(sk.open && held[i], "{ctx}: sock {i} queued after release");
+            }
+            if !sk.open {
+                assert!(
+                    sk.backlog.is_empty(),
+                    "{ctx}: released sock {i} kept a backlog"
+                );
+            }
+        }
+    }
+
+    for_each_case("indexed_kernel_tables_match_linear_scans", |seed, rng| {
+        let mut eng: Engine<()> = Engine::new((), EngineParams::default(), 1);
+        let disk = eng.add_device(DeviceModel::nvme_ssd());
+        let cores = vec![
+            eng.add_core(CoreConfig::default()),
+            eng.add_core(CoreConfig::default()),
+        ];
+        let mut inst = KernelInstance::build(
+            &mut eng,
+            0,
+            InstanceConfig {
+                cores,
+                mem_mib: 256,
+                virt: VirtProfile::native(),
+                tenancy: TenancyProfile::none(),
+                cost: CostModel::default(),
+                disk,
+                spec: SpecMask::full(),
+            },
+        );
+        let mut call_rng = SmallRng::seed_from_u64(seed);
+        // Dispatches one call, checking that a descriptor-installing call
+        // lands on the lowest closed fd and, for sockets, the lowest free
+        // socket slot, then checks every index.
+        let mut run = |inst: &mut KernelInstance, slot: usize, no: SysNo, args: &[u64]| {
+            let want_fd = {
+                let s = &inst.state.slots[slot];
+                lowest_closed_fd(s).unwrap_or(s.fds.len())
+            };
+            let want_sock = {
+                let held = held_socks(inst);
+                held.iter().position(|&h| !h).unwrap_or(held.len())
+            };
+            let seq = dispatch_simple(inst, slot, no, args, &mut call_rng);
+            let ctx = format!("seed {seed:#x}: slot {slot} {no:?} {args:?}");
+            if seq.error.is_none() && matches!(no, SysNo::Socket | SysNo::Accept | SysNo::Open) {
+                assert_eq!(seq.result, want_fd as u64, "{ctx}: fd number");
+                if no != SysNo::Open {
+                    assert_eq!(
+                        inst.state.slots[slot].fds[want_fd].kind,
+                        FdKind::Socket { idx: want_sock },
+                        "{ctx}: socket slot"
+                    );
+                }
+            }
+            check(inst, &ctx);
+            seq.error
+        };
+
+        // Slot 0 listens on ports 1 and 2; slot 1's socket connects to
+        // port 1, port 2 and port 1 again.
+        for (slot, no, args) in [
+            (0, SysNo::Socket, [0u64, 0]),
+            (0, SysNo::Bind, [0, 1]),
+            (0, SysNo::Listen, [0, 8]),
+            (0, SysNo::Socket, [0, 0]),
+            (0, SysNo::Bind, [1, 2]),
+            (0, SysNo::Listen, [1, 8]),
+            (1, SysNo::Socket, [0, 0]),
+            (1, SysNo::Connect, [0, 1]),
+            (1, SysNo::Connect, [0, 2]),
+            (1, SysNo::Connect, [0, 1]),
+        ] {
+            let err = run(&mut inst, slot, no, &args);
+            assert_eq!(err, None, "seed {seed:#x}: prelude {no:?} failed");
+        }
+        assert_eq!(inst.state.net.socks[2].backlog_refs, 3);
+
+        let exit = |inst: &mut KernelInstance, slot: usize| {
+            dispatch_exit(
+                inst,
+                slot,
+                &mut SmallRng::seed_from_u64(seed),
+                &mut CoverageSet::new(),
+                &mut FaultState::default(),
+                &mut OpSeq::new(),
+            );
+        };
+        for _ in 0..80 {
+            let slot = rng.gen_range(0..2usize);
+            let sel = rng.gen_range(0u64..12);
+            let port = rng.gen_range(0u64..4);
+            let (no, args) = match rng.gen_range(0u32..24) {
+                0..=3 => (SysNo::Socket, [0, 0]),
+                4 => (SysNo::Bind, [sel, port]),
+                5 => (SysNo::Listen, [sel, 8]),
+                6..=8 => (SysNo::Connect, [sel, port]),
+                9..=10 => (SysNo::Accept, [sel, 0]),
+                11..=13 => (SysNo::Close, [sel, 0]),
+                14..=15 => (SysNo::ShutdownSock, [sel, 0]),
+                16 => (SysNo::Open, [sel, 1]),
+                17..=18 => (SysNo::Mmap, [sel + 1, sel & 1]),
+                19..=20 => (SysNo::Munmap, [sel, 0]),
+                21..=22 => (SysNo::Clone, [0, 0]),
+                _ => {
+                    exit(&mut inst, slot);
+                    check(&inst, &format!("seed {seed:#x}: exit slot {slot}"));
+                    continue;
+                }
+            };
+            run(&mut inst, slot, no, &args);
+        }
+
+        // Both processes exit: every fd and socket slot is free again.
+        for slot in 0..2 {
+            exit(&mut inst, slot);
+        }
+        check(&inst, &format!("seed {seed:#x}: final exit"));
+        let net = &inst.state.net;
+        assert_eq!(net.live_socks, 0, "seed {seed:#x}: sockets outlived exit");
+        assert_eq!(net.free_socks.len(), net.socks.len());
+    });
+}
