@@ -42,15 +42,17 @@ fn cluster_config(scale: Scale, seed: u64, jobs: usize) -> ClusterConfig {
         iterations,
         requests_per_iter,
         node: SingleNodeConfig {
-            machine: Machine {
-                cores,
-                mem_mib: gib * 1024,
-            },
-            groups: 2,
-            requests: 0,
-            warmup: 0,
             util_pct: 92,
-            ..SingleNodeConfig::quick(false, false, seed)
+            ..SingleNodeConfig::new(
+                Machine {
+                    cores,
+                    mem_mib: gib * 1024,
+                },
+                2,
+                false,
+                false,
+                seed,
+            )
         },
         barrier_ns: 40_000,
         threads: jobs,

@@ -15,21 +15,16 @@ fn main() {
     let mut points = Vec::new();
     for app in suite() {
         for virt in [false, true] {
+            let machine = Machine {
+                cores: 16,
+                mem_mib: 16 * 1024,
+            };
             let cfg = SingleNodeConfig {
-                machine: Machine {
-                    cores: 16,
-                    mem_mib: 16 * 1024,
-                },
-                groups: 4,
-                virt,
-                noise: false,
                 requests: 400,
                 warmup: 50,
                 util_pct: 10, // low load: sojourn ~= service demand
-                trace: false,
                 metrics: cli.metrics(),
-                spec: None,
-                seed: 5,
+                ..SingleNodeConfig::new(machine, 4, virt, false, 5)
             };
             points.push((app.clone(), cfg));
         }

@@ -1,9 +1,9 @@
 //! `suite` — the benchmark-regression gate.
 //!
 //! Runs a pinned-seed micro version of every experiment in the pipeline
-//! (Table 1–3, Figure 2–4, calibrate, failover), each twice: once sequentially
-//! (`jobs = 1`) and once on the parallel pool. For each experiment it
-//! records
+//! (Table 1–3, Figure 2–4, calibrate, failover, spec, churn), each
+//! twice: once sequentially (`jobs = 1`) and once on the parallel pool.
+//! For each experiment it records
 //!
 //! * sequential and parallel **wall-clock** time,
 //! * total **simulated time** and **engine events** (with derived
@@ -17,55 +17,49 @@
 //! metrics the CI regression job compares against the committed
 //! baseline (`BENCH_baseline.json`). Wall-clock is machine-dependent;
 //! CI gates only the *ratio* (parallel speedup), and only on machines
-//! with at least 4 hardware threads.
+//! with at least 4 hardware threads, plus the perf floor below.
 //!
 //! The suite also hard-fails (exit 4) if any experiment's parallel
 //! digest differs from its sequential digest — the determinism
-//! acceptance criterion, checked on every run.
-//!
-//! With `--profile N` the suite additionally re-runs every experiment's
-//! parallel pass `N` more times after the gated passes and emits a
-//! `profile` section into the report: per-experiment wall-clock
-//! (best/mean over the repeats) and the derived events/second. Profiling
-//! never affects the gates — digests and event counts are pinned by the
-//! gated passes; the extra repeats only tighten the wall-clock numbers
-//! the artifact carries.
-//!
-//! Every run also (a) times a telemetry-on varbench campaign and emits
-//! an `engine_profile` section — dispatch/schedule/wake/spawn counters,
-//! event-queue peak, events/sec — the ROADMAP engine-overhaul baseline,
-//! and (b) appends a one-line wall-clock/throughput record to
-//! `BENCH_history.jsonl` keyed by the `KSA_GIT_SHA`/`GITHUB_SHA`
-//! environment variable (no clock or repo access from the suite itself).
+//! acceptance criterion, checked on every run before anything else is
+//! gated or a baseline is written.
 //!
 //! ```text
 //! suite [--jobs N] [--out PATH] [--baseline PATH] [--write-baseline PATH]
-//!       [--history PATH] [--min-speedup F] [--profile N] [--floor F]
+//!       [--min-speedup F] [--floor F]
 //! ```
 //!
-//! Exit codes: 0 ok · 2 baseline drift · 3 speedup below gate ·
-//! 4 parallel/sequential divergence · 5 events/sec below the committed
-//! perf floor · 6 malformed baseline file (unreadable, invalid JSON, or
-//! missing/mistyped gated fields — distinct from drift so CI can tell a
-//! corrupt committed baseline from a real behavioural change).
+//! The seed and the experiment sizes are pinned, so the other common
+//! flags (`--seed`, `--tiny`/`--quick`/`--full`, `--csv`, `--trace-out`,
+//! `--metrics-out`) are usage errors rather than silently ignored.
+//!
+//! Exit codes: 0 ok · 2 baseline drift or usage error · 3 speedup below
+//! gate · 4 parallel/sequential divergence · 5 events/sec below the
+//! committed perf floor · 6 malformed baseline file (unreadable, invalid
+//! JSON, or missing/mistyped gated fields — distinct from drift so CI
+//! can tell a corrupt committed baseline from a real behavioural
+//! change).
 //!
 //! The perf floor: when the baseline carries an `events_per_sec_floor`
-//! field, the engine profile's measured events/sec must not fall below
-//! it (exit 5). `KSA_SKIP_PERF_FLOOR=1` skips the check on underpowered
-//! runners. `--write-baseline` carries the floor forward from the read
-//! baseline; `--floor F` sets or overrides it when regenerating.
+//! field, the sequential pass's throughput — Σ events / Σ sequential
+//! wall-clock over every experiment, at `jobs = 1` with telemetry off,
+//! reported as `events_per_sec_seq` — must not fall below it (exit 5).
+//! `KSA_SKIP_PERF_FLOOR=1` skips the check on underpowered runners.
+//! `--write-baseline` carries the floor forward from the read baseline;
+//! `--floor F` sets or overrides it when regenerating. Host time per
+//! layer is perfbench's job (`BENCHMARK.json`), not the suite's.
 
 use std::time::Instant;
 
+use ksa_bench::cli::{Args, Cli};
 use ksa_cluster::{run_cluster, run_cluster_faulted, ClusterConfig, FabricConfig};
 use ksa_core::experiments::{default_corpus, noise_corpus, table1, Scale};
 use ksa_core::KernelSurfaceArea;
 use ksa_desim::NodeFaultPlan;
 use ksa_envsim::{container_sweep, vm_sweep, EnvKind, EnvSpec, Machine};
 use ksa_json::Value;
-use ksa_kernel::latency::AttributionTable;
 use ksa_kernel::prog::Corpus;
-use ksa_kernel::{attribution_frames, SpecMask};
+use ksa_kernel::SpecMask;
 use ksa_tailbench::apps::{cluster_suite, suite as app_suite};
 use ksa_tailbench::churn::{run_churn_points, ChurnConfig};
 use ksa_tailbench::single_node::{run_points, SingleNodeConfig};
@@ -164,42 +158,33 @@ fn base_cfg(machine: Machine, kind: EnvKind) -> RunConfig {
     RunConfig::new(EnvSpec::new(machine, kind), Scale::Tiny.iterations(), SEED)
 }
 
+/// The numeric value of `flag`; a usage error (exit 2) if it is not one.
+fn number(args: &mut Args, flag: &str) -> f64 {
+    let v = args.value(flag);
+    v.parse()
+        .unwrap_or_else(|_| args.usage(&format!("{flag} needs a number, got {v:?}")))
+}
+
 fn main() {
     let mut out_path = String::from("BENCH_suite.json");
     let mut baseline: Option<String> = None;
     let mut write_baseline: Option<String> = None;
-    let mut history: Option<String> = None;
     let mut min_speedup = 1.5f64;
-    let mut profile = 0usize;
     let mut floor_flag: Option<f64> = None;
-    let cli = ksa_bench::Cli::parse_with(
-        "[--out PATH] [--baseline PATH] [--write-baseline PATH] [--history PATH] \
-         [--min-speedup F] [--profile N] [--floor F]",
+    let cli = Cli::parse_with(
+        "[--out PATH] [--baseline PATH] [--write-baseline PATH] [--min-speedup F] [--floor F]",
         |flag, args| {
             match flag {
                 "--out" => out_path = args.value("--out"),
                 "--baseline" => baseline = Some(args.value("--baseline")),
                 "--write-baseline" => write_baseline = Some(args.value("--write-baseline")),
-                "--history" => history = Some(args.value("--history")),
-                "--min-speedup" => {
-                    min_speedup = args
-                        .value("--min-speedup")
-                        .parse()
-                        .expect("--min-speedup: not a number")
-                }
-                "--profile" => {
-                    profile = args
-                        .value("--profile")
-                        .parse()
-                        .expect("--profile: not a number")
-                }
-                "--floor" => {
-                    floor_flag = Some(
-                        args.value("--floor")
-                            .parse()
-                            .expect("--floor: not a number"),
-                    )
-                }
+                "--min-speedup" => min_speedup = number(args, "--min-speedup"),
+                "--floor" => floor_flag = Some(number(args, "--floor")),
+                "--seed" | "--tiny" | "--quick" | "--full" | "--csv" | "--trace-out"
+                | "--metrics-out" => args.usage(&format!(
+                    "suite does not take {flag}: its seed ({SEED}) and sizes are pinned \
+                     and it writes only --out and --write-baseline"
+                )),
                 _ => return false,
             }
             true
@@ -218,6 +203,11 @@ fn main() {
     let corpus = default_corpus(Scale::Tiny).corpus;
     let noise = noise_corpus(Scale::Tiny);
     let machine = Scale::Tiny.machine();
+    // The 8-core node that fig3, fig4 and failover divide.
+    let node_machine = Machine {
+        cores: 8,
+        mem_mib: 8 * 1024,
+    };
 
     // Each experiment is `fn(jobs) -> SimOut`; the harness runs it at
     // jobs=1 and jobs=<requested> and compares.
@@ -280,10 +270,6 @@ fn main() {
         (
             "fig3",
             Box::new(|jobs| {
-                let node_machine = Machine {
-                    cores: 8,
-                    mem_mib: 8 * 1024,
-                };
                 let mut points = Vec::new();
                 for app in app_suite() {
                     for (virt, with_noise) in
@@ -292,17 +278,9 @@ fn main() {
                         points.push((
                             app.clone(),
                             SingleNodeConfig {
-                                machine: node_machine,
-                                groups: 4,
-                                virt,
-                                noise: with_noise,
                                 requests: 120,
                                 warmup: 12,
-                                util_pct: 75,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
+                                ..SingleNodeConfig::new(node_machine, 4, virt, with_noise, SEED)
                             },
                         ));
                     }
@@ -339,20 +317,8 @@ fn main() {
                             iterations: 3,
                             requests_per_iter: 20,
                             node: SingleNodeConfig {
-                                machine: Machine {
-                                    cores: 8,
-                                    mem_mib: 8 * 1024,
-                                },
-                                groups: 2,
-                                virt,
-                                noise: with_noise,
-                                requests: 0,
-                                warmup: 0,
                                 util_pct: 92,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
+                                ..SingleNodeConfig::new(node_machine, 2, virt, with_noise, SEED)
                             },
                             barrier_ns: 40_000,
                             threads: jobs,
@@ -389,20 +355,8 @@ fn main() {
                     iterations: 4,
                     requests_per_iter: 20,
                     node: SingleNodeConfig {
-                        machine: Machine {
-                            cores: 8,
-                            mem_mib: 8 * 1024,
-                        },
-                        groups: 2,
-                        virt: false,
-                        noise: true,
-                        requests: 0,
-                        warmup: 0,
                         util_pct: 92,
-                        trace: false,
-                        metrics: false,
-                        spec: None,
-                        seed: SEED,
+                        ..SingleNodeConfig::new(node_machine, 2, false, true, SEED)
                     },
                     barrier_ns: 40_000,
                     threads: jobs,
@@ -447,20 +401,19 @@ fn main() {
                         points.push((
                             app.clone(),
                             SingleNodeConfig {
-                                machine: Machine {
-                                    cores: 16,
-                                    mem_mib: 16 * 1024,
-                                },
-                                groups: 4,
-                                virt,
-                                noise: false,
                                 requests: 100,
                                 warmup: 10,
                                 util_pct: 10,
-                                trace: false,
-                                metrics: false,
-                                spec: None,
-                                seed: SEED,
+                                ..SingleNodeConfig::new(
+                                    Machine {
+                                        cores: 16,
+                                        mem_mib: 16 * 1024,
+                                    },
+                                    4,
+                                    virt,
+                                    false,
+                                    SEED,
+                                )
                             },
                         ));
                     }
@@ -564,7 +517,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut diverged = false;
-    let (mut total_seq, mut total_par) = (0u64, 0u64);
+    let (mut total_seq, mut total_par, mut total_events) = (0u64, 0u64, 0u64);
     for (name, case) in &cases {
         let seq = timed(|| case(1));
         let par = timed(|| case(jobs));
@@ -578,6 +531,7 @@ fn main() {
         }
         total_seq += seq.wall_ns;
         total_par += par.wall_ns;
+        total_events += seq.events;
         let speedup = seq.wall_ns as f64 / par.wall_ns.max(1) as f64;
         let eps = |p: &Pass| p.events as f64 / (p.wall_ns.max(1) as f64 / 1e9);
         eprintln!(
@@ -608,76 +562,12 @@ fn main() {
         total_par as f64 / 1e6
     );
 
-    // Engine self-profile: one metered varbench campaign with telemetry
-    // on, timed for wall clock. Dispatch/schedule/wake/spawn counts and
-    // the queue peak come from the engine's own counters; with the
-    // events/sec this section is the ROADMAP engine-overhaul baseline.
-    let (engine_profile, profile_metrics, profile_attrib) = {
-        let kinds = [
-            EnvKind::Native,
-            EnvKind::Vm(machine.cores),
-            EnvKind::Container(machine.cores),
-        ];
-        let configs: Vec<RunConfig> = kinds
-            .iter()
-            .map(|&k| RunConfig {
-                metrics: true,
-                ..base_cfg(machine, k)
-            })
-            .collect();
-        let t0 = Instant::now();
-        let results = run_configs(&configs, &corpus, jobs, &|_, _| {});
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let (mut sim_ns, mut samples) = (0u64, 0u64);
-        let mut queue_peak = 0u64;
-        let mut totals = [0u64; 5];
-        const COUNTERS: [&str; 5] = [
-            "engine_events_dispatched",
-            "engine_events_scheduled",
-            "engine_process_wakes",
-            "engine_processes_spawned",
-            "engine_timer_ticks",
-        ];
-        let mut merged = ksa_telemetry::Registry::disabled();
-        let mut attrib = AttributionTable::default();
-        for r in results {
-            let res = r.unwrap_or_else(|e| panic!("suite engine profile trial failed: {e}"));
-            sim_ns += res.sim_ns;
-            samples += res.metrics.samples_taken;
-            queue_peak = queue_peak.max(res.metrics.total("engine_event_queue_peak"));
-            for (t, name) in totals.iter_mut().zip(COUNTERS) {
-                *t += res.metrics.total(name);
-            }
-            merged.absorb(&res.metrics, &[("env", &res.config.env.kind.label())]);
-            attrib.merge(&res.attrib);
-        }
-        let eps = totals[0] as f64 / (wall_ns.max(1) as f64 / 1e9);
-        eprintln!(
-            "suite: engine profile  {:>8.1}ms wall  {:>9.0} ev/s  queue peak {queue_peak}",
-            wall_ns as f64 / 1e6,
-            eps,
-        );
-        let profile = Value::object([
-            ("wall_ns", Value::from(wall_ns)),
-            ("sim_ns", Value::from(sim_ns)),
-            ("events_dispatched", Value::from(totals[0])),
-            ("events_scheduled", Value::from(totals[1])),
-            ("process_wakes", Value::from(totals[2])),
-            ("processes_spawned", Value::from(totals[3])),
-            ("timer_ticks", Value::from(totals[4])),
-            ("event_queue_peak", Value::from(queue_peak)),
-            ("telemetry_samples", Value::from(samples)),
-            ("events_per_sec", Value::from(eps)),
-        ]);
-        (profile, merged, attrib)
-    };
-    cli.write_metrics(
-        "suite",
-        &profile_metrics,
-        &attribution_frames(&profile_attrib),
-    );
+    // The perf floor's basis: the sequential pass, at jobs = 1 with
+    // telemetry off, over every experiment.
+    let eps_seq = total_events as f64 / (total_seq.max(1) as f64 / 1e9);
+    eprintln!("suite: sequential throughput {eps_seq:.0} ev/s");
 
-    let mut report_fields = vec![
+    let report = Value::object([
         ("version", Value::from(1u64)),
         ("seed", Value::from(SEED)),
         ("hardware_threads", Value::from(threads)),
@@ -685,77 +575,16 @@ fn main() {
         ("total_seq_wall_ns", Value::from(total_seq)),
         ("total_par_wall_ns", Value::from(total_par)),
         ("overall_speedup", Value::from(overall)),
-        ("engine_profile", engine_profile.clone()),
-        ("experiments", Value::array(rows)),
-    ];
-
-    // Profiling repeats run after the gated passes so they can never
-    // perturb the gates; they only sharpen the wall-clock numbers.
-    if profile > 0 {
-        eprintln!("suite: profiling — {profile} extra parallel pass(es) per experiment");
-        let mut prof_rows = Vec::new();
-        for (name, case) in &cases {
-            let passes: Vec<Pass> = (0..profile).map(|_| timed(|| case(jobs))).collect();
-            let best = passes.iter().map(|p| p.wall_ns).min().unwrap_or(0);
-            let mean = passes.iter().map(|p| p.wall_ns).sum::<u64>() / profile as u64;
-            let events = passes.first().map(|p| p.events).unwrap_or(0);
-            let eps_best = events as f64 / (best.max(1) as f64 / 1e9);
-            eprintln!(
-                "suite: profile {name:<10} best {:>8.1}ms  mean {:>8.1}ms  {:>9.0} ev/s best",
-                best as f64 / 1e6,
-                mean as f64 / 1e6,
-                eps_best,
-            );
-            prof_rows.push(Value::object([
-                ("name", Value::str(*name)),
-                ("repeats", Value::from(profile)),
-                ("best_wall_ns", Value::from(best)),
-                ("mean_wall_ns", Value::from(mean)),
-                ("events", Value::from(events)),
-                ("events_per_sec_best", Value::from(eps_best)),
-                (
-                    "wall_ns",
-                    Value::array(passes.iter().map(|p| Value::from(p.wall_ns))),
-                ),
-            ]));
-        }
-        report_fields.push(("profile", Value::array(prof_rows)));
-    }
-
-    let report = Value::object(report_fields);
+        ("events_per_sec_seq", Value::from(eps_seq)),
+        ("experiments", Value::array(rows.iter().cloned())),
+    ]);
     std::fs::write(&out_path, report.render()).expect("write suite report");
     eprintln!("suite: wrote {out_path}");
 
-    // One-line wall-clock/throughput history record, appended per run
-    // and keyed by the git SHA from the environment — the suite itself
-    // never reads a clock or the repo, so records stay deterministic
-    // modulo wall time.
-    {
-        use std::io::Write;
-        let history_path = history.unwrap_or_else(|| "BENCH_history.jsonl".to_string());
-        let sha = std::env::var("KSA_GIT_SHA")
-            .or_else(|_| std::env::var("GITHUB_SHA"))
-            .unwrap_or_else(|_| "unknown".to_string());
-        let line = Value::object([
-            ("sha", Value::str(sha)),
-            ("seed", Value::from(SEED)),
-            ("hardware_threads", Value::from(threads)),
-            ("parallel_jobs", Value::from(resolved)),
-            ("total_seq_wall_ns", Value::from(total_seq)),
-            ("total_par_wall_ns", Value::from(total_par)),
-            ("overall_speedup", Value::from(overall)),
-            (
-                "engine_events_per_sec",
-                engine_profile.get("events_per_sec").unwrap().clone(),
-            ),
-        ]);
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&history_path)
-            .expect("open history file");
-        writeln!(f, "{}", line.render()).expect("append history line");
-        eprintln!("suite: appended history to {history_path}");
+    // A run whose passes disagree is not deterministic, so none of its
+    // numbers may become a baseline.
+    if diverged {
+        std::process::exit(4);
     }
 
     // Parse the baseline (if any) once: the drift gate and the perf
@@ -790,30 +619,15 @@ fn main() {
         }
         gated_fields.push((
             "experiments",
-            Value::array(
-                report
-                    .get("experiments")
-                    .unwrap()
-                    .as_array()
-                    .unwrap()
-                    .iter()
-                    .map(|e| {
-                        Value::object([
-                            ("name", e.get("name").unwrap().clone()),
-                            ("sim_ns", e.get("sim_ns").unwrap().clone()),
-                            ("events", e.get("events").unwrap().clone()),
-                            ("digest", e.get("digest").unwrap().clone()),
-                        ])
-                    }),
-            ),
+            Value::array(rows.iter().map(|e| {
+                Value::object(
+                    ["name", "sim_ns", "events", "digest"].map(|k| (k, e.get(k).unwrap().clone())),
+                )
+            })),
         ));
         let gated = Value::object(gated_fields);
         std::fs::write(&path, gated.render()).expect("write baseline");
         eprintln!("suite: wrote baseline {path}");
-    }
-
-    if diverged {
-        std::process::exit(4);
     }
 
     if let Some(base) = &base_doc {
@@ -827,12 +641,8 @@ fn main() {
             let name = be.get("name").and_then(|v| v.as_str()).unwrap_or_else(|e| {
                 baseline_malformed(path, format_args!("experiments[{i}].name: {e}"))
             });
-            // The report is suite-built this run, so its shape is known.
-            let Some(now) = report
-                .get("experiments")
-                .unwrap()
-                .as_array()
-                .unwrap()
+            // The rows are suite-built this run, so their shape is known.
+            let Some(now) = rows
                 .iter()
                 .find(|e| e.get("name").unwrap().as_str().unwrap() == name)
             else {
@@ -878,30 +688,25 @@ fn main() {
         eprintln!("suite: speedup gate skipped ({threads} hardware threads, {resolved} workers)");
     }
 
-    // Perf floor: the engine profile's events/sec must not fall below
-    // the committed floor — the regression tripwire for the hot-path
-    // overhaul. KSA_SKIP_PERF_FLOOR is the escape hatch for runners too
-    // slow to meaningfully compare against the committed measurement.
+    // Perf floor: the sequential throughput must not fall below the
+    // committed floor — the engine's regression tripwire.
+    // KSA_SKIP_PERF_FLOOR is the escape hatch for runners too slow to
+    // meaningfully compare against the committed measurement.
     if let Some(floor) = baseline_floor {
-        let eps = engine_profile
-            .get("events_per_sec")
-            .unwrap()
-            .as_f64()
-            .unwrap();
         if std::env::var_os("KSA_SKIP_PERF_FLOOR").is_some() {
             eprintln!(
-                "suite: perf floor skipped (KSA_SKIP_PERF_FLOOR set; measured {eps:.0} ev/s, \
+                "suite: perf floor skipped (KSA_SKIP_PERF_FLOOR set; measured {eps_seq:.0} ev/s, \
                  floor {floor:.0})"
             );
-        } else if eps < floor {
+        } else if eps_seq < floor {
             eprintln!(
-                "suite: engine profile throughput {eps:.0} ev/s is below the committed floor \
+                "suite: sequential throughput {eps_seq:.0} ev/s is below the committed floor \
                  {floor:.0} ev/s — a hot-path regression (set KSA_SKIP_PERF_FLOOR=1 on \
                  underpowered runners)"
             );
             std::process::exit(5);
         } else {
-            eprintln!("suite: perf floor passed ({eps:.0} ev/s >= {floor:.0} ev/s)");
+            eprintln!("suite: perf floor passed ({eps_seq:.0} ev/s >= {floor:.0} ev/s)");
         }
     }
 }

@@ -16,7 +16,8 @@
 //!   (`.folded`) and speedscope (`.speedscope.json`) profiles.
 //!
 //! Bins with extra flags extend the parser through
-//! [`Cli::parse_with`]'s hook instead of re-rolling the loop.
+//! [`Cli::parse_with`]'s hook instead of re-rolling the loop; the hook
+//! also lets a bin refuse a common flag it does not honour.
 
 use ksa_core::experiments::Scale;
 use ksa_telemetry::export::{collapsed, prometheus_text, speedscope_json, timeseries_json, Frame};
@@ -69,13 +70,16 @@ impl Args {
 impl Cli {
     /// Parses `std::env::args`; exits with usage on errors.
     pub fn parse() -> Self {
-        Self::parse_with("", |_, args| args.usage("unexpected extension flag"))
+        Self::parse_with("", |_, _| false)
     }
 
-    /// Parses the common flags, handing anything unrecognized to `ext`.
-    /// `ext` gets the flag string plus the argument stream (to pull the
-    /// flag's value) and returns `true` if it consumed the flag;
-    /// `extra_usage` is appended to the usage banner.
+    /// Parses the common flags plus a bin's own through `ext`. `ext`
+    /// sees each argument first, with the argument stream (to pull the
+    /// flag's value), and returns `true` if it consumed it; anything it
+    /// declines goes to the common parser, and an argument neither knows
+    /// is a usage error. A bin that pins a common option rejects it in
+    /// `ext` with [`Args::usage`]. `extra_usage` is appended to the
+    /// usage banner.
     pub fn parse_with(
         extra_usage: &'static str,
         mut ext: impl FnMut(&str, &mut Args) -> bool,
@@ -93,6 +97,9 @@ impl Cli {
             usage_extra: extra_usage,
         };
         while let Some(arg) = args.next() {
+            if ext(&arg, &mut args) {
+                continue;
+            }
             match arg.as_str() {
                 "--tiny" => cli.scale = Scale::Tiny,
                 "--quick" => cli.scale = Scale::Quick,
@@ -115,11 +122,7 @@ impl Cli {
                     cli.metrics_out = Some(PathBuf::from(args.value("--metrics-out")))
                 }
                 "--help" | "-h" => args.usage(""),
-                other => {
-                    if !ext(other, &mut args) {
-                        args.usage(&format!("unknown argument: {other}"));
-                    }
-                }
+                other => args.usage(&format!("unknown argument: {other}")),
             }
         }
         cli

@@ -1,7 +1,6 @@
 //! Shared plumbing for the experiment binaries: CLI parsing and artifact
-//! writing in [`cli`], table-cell formatting, and the offline
-//! [`microbench`] harness. See [`cli`] for the flags every binary
-//! accepts.
+//! writing in [`cli`], and table-cell formatting. See [`cli`] for the
+//! flags every binary accepts.
 
 pub mod cli;
 
@@ -10,56 +9,4 @@ pub use cli::Cli;
 /// Formats a nanosecond value for table cells.
 pub fn cell_ns(ns: u64) -> String {
     ksa_stats::fmt_ns(ns)
-}
-
-/// Minimal wall-clock micro-benchmark runner for the `benches/` targets
-/// (they are `harness = false` binaries; no external bench framework is
-/// available offline). Each case runs a warmup pass plus `samples` timed
-/// passes and prints min/mean per iteration.
-pub mod microbench {
-    use std::time::Instant;
-
-    /// A named group of benchmark cases.
-    pub struct Group {
-        name: String,
-        samples: u32,
-    }
-
-    /// Opens a group with the default sample count.
-    pub fn group(name: &str) -> Group {
-        Group {
-            name: name.to_string(),
-            samples: 10,
-        }
-    }
-
-    impl Group {
-        /// Overrides the number of timed passes per case.
-        pub fn sample_size(mut self, samples: u32) -> Self {
-            self.samples = samples.max(1);
-            self
-        }
-
-        /// Times `f`, printing per-case statistics. The closure's return
-        /// value is passed through a black box so the work is not
-        /// optimized away.
-        pub fn bench<T>(&self, case: &str, mut f: impl FnMut() -> T) {
-            std::hint::black_box(f());
-            let mut times = Vec::with_capacity(self.samples as usize);
-            for _ in 0..self.samples {
-                let t0 = Instant::now();
-                std::hint::black_box(f());
-                times.push(t0.elapsed().as_nanos() as u64);
-            }
-            let min = *times.iter().min().expect("samples >= 1");
-            let mean = times.iter().sum::<u64>() / times.len() as u64;
-            println!(
-                "{}/{case}: min {}  mean {}  ({} samples)",
-                self.name,
-                super::cell_ns(min),
-                super::cell_ns(mean),
-                times.len()
-            );
-        }
-    }
 }

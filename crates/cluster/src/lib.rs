@@ -56,23 +56,20 @@ impl ClusterConfig {
             iterations: 50,
             requests_per_iter: 200,
             node: SingleNodeConfig {
-                machine: ksa_envsim::Machine {
-                    cores: 24,
-                    mem_mib: 64 * 1024,
-                },
-                groups: 2,
-                virt,
-                noise,
-                requests: 0, // unused in batched mode
-                warmup: 0,
                 // BSP batches are throughput-oriented: clients push the
                 // servers near capacity, so service-time inflation from
                 // kernel interference directly becomes drain time.
                 util_pct: 92,
-                trace: false,
-                metrics: false,
-                seed,
-                spec: None,
+                ..SingleNodeConfig::new(
+                    ksa_envsim::Machine {
+                        cores: 24,
+                        mem_mib: 64 * 1024,
+                    },
+                    2,
+                    virt,
+                    noise,
+                    seed,
+                )
             },
             barrier_ns: 40_000, // ~40µs allreduce on a cluster fabric
             threads: 0,         // auto: results are thread-count-invariant
@@ -86,20 +83,17 @@ impl ClusterConfig {
             iterations: 5,
             requests_per_iter: 40,
             node: SingleNodeConfig {
-                machine: ksa_envsim::Machine {
-                    cores: 8,
-                    mem_mib: 8 * 1024,
-                },
-                groups: 2,
-                virt,
-                noise,
-                requests: 0,
-                warmup: 0,
                 util_pct: 92,
-                trace: false,
-                metrics: false,
-                seed,
-                spec: None,
+                ..SingleNodeConfig::new(
+                    ksa_envsim::Machine {
+                        cores: 8,
+                        mem_mib: 8 * 1024,
+                    },
+                    2,
+                    virt,
+                    noise,
+                    seed,
+                )
             },
             barrier_ns: 40_000,
             threads: 0,

@@ -50,20 +50,21 @@ pub fn cluster_config_from_json(v: &Value) -> Result<ClusterConfig, Error> {
         barrier_ns: v.get("barrier_ns")?.as_u64()?,
         threads: v.get("threads")?.as_u64()? as usize,
         node: SingleNodeConfig {
-            machine: Machine {
-                cores: node.get("cores")?.as_u64()? as usize,
-                mem_mib: node.get("mem_mib")?.as_u64()?,
-            },
-            groups: node.get("groups")?.as_u64()? as usize,
-            virt: node.get("virt")?.as_bool()?,
-            noise: node.get("noise")?.as_bool()?,
             requests: node.get("requests")?.as_u64()?,
             warmup: node.get("warmup")?.as_u64()? as usize,
             util_pct: node.get("util_pct")?.as_u64()?,
             trace: node.get("trace")?.as_bool()?,
             metrics: node.get("metrics")?.as_bool()?,
-            seed: node.get("seed")?.as_u64()?,
-            spec: None,
+            ..SingleNodeConfig::new(
+                Machine {
+                    cores: node.get("cores")?.as_u64()? as usize,
+                    mem_mib: node.get("mem_mib")?.as_u64()?,
+                },
+                node.get("groups")?.as_u64()? as usize,
+                node.get("virt")?.as_bool()?,
+                node.get("noise")?.as_bool()?,
+                node.get("seed")?.as_u64()?,
+            )
         },
     })
 }

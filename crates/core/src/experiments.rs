@@ -518,17 +518,10 @@ pub fn fig3(
         ),
     };
     let mk_cfg = |virt: bool, with_noise: bool| SingleNodeConfig {
-        machine,
-        groups,
-        virt,
-        noise: with_noise,
         requests: scale.requests(),
         warmup: (scale.requests() / 10) as usize,
-        util_pct: 75,
-        trace: false,
         metrics,
-        seed,
-        spec: None,
+        ..SingleNodeConfig::new(machine, groups, virt, with_noise, seed)
     };
     let reps = match scale {
         Scale::Tiny => 1,
@@ -653,17 +646,9 @@ pub fn fig4(
         iterations,
         requests_per_iter: per_iter,
         node: SingleNodeConfig {
-            machine: node_machine,
-            groups: 2,
-            virt,
-            noise: with_noise,
-            requests: 0,
-            warmup: 0,
             util_pct: 92,
-            trace: false,
             metrics,
-            seed,
-            spec: None,
+            ..SingleNodeConfig::new(node_machine, 2, virt, with_noise, seed)
         },
         barrier_ns: 40_000,
         threads: jobs,

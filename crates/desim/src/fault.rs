@@ -331,11 +331,6 @@ impl NodeCrash {
     pub fn covers(&self, t: Ns) -> bool {
         t >= self.at && (self.down_for == 0 || t < self.at + self.down_for)
     }
-
-    /// The reboot instant, if the node ever returns.
-    pub fn reboot_at(&self) -> Option<Ns> {
-        (self.down_for > 0).then(|| self.at + self.down_for)
-    }
 }
 
 /// A network partition: for the duration of `window`, nodes inside

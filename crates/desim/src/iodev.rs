@@ -45,13 +45,6 @@ impl DeviceModel {
         }
     }
 
-    /// A virtio-backed disk as seen from a guest: same media, but each
-    /// request pays extra front-end cost (added by the kernel model as
-    /// VM-exit ops, not here). Media-side behaviour is identical.
-    pub fn virtio_backing() -> Self {
-        Self::nvme_ssd()
-    }
-
     /// Deterministic service time excluding jitter.
     pub fn service(&self, bytes: u64) -> Ns {
         self.base + bytes.saturating_mul(self.fs_per_byte) / 1_000_000

@@ -114,16 +114,6 @@ impl Value {
         }
     }
 
-    /// The value as `i64`.
-    pub fn as_i64(&self) -> Result<i64, Error> {
-        match *self {
-            Value::Int(i) => Ok(i),
-            Value::UInt(u) if u <= i64::MAX as u64 => Ok(u as i64),
-            Value::Float(f) if f.fract() == 0.0 && f.abs() <= i64::MAX as f64 => Ok(f as i64),
-            _ => Err(Error::shape(format!("expected i64, got {self:?}"))),
-        }
-    }
-
     /// The value as `usize`.
     pub fn as_usize(&self) -> Result<usize, Error> {
         Ok(self.as_u64()? as usize)

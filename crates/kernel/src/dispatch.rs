@@ -16,9 +16,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::category::Category;
-use crate::coverage::{
-    block, block_bucketed, block_err, cov, cov_bucket, fail, BlockId, CoverageSet,
-};
+use crate::coverage::{block, block_err, cov, cov_bucket, fail, BlockId, CoverageSet};
 use crate::errno::Errno;
 use crate::instance::KernelInstance;
 use crate::ops::{KOp, OpSeq};
@@ -59,13 +57,6 @@ impl<'a> HCtx<'a> {
     /// the interned id at the call site.
     pub fn cover(&mut self, name: &'static str) {
         self.cover_id(block(name));
-    }
-
-    /// Records coverage of a parameterized path (size/depth classes —
-    /// the analogue of basic blocks inside size-dependent code). Dynamic
-    /// names only; literal sites use `cov_bucket!`.
-    pub fn cover_bucket(&mut self, name: &'static str, bucket: u32) {
-        self.cover_id(block_bucketed(name, bucket));
     }
 
     /// Log2 size class helper for bucketed coverage.

@@ -61,11 +61,6 @@ impl KernelWorld {
         (idx, slot)
     }
 
-    /// Total syscalls dispatched across all instances.
-    pub fn total_syscalls(&self) -> u64 {
-        self.instances.iter().map(|i| i.syscalls).sum()
-    }
-
     /// Records one completed syscall in both the attribution table and
     /// the telemetry counters, and takes a coalesced gauge sample when
     /// one is due. The single entry point keeps the two views in exact

@@ -32,12 +32,6 @@ impl Log2Histogram {
         Self::default()
     }
 
-    /// Wraps raw bucket counts (e.g. the engine's per-lock wait
-    /// histogram).
-    pub fn from_buckets(buckets: &[u64; LOG2_BUCKETS]) -> Self {
-        Self { buckets: *buckets }
-    }
-
     /// The bucket a value falls into.
     pub fn bucket_of(value: u64) -> usize {
         if value == 0 {

@@ -67,11 +67,6 @@ impl Sandbox {
         self.faults = FaultState::new(plan);
     }
 
-    /// The currently installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
     /// Faults injected since the last reset (in injection order).
     pub fn injected(&self) -> &[InjectedFault] {
         self.faults.injected()

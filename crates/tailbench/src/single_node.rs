@@ -52,18 +52,20 @@ pub struct SingleNodeConfig {
 }
 
 impl SingleNodeConfig {
-    /// The paper's Figure 3 configuration.
-    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+    /// One app group on `machine` split `groups` ways, KVM VMs (`virt`)
+    /// or Docker containers, with the noise corpus on the other groups
+    /// when `noise` is set: 75% utilization, no requests or warm-up
+    /// (batched cluster mode), no trace rings, no telemetry and the
+    /// unspecialized kernel. Override fields with struct-update syntax:
+    /// `SingleNodeConfig { requests: 300, ..SingleNodeConfig::new(..) }`.
+    pub fn new(machine: Machine, groups: usize, virt: bool, noise: bool, seed: u64) -> Self {
         Self {
-            machine: Machine {
-                cores: 64,
-                mem_mib: 64 * 1024,
-            },
-            groups: 4,
+            machine,
+            groups,
             virt,
             noise,
-            requests: 2_000,
-            warmup: 200,
+            requests: 0,
+            warmup: 0,
             util_pct: 75,
             seed,
             trace: false,
@@ -72,23 +74,29 @@ impl SingleNodeConfig {
         }
     }
 
+    /// The paper's Figure 3 configuration.
+    pub fn paper(virt: bool, noise: bool, seed: u64) -> Self {
+        let machine = Machine {
+            cores: 64,
+            mem_mib: 64 * 1024,
+        };
+        Self {
+            requests: 2_000,
+            warmup: 200,
+            ..Self::new(machine, 4, virt, noise, seed)
+        }
+    }
+
     /// A scaled-down configuration for tests.
     pub fn quick(virt: bool, noise: bool, seed: u64) -> Self {
+        let machine = Machine {
+            cores: 16,
+            mem_mib: 8 * 1024,
+        };
         Self {
-            machine: Machine {
-                cores: 16,
-                mem_mib: 8 * 1024,
-            },
-            groups: 4,
-            virt,
-            noise,
             requests: 300,
             warmup: 30,
-            util_pct: 75,
-            seed,
-            trace: false,
-            metrics: false,
-            spec: None,
+            ..Self::new(machine, 4, virt, noise, seed)
         }
     }
 }

@@ -59,15 +59,6 @@ impl TelemetryConfig {
             ring_capacity,
         }
     }
-
-    /// Convenience for threading a `bool` through run configs.
-    pub fn from_flag(on: bool) -> Self {
-        if on {
-            Self::enabled()
-        } else {
-            Self::disabled()
-        }
-    }
 }
 
 impl Default for TelemetryConfig {

@@ -154,11 +154,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Iterates over sites in `cat`.
-    pub fn sites_in(&self, cat: Category) -> impl Iterator<Item = &SiteResult> {
-        self.sites.iter().filter(move |s| s.in_category(cat))
-    }
-
     /// Collects one summary value per site via `f` (e.g. median or max),
     /// optionally filtered to a category.
     pub fn per_site(
