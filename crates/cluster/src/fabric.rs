@@ -151,6 +151,7 @@ impl Recorder {
             trace: TraceLog {
                 enabled: true,
                 rings: (0..nodes.max(1)).map(|_| TraceRing::new(4096)).collect(),
+                ..TraceLog::default()
             },
         }
     }
@@ -161,7 +162,7 @@ impl Recorder {
             t,
             pid: Pid(node as u32),
             core: CoreId(node as u32),
-            kind: TraceEventKind::Mark { label, a, b },
+            kind: TraceEventKind::mark(label, a, b),
         });
     }
 

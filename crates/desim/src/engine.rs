@@ -22,8 +22,8 @@ use crate::lock::{LockId, LockKind, LockMode, LockState, WAIT_HIST_BUCKETS};
 use crate::process::{Effect, Pid, Process, WakeReason};
 use crate::time::{Ns, US};
 use crate::trace::{
-    LatBreakdown, LatComp, LatSnapshot, ProcKind, TraceConfig, TraceEvent, TraceEventKind,
-    TraceLog, TraceRing,
+    FaultInjectedArgs, IoSubmitArgs, LabelId, LatBreakdown, LatComp, LatSnapshot, ProcKind,
+    TimerTicksArgs, TraceConfig, TraceEvent, TraceEventKind, TraceLog, TraceRing,
 };
 
 /// Identifier of a wait queue.
@@ -106,8 +106,14 @@ pub enum SimError {
         livelock: bool,
         /// `(pid, label, blocked_on)` for every live, blocked process.
         blocked: Vec<(Pid, String, String)>,
+        /// The last 16 trace events in merged order, with the run's
+        /// label tables (`None` when tracing is off).
+        trace_tail: Option<Box<TraceLog>>,
     },
 }
+
+/// Trace events a [`SimError::Stalled`] carries when tracing is on.
+const STALL_TRACE_EVENTS: usize = 16;
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -117,6 +123,7 @@ impl std::fmt::Display for SimError {
                 events,
                 livelock,
                 blocked,
+                trace_tail,
             } => {
                 if *livelock {
                     writeln!(
@@ -128,6 +135,12 @@ impl std::fmt::Display for SimError {
                 }
                 for (pid, label, on) in blocked {
                     writeln!(f, "  pid {} ({label}) blocked on {on}", pid.0)?;
+                }
+                if let Some(tail) = trace_tail {
+                    writeln!(f, "last {} trace events:", tail.total_events())?;
+                    for ev in tail.merged() {
+                        writeln!(f, "  {}", tail.line(ev))?;
+                    }
                 }
                 Ok(())
             }
@@ -420,7 +433,6 @@ impl EngineState {
                     pid,
                     TraceEventKind::LockAcquired {
                         lock,
-                        label,
                         wait_ns: wait,
                         contended: true,
                     },
@@ -439,15 +451,7 @@ impl EngineState {
             let l = &self.locks[lock.index()];
             if l.holder == crate::lock::Holder::Exclusive(pid) {
                 let held_ns = self.clock.saturating_sub(l.held_since);
-                let label = l.label;
-                self.trace_push(
-                    pid,
-                    TraceEventKind::LockReleased {
-                        lock,
-                        label,
-                        held_ns,
-                    },
-                );
+                self.trace_push(pid, TraceEventKind::LockReleased { lock, held_ns });
             }
         }
         if kind == LockKind::Spin {
@@ -567,8 +571,8 @@ impl<'a, W> SimCtx<'a, W> {
         if fail && self.st.trace_on() {
             let pid = self.pid;
             let site = site.to_string();
-            self.st
-                .trace_push(pid, TraceEventKind::FaultInjected { kind, site });
+            let args = Box::new(FaultInjectedArgs { kind, site });
+            self.st.trace_push(pid, TraceEventKind::FaultInjected(args));
         }
         fail
     }
@@ -587,6 +591,12 @@ impl<'a, W> SimCtx<'a, W> {
             let pid = self.pid;
             self.st.trace_push(pid, kind);
         }
+    }
+
+    /// Interns a tag in the trace's label table (for
+    /// [`TraceEventKind::VmExit`]); the exporter resolves the id back.
+    pub fn trace_label(&mut self, label: &'static str) -> LabelId {
+        self.st.trace.intern(label)
     }
 
     /// A consistent snapshot of this process's cumulative latency
@@ -811,17 +821,29 @@ impl<W> Engine<W> {
         self.st.trace_cfg = cfg;
         self.st.trace = TraceLog {
             enabled: cfg.enabled,
-            rings: Vec::new(),
+            ..TraceLog::default()
         };
     }
 
-    /// Takes ownership of the recorded trace, leaving an empty one.
+    /// Takes ownership of the recorded trace, leaving an empty one. The
+    /// taken log carries the lock labels its lock events resolve through,
+    /// and its rings drop their growth slack: callers that keep many
+    /// runs' traces hold only the events.
     pub fn take_trace(&mut self) -> TraceLog {
         let enabled = self.st.trace_cfg.enabled;
         let mut taken = std::mem::take(&mut self.st.trace);
         taken.enabled = enabled;
+        taken.lock_labels = self.lock_labels();
+        for ring in &mut taken.rings {
+            ring.shrink_to_fit();
+        }
         self.st.trace.enabled = enabled;
         taken
+    }
+
+    /// Every registered lock's label, indexed by `LockId::index()`.
+    fn lock_labels(&self) -> Vec<&'static str> {
+        self.st.locks.iter().map(|l| l.label).collect()
     }
 
     /// Installs a telemetry configuration, replacing any previously
@@ -993,11 +1015,18 @@ impl<W> Engine<W> {
                 (Pid(i as u32), label, self.st.proc_blocked_on[i].to_string())
             })
             .collect();
+        let trace_tail = self.st.trace_on().then(|| {
+            Box::new(TraceLog {
+                lock_labels: self.lock_labels(),
+                ..self.st.trace.tail(STALL_TRACE_EVENTS)
+            })
+        });
         SimError::Stalled {
             clock: self.st.clock,
             events,
             livelock,
             blocked,
+            trace_tail,
         }
     }
 
@@ -1021,7 +1050,7 @@ impl<W> Engine<W> {
         }
         if self.st.trace_on() {
             self.st
-                .trace_push(pid, TraceEventKind::Wake { reason: wake.tag() });
+                .trace_push(pid, TraceEventKind::Wake { reason: wake });
         }
         if self.st.telem_on() {
             let id = self.st.em.wakes;
@@ -1074,13 +1103,11 @@ impl<W> Engine<W> {
                     }
                     if st.trace_on() {
                         if ticks > 0 {
-                            st.trace_push(
-                                pid,
-                                TraceEventKind::TimerTicks {
-                                    n: ticks,
-                                    cost_ns: tick_cost,
-                                },
-                            );
+                            let args = Box::new(TimerTicksArgs {
+                                n: ticks,
+                                cost_ns: tick_cost,
+                            });
+                            st.trace_push(pid, TraceEventKind::TimerTicks(args));
                         }
                         st.trace_push(
                             pid,
@@ -1116,12 +1143,10 @@ impl<W> Engine<W> {
                             st.locks[lock.index()].held_since = now;
                         }
                         if st.trace_on() {
-                            let label = st.locks[lock.index()].label;
                             st.trace_push(
                                 pid,
                                 TraceEventKind::LockAcquired {
                                     lock,
-                                    label,
                                     wait_ns: 0,
                                     contended: false,
                                 },
@@ -1133,8 +1158,7 @@ impl<W> Engine<W> {
                     st.locks[lock.index()].enqueue(pid, mode, now);
                     st.blocked_since[pid.index()] = now;
                     if st.trace_on() {
-                        let label = st.locks[lock.index()].label;
-                        st.trace_push(pid, TraceEventKind::LockContend { lock, label });
+                        st.trace_push(pid, TraceEventKind::LockContend { lock });
                         st.trace_push(
                             pid,
                             TraceEventKind::Block {
@@ -1194,13 +1218,11 @@ impl<W> Engine<W> {
                     let done = st.devices[dev.index()].submit(now, bytes, jitter);
                     st.lat[pid.index()].add(LatComp::IoWait, done - now);
                     if st.trace_on() {
-                        st.trace_push(
-                            pid,
-                            TraceEventKind::IoSubmit {
-                                bytes,
-                                dur_ns: done - now,
-                            },
-                        );
+                        let args = Box::new(IoSubmitArgs {
+                            bytes,
+                            dur_ns: done - now,
+                        });
+                        st.trace_push(pid, TraceEventKind::IoSubmit(args));
                         st.trace_push(
                             pid,
                             TraceEventKind::Block {
@@ -1697,13 +1719,61 @@ mod tests {
         let err = eng.run().unwrap_err();
         match err {
             SimError::Stalled {
-                blocked, livelock, ..
+                blocked,
+                livelock,
+                trace_tail,
+                ..
             } => {
                 assert!(!livelock, "drained heap is a deadlock, not a livelock");
                 assert_eq!(blocked.len(), 1);
                 assert_eq!(blocked[0].2, "queue");
+                assert_eq!(trace_tail, None, "tracing was off");
             }
         }
+    }
+
+    #[test]
+    fn traced_stall_shows_the_last_events_with_lock_labels() {
+        let mut eng = engine();
+        let c0 = eng.add_core(CoreConfig::default());
+        let c1 = eng.add_core(CoreConfig::default());
+        let q = eng.add_queue();
+        eng.add_lock(LockKind::Mutex, "other");
+        let inode = eng.add_lock(LockKind::Mutex, "inode");
+        eng.set_trace(TraceConfig::enabled());
+        // The holder parks on a queue nobody signals while the waiter
+        // queues behind it on `inode`: the heap drains, a deadlock.
+        eng.spawn(
+            c0,
+            Box::new(Scripted::new(vec![
+                Effect::Acquire(inode, LockMode::Exclusive),
+                Effect::Wait(q),
+            ])),
+            0,
+        );
+        let waiter = eng.spawn(
+            c1,
+            Box::new(Scripted::new(vec![
+                Effect::Sleep(100),
+                Effect::Acquire(inode, LockMode::Exclusive),
+            ])),
+            0,
+        );
+        let err = eng.run().unwrap_err();
+        let SimError::Stalled { trace_tail, .. } = &err;
+        let n = trace_tail.as_ref().expect("tracing was on").total_events();
+        assert!(n > 0 && n <= STALL_TRACE_EVENTS, "{n} events");
+        let text = err.to_string();
+        assert!(text.contains("blocked on inode"), "{text}");
+        let contend = text
+            .lines()
+            .rfind(|l| l.contains("lock_contend"))
+            .unwrap_or_else(|| panic!("no lock_contend line in:\n{text}"));
+        assert!(
+            contend.contains(&format!("pid {} ", waiter.0))
+                && contend.contains(r#"label="inode" lock=1"#),
+            "{contend}"
+        );
     }
 
     #[test]

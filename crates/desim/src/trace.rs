@@ -25,10 +25,12 @@
 //!   **exactly** to the elapsed virtual time — the invariant the
 //!   per-syscall attribution layer is built on.
 
+use std::fmt;
+
 use crate::cpu::CoreId;
 use crate::fault::FaultKind;
 use crate::lock::LockId;
-use crate::process::Pid;
+use crate::process::{Pid, WakeReason};
 use crate::time::Ns;
 
 /// What kind of work a process contributes to a core's occupancy, and
@@ -166,6 +168,12 @@ impl LatBreakdown {
 
 /// A consistent snapshot of one process's latency accounting, taken at a
 /// resume point (see [`crate::SimCtx::lat_snapshot`]).
+///
+/// The engine only ever appends to a process's label list, so an earlier
+/// snapshot's `lock_waits` labels are a prefix of a later one's. The
+/// delta methods rely on that and compare entries by position: `earlier`
+/// must be a snapshot of the same process taken no later than `self`
+/// (checked in debug builds), as [`LatBreakdown::since`] requires.
 #[derive(Debug, Clone, Default)]
 pub struct LatSnapshot {
     /// Cumulative component values.
@@ -184,20 +192,26 @@ impl LatSnapshot {
 
     /// Visits each positive per-label lock-wait delta between `earlier`
     /// and `self` without allocating (the once-per-simulated-syscall
-    /// attribution path).
+    /// attribution path). Linear in the label count: entry `i` of
+    /// `earlier` is entry `i` of `self` (see the type's docs).
     #[inline]
     pub fn for_each_lock_wait_since(
         &self,
         earlier: &LatSnapshot,
         mut f: impl FnMut(&'static str, Ns),
     ) {
-        for &(label, ns) in &self.lock_waits {
-            let before = earlier
-                .lock_waits
-                .iter()
-                .find(|&&(l, _)| l == label)
-                .map(|&(_, n)| n)
-                .unwrap_or(0);
+        debug_assert!(
+            earlier.lock_waits.len() <= self.lock_waits.len(),
+            "snapshot order"
+        );
+        for (i, &(label, ns)) in self.lock_waits.iter().enumerate() {
+            let before = match earlier.lock_waits.get(i) {
+                Some(&(l, n)) => {
+                    debug_assert_eq!(l, label, "lock-wait labels are append-only");
+                    n
+                }
+                None => 0,
+            };
             if ns - before > 0 {
                 f(label, ns - before);
             }
@@ -206,6 +220,10 @@ impl LatSnapshot {
 }
 
 /// A typed trace event. Times are absolute virtual nanoseconds.
+///
+/// 32 bytes: a 16-byte header and a 16-byte [`TraceEventKind`]. Labels
+/// are not stored per event; lock labels and interned tags resolve
+/// through the owning [`TraceLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time of the event.
@@ -218,14 +236,23 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// The event vocabulary — the simulation's tracepoint set.
+// A full-scale sweep holds millions of events: a variant carrying an
+// inline `&str` or `String` would grow every one of them.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
+
+/// An interned trace label: an index into [`TraceLog::labels`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LabelId(pub u32);
+
+/// The event vocabulary — the simulation's tracepoint set. No variant
+/// holds a string or a field wider than 8 bytes, and each fits in 16
+/// bytes with the tag; the rare wider payloads sit behind a `Box`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// The process was resumed (sched_wakeup analogue). `reason` is a
-    /// stable short tag of the [`crate::WakeReason`].
+    /// The process was resumed (sched_wakeup analogue).
     Wake {
-        /// Why it was resumed ("start", "timer", "lock", ...).
-        reason: &'static str,
+        /// Why it was resumed (exported as [`WakeReason::tag`]).
+        reason: WakeReason,
     },
     /// The process blocked on an effect (sched_switch analogue).
     Block {
@@ -234,17 +261,13 @@ pub enum TraceEventKind {
     },
     /// The process queued on a busy lock.
     LockContend {
-        /// The contended lock.
+        /// The contended lock (label via [`TraceLog::lock_label`]).
         lock: LockId,
-        /// Its label.
-        label: &'static str,
     },
     /// A lock was granted (immediately or after queueing).
     LockAcquired {
         /// The granted lock.
         lock: LockId,
-        /// Its label.
-        label: &'static str,
         /// Enqueue → grant duration (0 for uncontended grabs).
         wait_ns: Ns,
         /// Whether the acquisition had to queue.
@@ -254,8 +277,6 @@ pub enum TraceEventKind {
     LockReleased {
         /// The released lock.
         lock: LockId,
-        /// Its label.
-        label: &'static str,
         /// Grant → release duration.
         held_ns: Ns,
     },
@@ -271,27 +292,12 @@ pub enum TraceEventKind {
         /// Handler cost charged to each target.
         handler_ns: Ns,
     },
-    /// An I/O request was submitted; `dur_ns` is queue + service.
-    IoSubmit {
-        /// Request size.
-        bytes: u64,
-        /// Submission → completion duration.
-        dur_ns: Ns,
-    },
+    /// An I/O request was submitted.
+    IoSubmit(Box<IoSubmitArgs>),
     /// A compute charge crossed timer ticks.
-    TimerTicks {
-        /// Ticks crossed.
-        n: u64,
-        /// Total tick overhead added.
-        cost_ns: Ns,
-    },
+    TimerTicks(Box<TimerTicksArgs>),
     /// The fault plan injected a failure at a site.
-    FaultInjected {
-        /// Fault class.
-        kind: FaultKind,
-        /// Site name.
-        site: String,
-    },
+    FaultInjected(Box<FaultInjectedArgs>),
     /// Kernel-layer mark: syscall entry/exit (emitted by the executor).
     Syscall {
         /// Syscall number.
@@ -301,23 +307,59 @@ pub enum TraceEventKind {
     },
     /// Kernel-layer mark: a VM exit of the named class.
     VmExit {
-        /// Exit-class tag ("io_kick", "apic", ...).
-        kind: &'static str,
+        /// Exit-class tag ("io_kick", "apic", ...), interned in the log.
+        kind: LabelId,
         /// Exit cost.
         cost_ns: Ns,
     },
     /// Generic labelled mark with two payload words.
-    Mark {
-        /// Mark label.
-        label: &'static str,
-        /// First payload word.
-        a: u64,
-        /// Second payload word.
-        b: u64,
-    },
+    Mark(Box<MarkArgs>),
+}
+
+/// Payload of [`TraceEventKind::IoSubmit`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IoSubmitArgs {
+    /// Request size.
+    pub bytes: u64,
+    /// Submission → completion duration (queue + service).
+    pub dur_ns: Ns,
+}
+
+/// Payload of [`TraceEventKind::TimerTicks`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TimerTicksArgs {
+    /// Ticks crossed.
+    pub n: u64,
+    /// Total tick overhead added.
+    pub cost_ns: Ns,
+}
+
+/// Payload of [`TraceEventKind::FaultInjected`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultInjectedArgs {
+    /// Fault class.
+    pub kind: FaultKind,
+    /// Site name.
+    pub site: String,
+}
+
+/// Payload of [`TraceEventKind::Mark`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MarkArgs {
+    /// Mark label.
+    pub label: &'static str,
+    /// First payload word.
+    pub a: u64,
+    /// Second payload word.
+    pub b: u64,
 }
 
 impl TraceEventKind {
+    /// A [`TraceEventKind::Mark`].
+    pub fn mark(label: &'static str, a: u64, b: u64) -> Self {
+        TraceEventKind::Mark(Box::new(MarkArgs { label, a, b }))
+    }
+
     /// Stable short name for exporters.
     pub fn name(&self) -> &'static str {
         match self {
@@ -328,14 +370,25 @@ impl TraceEventKind {
             TraceEventKind::LockReleased { .. } => "lock_released",
             TraceEventKind::RcuSync { .. } => "rcu_sync",
             TraceEventKind::IpiBroadcast { .. } => "ipi_broadcast",
-            TraceEventKind::IoSubmit { .. } => "io_submit",
-            TraceEventKind::TimerTicks { .. } => "timer_ticks",
-            TraceEventKind::FaultInjected { .. } => "fault_injected",
+            TraceEventKind::IoSubmit(_) => "io_submit",
+            TraceEventKind::TimerTicks(_) => "timer_ticks",
+            TraceEventKind::FaultInjected(_) => "fault_injected",
             TraceEventKind::Syscall { .. } => "syscall",
             TraceEventKind::VmExit { .. } => "vm_exit",
-            TraceEventKind::Mark { .. } => "mark",
+            TraceEventKind::Mark(_) => "mark",
         }
     }
+}
+
+/// One event argument, as exporters render it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceArg<'a> {
+    /// An unsigned integer.
+    U(u64),
+    /// A boolean.
+    B(bool),
+    /// A string.
+    S(&'a str),
 }
 
 /// Tracing configuration, installed via [`crate::Engine::set_trace`].
@@ -381,7 +434,7 @@ impl Default for TraceConfig {
 }
 
 /// One core's bounded event ring (the ftrace per-CPU buffer analogue).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceRing {
     cap: usize,
     buf: std::collections::VecDeque<TraceEvent>,
@@ -432,15 +485,27 @@ impl TraceRing {
     pub fn capacity(&self) -> usize {
         self.cap
     }
+
+    /// Frees the buffer's unused growth room (the ring's `capacity` is
+    /// unchanged; a later push may grow the buffer again).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.buf.shrink_to_fit();
+    }
 }
 
-/// The full trace of one run: one ring per core.
-#[derive(Debug, Clone, Default)]
+/// The full trace of one run: one ring per core, plus the label tables
+/// its events' ids resolve through.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceLog {
     /// Whether tracing was enabled for the run.
     pub enabled: bool,
     /// Per-core rings, indexed by `CoreId::index()`.
     pub rings: Vec<TraceRing>,
+    /// Lock labels, indexed by `LockId::index()` (the engine's lock
+    /// table, copied by [`crate::Engine::take_trace`]).
+    pub lock_labels: Vec<&'static str>,
+    /// Interned tags, indexed by [`LabelId`] (see [`TraceLog::intern`]).
+    pub labels: Vec<&'static str>,
 }
 
 impl TraceLog {
@@ -460,6 +525,145 @@ impl TraceLog {
         all.sort_by_key(|e| (e.t, e.core, e.pid));
         all
     }
+
+    /// The id of `label` in [`TraceLog::labels`], appending it on first
+    /// use. Tags are few (the VM-exit classes), so a scan beats a map.
+    pub fn intern(&mut self, label: &'static str) -> LabelId {
+        let i = match self.labels.iter().position(|&l| l == label) {
+            Some(i) => i,
+            None => {
+                self.labels.push(label);
+                self.labels.len() - 1
+            }
+        };
+        LabelId(i as u32)
+    }
+
+    /// The label of `lock`, or `"?"` for a lock outside the table.
+    pub fn lock_label(&self, lock: LockId) -> &'static str {
+        self.lock_labels.get(lock.index()).copied().unwrap_or("?")
+    }
+
+    /// The interned tag `id`, or `"?"` for an id outside the table.
+    pub fn label(&self, id: LabelId) -> &'static str {
+        self.labels.get(id.0 as usize).copied().unwrap_or("?")
+    }
+
+    /// Visits an event's arguments in key order, labels resolved. The
+    /// event time is not among them; exporters add it themselves.
+    pub fn for_each_arg<'a>(
+        &'a self,
+        kind: &'a TraceEventKind,
+        mut f: impl FnMut(&'static str, TraceArg<'a>),
+    ) {
+        use TraceArg::{B, S, U};
+        match kind {
+            TraceEventKind::Wake { reason } => f("reason", S(reason.tag())),
+            TraceEventKind::Block { comp } => f("comp", S(comp.name())),
+            TraceEventKind::LockContend { lock } => {
+                f("label", S(self.lock_label(*lock)));
+                f("lock", U(lock.index() as u64));
+            }
+            TraceEventKind::LockAcquired {
+                lock,
+                wait_ns,
+                contended,
+            } => {
+                f("contended", B(*contended));
+                f("label", S(self.lock_label(*lock)));
+                f("lock", U(lock.index() as u64));
+                f("wait_ns", U(*wait_ns));
+            }
+            TraceEventKind::LockReleased { lock, held_ns } => {
+                f("held_ns", U(*held_ns));
+                f("label", S(self.lock_label(*lock)));
+                f("lock", U(lock.index() as u64));
+            }
+            TraceEventKind::RcuSync { dur_ns } => f("dur_ns", U(*dur_ns)),
+            TraceEventKind::IpiBroadcast {
+                targets,
+                handler_ns,
+            } => {
+                f("handler_ns", U(*handler_ns));
+                f("targets", U(u64::from(*targets)));
+            }
+            TraceEventKind::IoSubmit(io) => {
+                f("bytes", U(io.bytes));
+                f("dur_ns", U(io.dur_ns));
+            }
+            TraceEventKind::TimerTicks(ticks) => {
+                f("cost_ns", U(ticks.cost_ns));
+                f("ticks", U(ticks.n));
+            }
+            TraceEventKind::FaultInjected(fault) => {
+                f("fault", S(fault.kind.name()));
+                f("site", S(&fault.site));
+            }
+            TraceEventKind::Syscall { no, enter } => {
+                f("enter", B(*enter));
+                f("no", U(u64::from(*no)));
+            }
+            TraceEventKind::VmExit { kind, cost_ns } => {
+                f("cost_ns", U(*cost_ns));
+                f("kind", S(self.label(*kind)));
+            }
+            TraceEventKind::Mark(m) => {
+                f("a", U(m.a));
+                f("b", U(m.b));
+                f("label", S(m.label));
+            }
+        }
+    }
+
+    /// The last `n` events in merged order, in a one-ring log that keeps
+    /// this log's label tables.
+    pub(crate) fn tail(&self, n: usize) -> TraceLog {
+        let merged = self.merged();
+        let mut ring = TraceRing::new(n);
+        for ev in &merged[merged.len().saturating_sub(n)..] {
+            ring.push((*ev).clone());
+        }
+        TraceLog {
+            enabled: self.enabled,
+            rings: vec![ring],
+            lock_labels: self.lock_labels.clone(),
+            labels: self.labels.clone(),
+        }
+    }
+
+    /// One event as a text line: `t=<ns>ns core <c> pid <p> <name>`
+    /// followed by its arguments as `key=value`, strings quoted.
+    pub(crate) fn line<'a>(&'a self, ev: &'a TraceEvent) -> impl fmt::Display + 'a {
+        EventLine { log: self, ev }
+    }
+}
+
+struct EventLine<'a> {
+    log: &'a TraceLog,
+    ev: &'a TraceEvent,
+}
+
+impl fmt::Display for EventLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ev = self.ev;
+        write!(
+            f,
+            "t={}ns core {} pid {} {}",
+            ev.t,
+            ev.core.index(),
+            ev.pid.index(),
+            ev.kind.name()
+        )?;
+        let mut res = Ok(());
+        self.log.for_each_arg(&ev.kind, |key, val| {
+            res = res.and_then(|()| match val {
+                TraceArg::U(u) => write!(f, " {key}={u}"),
+                TraceArg::B(b) => write!(f, " {key}={b}"),
+                TraceArg::S(s) => write!(f, " {key}={s:?}"),
+            });
+        });
+        res
+    }
 }
 
 #[cfg(test)]
@@ -471,11 +675,7 @@ mod tests {
             t,
             pid: Pid(0),
             core: CoreId(0),
-            kind: TraceEventKind::Mark {
-                label: "m",
-                a: t,
-                b: 0,
-            },
+            kind: TraceEventKind::mark("m", t, 0),
         }
     }
 
@@ -528,5 +728,20 @@ mod tests {
         };
         let d = later.lock_waits_since(&earlier);
         assert_eq!(d, vec![("journal", 5)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "append-only")]
+    fn snapshot_lock_wait_delta_rejects_a_non_prefix_snapshot() {
+        let earlier = LatSnapshot {
+            comps: LatBreakdown::default(),
+            lock_waits: vec![("journal", 5)],
+        };
+        let later = LatSnapshot {
+            comps: LatBreakdown::default(),
+            lock_waits: vec![("zone", 10), ("journal", 5)],
+        };
+        later.lock_waits_since(&earlier);
     }
 }

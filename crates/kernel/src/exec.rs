@@ -156,7 +156,8 @@ impl OpRunner {
         if !ctx.trace_enabled() {
             return;
         }
-        for &(kind, cost_ns) in &self.exits {
+        for &(tag, cost_ns) in &self.exits {
+            let kind = ctx.trace_label(tag);
             ctx.trace_mark(ksa_desim::TraceEventKind::VmExit { kind, cost_ns });
         }
     }

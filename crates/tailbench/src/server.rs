@@ -225,11 +225,11 @@ impl ServerWorker {
         // every attributed service nanosecond.
         debug_assert_eq!(self.queue_ns + service.total, sojourn);
         if ctx.trace_enabled() {
-            ctx.trace_mark(ksa_desim::TraceEventKind::Mark {
-                label: "request_done",
-                a: sojourn,
-                b: self.queue_ns,
-            });
+            ctx.trace_mark(ksa_desim::TraceEventKind::mark(
+                "request_done",
+                sojourn,
+                self.queue_ns,
+            ));
         }
         ctx.world.request_attrib.push(RequestAttribution {
             queue_ns: self.queue_ns,

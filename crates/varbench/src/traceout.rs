@@ -18,109 +18,41 @@
 
 use std::fmt::{self, Write};
 
-use ksa_desim::{TraceEvent, TraceEventKind, TraceLog};
+use ksa_desim::{TraceArg, TraceEvent, TraceLog};
 use ksa_json::{write_escaped, Value};
 use ksa_kernel::{Attribution, AttributionTable};
 
-/// One `args` value, written as `Value::UInt`, `Value::Bool` and
-/// `Value::Str` would render it.
-#[derive(Clone, Copy)]
-enum Arg<'a> {
-    U(u64),
-    B(bool),
-    S(&'a str),
-}
-
-/// Writes an `args` object. `fields` must be in key order: the bytes
-/// then equal a rendered `Value::Object`, whose `BTreeMap` sorts keys.
-fn write_args(out: &mut String, fields: &[(&str, Arg<'_>)]) -> fmt::Result {
-    out.push('{');
-    for (i, &(key, val)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+/// Writes one event's `args` object (exact ns values as JSON integers).
+/// Keys go in sorted order, so the bytes equal a rendered
+/// `Value::Object`, whose `BTreeMap` sorts keys: the event's own
+/// arguments arrive sorted from [`TraceLog::for_each_arg`], and `ts_ns`
+/// is slotted in at its place among them.
+fn write_event_args(out: &mut String, trace: &TraceLog, ev: &TraceEvent) {
+    const TS: &str = "ts_ns";
+    let mut first = true;
+    let mut ts_pending = true;
+    let mut field = |out: &mut String, key: &str, val: TraceArg<'_>| {
+        out.push(if first { '{' } else { ',' });
+        first = false;
         write_escaped(key, out);
         out.push(':');
         match val {
-            Arg::U(u) => write!(out, "{u}")?,
-            Arg::B(b) => write!(out, "{b}")?,
-            Arg::S(s) => write_escaped(s, out),
+            TraceArg::U(u) => write!(out, "{u}").expect("writing to a String cannot fail"),
+            TraceArg::B(b) => out.push_str(if b { "true" } else { "false" }),
+            TraceArg::S(s) => write_escaped(s, out),
         }
+    };
+    trace.for_each_arg(&ev.kind, |key, val| {
+        if ts_pending && key > TS {
+            field(out, TS, TraceArg::U(ev.t));
+            ts_pending = false;
+        }
+        field(out, key, val);
+    });
+    if ts_pending {
+        field(out, TS, TraceArg::U(ev.t));
     }
     out.push('}');
-    Ok(())
-}
-
-/// Writes one event's `args` object (exact ns values as JSON integers).
-fn write_event_args(out: &mut String, ev: &TraceEvent) -> fmt::Result {
-    use Arg::{B, S, U};
-    let ts = ("ts_ns", U(ev.t));
-    match &ev.kind {
-        TraceEventKind::Wake { reason } => write_args(out, &[("reason", S(reason)), ts]),
-        TraceEventKind::Block { comp } => write_args(out, &[("comp", S(comp.name())), ts]),
-        TraceEventKind::LockContend { lock, label } => write_args(
-            out,
-            &[("label", S(label)), ("lock", U(lock.index() as u64)), ts],
-        ),
-        TraceEventKind::LockAcquired {
-            lock,
-            label,
-            wait_ns,
-            contended,
-        } => write_args(
-            out,
-            &[
-                ("contended", B(*contended)),
-                ("label", S(label)),
-                ("lock", U(lock.index() as u64)),
-                ts,
-                ("wait_ns", U(*wait_ns)),
-            ],
-        ),
-        TraceEventKind::LockReleased {
-            lock,
-            label,
-            held_ns,
-        } => write_args(
-            out,
-            &[
-                ("held_ns", U(*held_ns)),
-                ("label", S(label)),
-                ("lock", U(lock.index() as u64)),
-                ts,
-            ],
-        ),
-        TraceEventKind::RcuSync { dur_ns } => write_args(out, &[("dur_ns", U(*dur_ns)), ts]),
-        TraceEventKind::IpiBroadcast {
-            targets,
-            handler_ns,
-        } => write_args(
-            out,
-            &[
-                ("handler_ns", U(*handler_ns)),
-                ("targets", U(u64::from(*targets))),
-                ts,
-            ],
-        ),
-        TraceEventKind::IoSubmit { bytes, dur_ns } => {
-            write_args(out, &[("bytes", U(*bytes)), ("dur_ns", U(*dur_ns)), ts])
-        }
-        TraceEventKind::TimerTicks { n, cost_ns } => {
-            write_args(out, &[("cost_ns", U(*cost_ns)), ("ticks", U(*n)), ts])
-        }
-        TraceEventKind::FaultInjected { kind, site } => {
-            write_args(out, &[("fault", S(kind.name())), ("site", S(site)), ts])
-        }
-        TraceEventKind::Syscall { no, enter } => {
-            write_args(out, &[("enter", B(*enter)), ("no", U(u64::from(*no))), ts])
-        }
-        TraceEventKind::VmExit { kind, cost_ns } => {
-            write_args(out, &[("cost_ns", U(*cost_ns)), ("kind", S(kind)), ts])
-        }
-        TraceEventKind::Mark { label, a, b } => {
-            write_args(out, &[("a", U(*a)), ("b", U(*b)), ("label", S(label)), ts])
-        }
-    }
 }
 
 /// Renders a trace in Chrome trace-event JSON (loadable in Perfetto /
@@ -154,7 +86,7 @@ fn write_chrome_trace(out: &mut String, trace: &TraceLog, events: &[&TraceEvent]
             out.push(',');
         }
         out.push_str(r#"{"args":"#);
-        write_event_args(out, ev)?;
+        write_event_args(out, trace, ev);
         out.push_str(r#","name":"#);
         write_escaped(ev.kind.name(), out);
         // Chrome's ts unit is µs; sub-µs precision rides in the
@@ -221,36 +153,34 @@ pub fn attribution_json(table: &AttributionTable) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksa_desim::{CoreId, LockId, Ns, Pid, TraceRing};
+    use ksa_desim::{
+        CoreId, FaultInjectedArgs, IoSubmitArgs, LabelId, LockId, Ns, Pid, TimerTicksArgs,
+        TraceEventKind, TraceRing, WakeReason,
+    };
 
     /// One event's `args` as the reference renderer builds them.
-    fn reference_event_args(ev: &TraceEvent) -> Value {
+    fn reference_event_args(trace: &TraceLog, ev: &TraceEvent) -> Value {
         let mut args: Vec<(&'static str, Value)> = vec![("ts_ns", Value::from(ev.t))];
         match &ev.kind {
-            TraceEventKind::Wake { reason } => args.push(("reason", Value::from(*reason))),
+            TraceEventKind::Wake { reason } => args.push(("reason", Value::from(reason.tag()))),
             TraceEventKind::Block { comp } => args.push(("comp", Value::from(comp.name()))),
-            TraceEventKind::LockContend { lock, label } => {
+            TraceEventKind::LockContend { lock } => {
                 args.push(("lock", Value::from(lock.index())));
-                args.push(("label", Value::from(*label)));
+                args.push(("label", Value::from(trace.lock_label(*lock))));
             }
             TraceEventKind::LockAcquired {
                 lock,
-                label,
                 wait_ns,
                 contended,
             } => {
                 args.push(("lock", Value::from(lock.index())));
-                args.push(("label", Value::from(*label)));
+                args.push(("label", Value::from(trace.lock_label(*lock))));
                 args.push(("wait_ns", Value::from(*wait_ns)));
                 args.push(("contended", Value::from(*contended)));
             }
-            TraceEventKind::LockReleased {
-                lock,
-                label,
-                held_ns,
-            } => {
+            TraceEventKind::LockReleased { lock, held_ns } => {
                 args.push(("lock", Value::from(lock.index())));
-                args.push(("label", Value::from(*label)));
+                args.push(("label", Value::from(trace.lock_label(*lock))));
                 args.push(("held_ns", Value::from(*held_ns)));
             }
             TraceEventKind::RcuSync { dur_ns } => args.push(("dur_ns", Value::from(*dur_ns))),
@@ -261,30 +191,30 @@ mod tests {
                 args.push(("targets", Value::from(*targets)));
                 args.push(("handler_ns", Value::from(*handler_ns)));
             }
-            TraceEventKind::IoSubmit { bytes, dur_ns } => {
-                args.push(("bytes", Value::from(*bytes)));
-                args.push(("dur_ns", Value::from(*dur_ns)));
+            TraceEventKind::IoSubmit(io) => {
+                args.push(("bytes", Value::from(io.bytes)));
+                args.push(("dur_ns", Value::from(io.dur_ns)));
             }
-            TraceEventKind::TimerTicks { n, cost_ns } => {
-                args.push(("ticks", Value::from(*n)));
-                args.push(("cost_ns", Value::from(*cost_ns)));
+            TraceEventKind::TimerTicks(ticks) => {
+                args.push(("ticks", Value::from(ticks.n)));
+                args.push(("cost_ns", Value::from(ticks.cost_ns)));
             }
-            TraceEventKind::FaultInjected { kind, site } => {
-                args.push(("fault", Value::from(kind.name())));
-                args.push(("site", Value::str(site.clone())));
+            TraceEventKind::FaultInjected(fault) => {
+                args.push(("fault", Value::from(fault.kind.name())));
+                args.push(("site", Value::str(fault.site.clone())));
             }
             TraceEventKind::Syscall { no, enter } => {
                 args.push(("no", Value::from(u64::from(*no))));
                 args.push(("enter", Value::from(*enter)));
             }
             TraceEventKind::VmExit { kind, cost_ns } => {
-                args.push(("kind", Value::from(*kind)));
+                args.push(("kind", Value::from(trace.label(*kind))));
                 args.push(("cost_ns", Value::from(*cost_ns)));
             }
-            TraceEventKind::Mark { label, a, b } => {
-                args.push(("label", Value::from(*label)));
-                args.push(("a", Value::from(*a)));
-                args.push(("b", Value::from(*b)));
+            TraceEventKind::Mark(m) => {
+                args.push(("label", Value::from(m.label)));
+                args.push(("a", Value::from(m.a)));
+                args.push(("b", Value::from(m.b)));
             }
         }
         Value::object(args)
@@ -303,7 +233,7 @@ mod tests {
                 // Chrome's ts unit is µs; sub-µs precision rides in the
                 // fractional part.
                 ("ts", Value::from(ev.t as f64 / 1000.0)),
-                ("args", reference_event_args(ev)),
+                ("args", reference_event_args(trace, ev)),
             ])
         });
         Value::object([
@@ -320,6 +250,9 @@ mod tests {
         .render()
     }
 
+    /// Lock labels by `LockId`, as `Engine::take_trace` copies them.
+    const LOCK_LABELS: [&str; 4] = ["journal", "mmap_sem", "zone", "journal"];
+
     fn log_with(events: Vec<(Ns, TraceEventKind)>) -> TraceLog {
         let mut ring = TraceRing::new(events.len().max(1));
         for (i, (t, kind)) in events.into_iter().enumerate() {
@@ -333,32 +266,35 @@ mod tests {
         TraceLog {
             enabled: true,
             rings: vec![ring],
+            lock_labels: LOCK_LABELS.to_vec(),
+            labels: Vec::new(),
         }
     }
 
     /// One event of every kind, with `u64::MAX` payloads where the kind
-    /// carries any, a fault site that needs every escape, and times
-    /// covering whole, fractional and beyond-2^53 microseconds.
+    /// carries any, a lock outside the label table, a fault site that
+    /// needs every escape, and times covering whole, fractional and
+    /// beyond-2^53 microseconds. `io_kick` is the log's `LabelId(0)`.
     fn every_kind(t: Ns) -> Vec<TraceEventKind> {
         let max = u64::MAX;
         vec![
-            TraceEventKind::Wake { reason: "lock" },
+            TraceEventKind::Wake {
+                reason: WakeReason::LockGranted(LockId(3)),
+            },
             TraceEventKind::Block {
                 comp: ksa_desim::LatComp::IoWait,
             },
             TraceEventKind::LockContend {
                 lock: LockId(u32::MAX),
-                label: "mmap_sem",
             },
+            TraceEventKind::LockContend { lock: LockId(1) },
             TraceEventKind::LockAcquired {
                 lock: LockId(3),
-                label: "journal",
                 wait_ns: max,
                 contended: true,
             },
             TraceEventKind::LockReleased {
                 lock: LockId(0),
-                label: "journal",
                 held_ns: max,
             },
             TraceEventKind::RcuSync { dur_ns: max },
@@ -366,28 +302,24 @@ mod tests {
                 targets: u32::MAX,
                 handler_ns: max,
             },
-            TraceEventKind::IoSubmit {
+            TraceEventKind::IoSubmit(Box::new(IoSubmitArgs {
                 bytes: max,
                 dur_ns: t,
-            },
-            TraceEventKind::TimerTicks { n: max, cost_ns: 0 },
-            TraceEventKind::FaultInjected {
+            })),
+            TraceEventKind::TimerTicks(Box::new(TimerTicksArgs { n: max, cost_ns: 0 })),
+            TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
                 kind: ksa_desim::FaultKind::IoError,
                 site: "io:\"q\\d\"\n\t\u{1}é😀".to_string(),
-            },
+            })),
             TraceEventKind::Syscall {
                 no: u16::MAX,
                 enter: false,
             },
             TraceEventKind::VmExit {
-                kind: "io_kick",
+                kind: LabelId(0),
                 cost_ns: max,
             },
-            TraceEventKind::Mark {
-                label: "m",
-                a: max,
-                b: t,
-            },
+            TraceEventKind::mark("m", max, t),
         ]
     }
 
@@ -418,10 +350,13 @@ mod tests {
                 }
             }
         }
-        let log = TraceLog {
+        let mut log = TraceLog {
             enabled: true,
             rings,
+            lock_labels: LOCK_LABELS.to_vec(),
+            labels: Vec::new(),
         };
+        assert_eq!(log.intern("io_kick"), LabelId(0));
         assert!(log.total_dropped() > 0, "core 0's ring must overflow");
         let kinds: std::collections::BTreeSet<_> =
             log.merged().iter().map(|e| e.kind.name()).collect();
@@ -432,11 +367,23 @@ mod tests {
         for ts in ["0.001", "1.5", "2.0", "1.844674407370955e16"] {
             assert!(streamed.contains(&format!(r#""ts":{ts}}}"#)), "ts {ts}");
         }
+        // Labels resolve through the log's tables; an id outside them
+        // renders as "?".
+        for args in [
+            r#"{"label":"?","lock":4294967295,"#,
+            r#"{"label":"mmap_sem","lock":1,"#,
+            r#"{"contended":true,"label":"journal","lock":3,"#,
+            r#"{"cost_ns":18446744073709551615,"kind":"io_kick","#,
+            r#"{"reason":"lock","#,
+        ] {
+            assert!(streamed.contains(args), "{args}");
+        }
         for log in [
             TraceLog::default(),
             TraceLog {
                 enabled: true,
                 rings: vec![TraceRing::new(4), TraceRing::new(0)],
+                ..TraceLog::default()
             },
         ] {
             assert_eq!(chrome_trace_json(&log), reference_chrome_trace_json(&log));
@@ -450,12 +397,16 @@ mod tests {
                 1_500,
                 TraceEventKind::LockAcquired {
                     lock: LockId(3),
-                    label: "journal",
                     wait_ns: 250,
                     contended: true,
                 },
             ),
-            (2_000, TraceEventKind::Wake { reason: "lock" }),
+            (
+                2_000,
+                TraceEventKind::Wake {
+                    reason: WakeReason::LockGranted(LockId(3)),
+                },
+            ),
         ]);
         let v = ksa_json::parse(&chrome_trace_json(&log)).unwrap();
         let evs = v.get("traceEvents").unwrap().as_array().unwrap();
@@ -477,14 +428,7 @@ mod tests {
     fn large_u64_timestamps_roundtrip_exactly() {
         // Beyond 2^53: lost by f64, preserved by ksa-json's UInt path.
         let t: Ns = (1u64 << 60) + 12345;
-        let log = log_with(vec![(
-            t,
-            TraceEventKind::Mark {
-                label: "m",
-                a: u64::MAX,
-                b: 7,
-            },
-        )]);
+        let log = log_with(vec![(t, TraceEventKind::mark("m", u64::MAX, 7))]);
         let v = ksa_json::parse(&chrome_trace_json(&log)).unwrap();
         let args = v.get("traceEvents").unwrap().as_array().unwrap()[0]
             .get("args")
@@ -498,10 +442,10 @@ mod tests {
     fn fault_sites_with_special_characters_are_escaped() {
         let log = log_with(vec![(
             10,
-            TraceEventKind::FaultInjected {
+            TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
                 kind: ksa_desim::FaultKind::AllocFail,
                 site: "mmap:\"zone\\lru\"\n".to_string(),
-            },
+            })),
         )]);
         let rendered = chrome_trace_json(&log);
         let v = ksa_json::parse(&rendered).unwrap();

@@ -184,15 +184,17 @@ fn experiments_are_neutral_to_jobs_and_metrics() {
     );
 }
 
+/// FNV-1a-64, the digest the Chrome-trace byte pins are stated in.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
 #[test]
 fn chrome_trace_bytes_are_pinned() {
     // FNV-1a-64 of the Chrome trace of one Tiny-scale default-corpus run,
     // as the `Value`-tree renderer wrote it before the exporter streamed.
-    let fnv1a = |bytes: &[u8]| {
-        bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        })
-    };
     let corpus = experiments::default_corpus(Scale::Tiny);
     for (kind, events, bytes, digest) in [
         (EnvKind::Native, 10_481, 1_194_439, 0xaaf9ffdb448277c4),
@@ -208,4 +210,80 @@ fn chrome_trace_bytes_are_pinned() {
         assert_eq!(json.len(), bytes, "{kind:?}");
         assert_eq!(fnv1a(json.as_bytes()), digest, "{kind:?}");
     }
+}
+
+#[test]
+fn failover_trace_bytes_are_pinned() {
+    // The crash run of `ablate failover --tiny`: the fabric's recovery
+    // marks, the only producer of `mark` events with two payload words.
+    use ksa_core::cluster::{run_cluster, run_cluster_faulted, ClusterConfig, FabricConfig};
+    use ksa_core::desim::NodeFaultPlan;
+    use ksa_core::tailbench::single_node::SingleNodeConfig;
+    let seed = 42;
+    let (nodes, iterations, requests_per_iter) = Scale::Tiny.cluster();
+    let cfg = ClusterConfig {
+        nodes,
+        iterations,
+        requests_per_iter,
+        node: SingleNodeConfig {
+            util_pct: 92,
+            ..SingleNodeConfig::new(
+                Machine {
+                    cores: 8,
+                    mem_mib: 8 * 1024,
+                },
+                2,
+                false,
+                false,
+                seed,
+            )
+        },
+        barrier_ns: 40_000,
+        threads: 1,
+    };
+    let app = &ksa_core::tailbench::suite()[1];
+    let noise = experiments::noise_corpus(Scale::Tiny);
+    let healthy = run_cluster(app, &cfg, &noise);
+    let plan = NodeFaultPlan::new(seed).crash(nodes / 2, healthy.total_ns / 3, 0);
+    let crash = run_cluster_faulted(app, &cfg, &noise, &plan, &FabricConfig::quick());
+    let json = chrome_trace_json(&crash.trace);
+    assert!(json.contains(r#""name":"mark""#));
+    assert_eq!(
+        (
+            crash.trace.total_events(),
+            json.len(),
+            fnv1a(json.as_bytes())
+        ),
+        (6, 833, 0xea771f95bfdbb024)
+    );
+}
+
+#[test]
+fn faulted_trace_bytes_are_pinned() {
+    // A Tiny default-corpus run under a fault plan failing every third I/O
+    // and 15% of allocations: the only pinned trace with `io_submit` events and
+    // fault-driven error paths. (Kernel handlers consult the plan through
+    // `FaultState` directly, so `fault_injected` events come only from
+    // `SimCtx::should_fail`; the exporter's oracle test covers them.)
+    use ksa_core::desim::{FaultKind, FaultPlan, FaultSchedule};
+    let corpus = experiments::default_corpus(Scale::Tiny);
+    let machine = Machine {
+        cores: 4,
+        mem_mib: 2 * 1024,
+    };
+    let plan = FaultPlan::new(0xfa17)
+        .kind_default(FaultKind::IoError, FaultSchedule::EveryNth(3))
+        .kind_default(FaultKind::AllocFail, FaultSchedule::ProbMilli(150));
+    let cfg = RunConfig {
+        trace: true,
+        ..RunConfig::new(EnvSpec::new(machine, EnvKind::Native), 2, 31)
+    };
+    let res = run_hooked(&cfg, &corpus.corpus, |engine| engine.set_fault_plan(plan))
+        .expect("trial failed");
+    let json = chrome_trace_json(&res.trace);
+    assert!(json.contains(r#""name":"io_submit""#));
+    assert_eq!(
+        (res.trace.total_events(), json.len(), fnv1a(json.as_bytes())),
+        (9_762, 1_109_386, 0xdd23fce92e06bf3b)
+    );
 }

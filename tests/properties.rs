@@ -398,6 +398,11 @@ fn traced_runs_replay_bit_identically() {
         for (x, y) in ea.iter().zip(eb.iter()) {
             assert_eq!(x, y, "seed {seed:#x}: trace diverged");
         }
+        assert_eq!(
+            a.trace.labels, b.trace.labels,
+            "seed {seed:#x}: tags differ"
+        );
+        assert_eq!(a.trace.lock_labels, b.trace.lock_labels);
     }
 }
 
@@ -457,7 +462,9 @@ fn trace_ring_overflow_drops_oldest() {
                 t: i as u64,
                 pid: Pid(0),
                 core: CoreId(0),
-                kind: TraceEventKind::Wake { reason: "prop" },
+                kind: TraceEventKind::Wake {
+                    reason: WakeReason::Start,
+                },
             });
         }
         let kept = n.min(cap);
@@ -588,7 +595,7 @@ fn parallel_runner_matches_sequential_bit_identically() {
                 p.trace.total_events(),
                 "{tag}: trace volume differs"
             );
-            assert_eq!(s.trace.merged(), p.trace.merged(), "{tag}: trace diverged");
+            assert_eq!(s.trace, p.trace, "{tag}: trace diverged");
         }
     }
 }
