@@ -37,7 +37,8 @@
 use ksa_desim::{
     Backoff, CoreId, NodeFaultPlan, Ns, Pid, TraceEvent, TraceEventKind, TraceLog, TraceRing,
 };
-use ksa_kernel::coverage::{block, block_err, CoverageSet};
+use ksa_kernel::cov_block;
+use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 use ksa_tailbench::apps::AppProfile;
 
@@ -165,14 +166,6 @@ impl Recorder {
             kind: TraceEventKind::mark(label, a, b),
         });
     }
-
-    fn cover(&mut self, name: &'static str) {
-        self.cov.insert(block(name));
-    }
-
-    fn cover_err(&mut self, name: &'static str) {
-        self.cov.insert(block_err(name));
-    }
 }
 
 /// Outcome of delivering one barrier-completion message.
@@ -220,7 +213,7 @@ fn deliver(
             } else {
                 // The coordinator already has (iter, from): dedup.
                 rep.dup_completions_dropped += 1;
-                rec.cover("recovery.cluster.dup_drop");
+                rec.cov.insert(cov_block!("recovery.cluster.dup_drop"));
                 rec.mark(coord, arrival, "barrier.dup_drop", from as u64, iter);
             }
             let ack_cut = plan.partitioned(coord, from, arrival)
@@ -230,17 +223,17 @@ fn deliver(
             }
             // Delivered but unacknowledged: the sender must retransmit,
             // and the coordinator will see a duplicate.
-            rec.cover_err("cluster.ack_drop");
-            rec.cover("recovery.cluster.retransmit");
+            rec.cov.insert(cov_block!(err "cluster.ack_drop"));
+            rec.cov.insert(cov_block!("recovery.cluster.retransmit"));
             rec.mark(from, arrival, "net.ack_lost", coord as u64, seq);
         } else {
             rep.retransmits += 1;
             if cut {
-                rec.cover_err("cluster.partition");
+                rec.cov.insert(cov_block!(err "cluster.partition"));
             } else {
-                rec.cover_err("cluster.link_drop");
+                rec.cov.insert(cov_block!(err "cluster.link_drop"));
             }
-            rec.cover("recovery.cluster.retransmit");
+            rec.cov.insert(cov_block!("recovery.cluster.retransmit"));
             rec.mark(from, send_t, "net.retransmit", coord as u64, attempt as u64);
         }
         let delay = fab.backoff.delay(
@@ -248,7 +241,8 @@ fn deliver(
             plan.jitter_word("backoff", from as u64, coord as u64, seq),
         );
         if delay >= fab.backoff.cap_ns.max(1) {
-            rec.cover("recovery.cluster.backoff_capped");
+            rec.cov
+                .insert(cov_block!("recovery.cluster.backoff_capped"));
         }
         let mut next = send_t + delay.max(1);
         if cut {
@@ -259,7 +253,7 @@ fn deliver(
                 None => {
                     // Permanently partitioned: the completion is lost.
                     rep.lost_completions += 1;
-                    rec.cover_err("cluster.completion_lost");
+                    rec.cov.insert(cov_block!(err "cluster.completion_lost"));
                     rec.mark(from, send_t, "barrier.lost", coord as u64, iter);
                     return Delivery { arrival: None };
                 }
@@ -270,7 +264,7 @@ fn deliver(
     if first.is_none() {
         // Attempt budget exhausted against a lossy (non-partitioned) link.
         rep.lost_completions += 1;
-        rec.cover_err("cluster.completion_lost");
+        rec.cov.insert(cov_block!(err "cluster.completion_lost"));
         rec.mark(from, send_t, "barrier.lost", coord as u64, iter);
     }
     Delivery { arrival: first }
@@ -307,7 +301,7 @@ pub fn run_cluster_faulted(
             if *dead && !plan.node_down(n, t) {
                 *dead = false;
                 rep.rejoins += 1;
-                rec.cover("recovery.cluster.rejoin");
+                rec.cov.insert(cov_block!("recovery.cluster.rejoin"));
                 rec.mark(n, t, "node.rejoin", it, 0);
             }
         }
@@ -317,7 +311,7 @@ pub fn run_cluster_faulted(
             // period and the iteration's shards go unserved.
             rep.failed_iters += 1;
             rep.unserved_shards += nodes as u64;
-            rec.cover_err("cluster.no_members");
+            rec.cov.insert(cov_block!(err "cluster.no_members"));
             let dur = fab.heartbeat_ns * fab.dead_misses.max(1) as Ns;
             rec.mark(0, t, "membership.empty", it, 0);
             iteration_ns.push(dur);
@@ -337,7 +331,7 @@ pub fn run_cluster_faulted(
             rr += 1;
             shares[target] += 1;
             rep.reassignments += 1;
-            rec.cover("recovery.cluster.reassign");
+            rec.cov.insert(cov_block!("recovery.cluster.reassign"));
             rec.mark(target, t, "recovery.reassign", n as u64, it);
         }
 
@@ -369,17 +363,17 @@ pub fn run_cluster_faulted(
         for &(n, c) in &crashed {
             let suspect_t = c + fab.heartbeat_ns * fab.suspect_misses.max(1) as Ns;
             let dead_t = c + fab.heartbeat_ns * fab.dead_misses.max(1) as Ns;
-            rec.cover_err("cluster.hb_miss");
-            rec.cover_err("cluster.node_crash");
-            rec.cover("recovery.cluster.suspect");
-            rec.cover("recovery.cluster.dead");
+            rec.cov.insert(cov_block!(err "cluster.hb_miss"));
+            rec.cov.insert(cov_block!(err "cluster.node_crash"));
+            rec.cov.insert(cov_block!("recovery.cluster.suspect"));
+            rec.cov.insert(cov_block!("recovery.cluster.dead"));
             rec.mark(n, c, "node.crash", it, 0);
             rec.mark(n, suspect_t, "hb.suspect", it, 0);
             rec.mark(n, dead_t, "node.dead", it, 0);
             rep.crash_detections += 1;
             if survivors.is_empty() {
                 rep.unserved_shards += shares[n];
-                rec.cover_err("cluster.no_members");
+                rec.cov.insert(cov_block!(err "cluster.no_members"));
                 continue;
             }
             let target = survivors[rr % survivors.len()];
@@ -391,7 +385,7 @@ pub fn run_cluster_faulted(
                 .saturating_mul(shares[n]);
             finish[target] = finish[target].max(dead_t) + d;
             rep.reexecs += shares[n];
-            rec.cover("recovery.cluster.reexec");
+            rec.cov.insert(cov_block!("recovery.cluster.reexec"));
             rec.mark(target, dead_t, "recovery.reexec", n as u64, it);
         }
 

@@ -1,343 +1,515 @@
 //! Basic-block coverage instrumentation.
 //!
-//! Handlers tag every distinct code path with a static string (e.g.
-//! `"mmap.anon"` or `"write.throttled"`). Strings are interned once into
-//! dense [`BlockId`]s through a global registry, and each execution records
-//! the blocks it traversed into a [`CoverageSet`]. The coverage-guided
-//! generator keeps a program only if it reaches blocks no earlier program
-//! reached — the same feedback signal Syzkaller extracts from KCOV.
+//! Handlers tag every distinct code path with a name (e.g. `"mm.mmap"`
+//! or `"io.write.throttled"`), and each execution records the blocks it
+//! traversed into a [`CoverageSet`]. The coverage-guided generator keeps
+//! a program only if it reaches blocks no earlier program reached — the
+//! same feedback signal Syzkaller extracts from KCOV.
 //!
-//! # Hot path
+//! # The block table
 //!
-//! Interning must be cheap and crash-isolated: every syscall handler hits
-//! it on every call, from every worker of the parallel trial pool at once.
-//! Three layers keep the steady state lock-free and the cold path safe:
+//! Every block name is a literal in one static table, and a block's
+//! [`BlockId`] is its position there:
 //!
-//! 1. **Per-call-site caches.** The [`cov!`]/[`cov_bucket!`]/[`fail!`]
-//!    macros plant a `static` [`SiteCache`] (one relaxed
-//!    `AtomicU32`) at each instrumentation site. After the first hit the
-//!    site's [`BlockId`] is read straight from the atomic — no lock, no
-//!    hashing, no allocation.
-//! 2. **A read-optimized registry.** The cold path (first hit of a site,
-//!    or a dynamic name) takes an `RwLock` read lock for lookup and only
-//!    escalates to the write lock to intern a genuinely new name.
-//!    [`block_bucketed`] and [`block_err`] look up with *borrowed* keys
-//!    (`(name, bucket)` / the unprefixed name), so repeated calls never
-//!    build a fresh `String` — the name is formatted and leaked exactly
-//!    once, when it is genuinely new.
-//! 3. **Poison recovery.** Every lock acquisition goes through
-//!    [`read_reg`]/[`write_reg`], which recover a poisoned lock with
-//!    `unwrap_or_else(|e| e.into_inner())` instead of panicking. A trial
-//!    that panics mid-coverage therefore cannot cascade into sibling
-//!    trials on the pool: write sections are short, straight-line and
-//!    touch no user code, so a recovered registry is always consistent.
-//!    (`registry_recovers_from_poison` pins this; the pool-level
-//!    regression lives in `crates/varbench/tests/coverage_poison.rs`.)
+//! | ids                     | blocks                                         |
+//! |-------------------------|------------------------------------------------|
+//! | `0..ERR_BASE`           | plain names (`PLAIN`)                          |
+//! | `ERR_BASE..BUCKET_BASE` | error-path names, `err.`-prefixed (`ERR`)      |
+//! | `BUCKET_BASE..`         | one fixed range per bucketed name (`BUCKETED`) |
 //!
-//! Error-path blocks are flagged in a **bitset at intern time** (any name
-//! with the `err.` prefix, however it was interned), so
-//! [`is_error_block`] and [`CoverageSet::error_blocks`] are O(1)/O(words)
-//! bitmap operations instead of per-id string scans under the lock.
+//! The `cov!`, `cov_bucket!`, `fail!` and [`cov_block!`](crate::cov_block)
+//! macros resolve their literal with a `const fn` lookup, so each site's
+//! id is a constant and a name missing from the table fails the build at
+//! the site. Ids are the same in every process and at every pool width.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::borrow::Cow;
+
+use crate::syscalls::SysNo;
 
 /// Dense id of one instrumented kernel code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
-/// Sentinel for "this call site has not interned its block yet".
-/// (A real id would need four billion distinct blocks to collide.)
-const UNINTERNED: u32 = u32::MAX;
+/// Buckets of a log2 size class: `HCtx::size_class` of a `u64` is at
+/// most 64.
+const SIZE_CLASSES: u32 = u64::BITS + 1;
 
-struct Registry {
-    /// Full interned name → id (the authoritative map).
-    by_name: HashMap<&'static str, BlockId>,
-    /// Borrowed-key cache for [`block_bucketed`]: `(base name, bucket)` →
-    /// id, so the hit path never formats `"name#bucket"`.
-    bucketed: HashMap<(&'static str, u32), BlockId>,
-    /// Borrowed-key cache for [`block_err`]: unprefixed name → id, so the
-    /// hit path never formats `"err.name"`.
-    err_by_base: HashMap<&'static str, BlockId>,
-    /// Reverse lookup, indexed by id.
-    names: Vec<&'static str>,
-    /// Bit `i` set ⇔ block `i` is an error-path block (`err.` prefix),
-    /// recorded at intern time.
-    err_bits: Vec<u64>,
-}
+/// Happy-path block names; the id of `PLAIN[i]` is `i`.
+const PLAIN: &[&str] = &[
+    // Kernel daemons (`daemons.rs`).
+    "daemon.flusher.commit",
+    "daemon.kswapd.reclaim",
+    "daemon.lb.pass",
+    "daemon.vmstat.fold",
+    "daemon.napi.poll",
+    // Shared helpers and exit teardown (`dispatch.rs`).
+    "mm.alloc.pcp",
+    "mm.alloc.zone_refill",
+    "mm.alloc.direct_reclaim",
+    "mm.free.zone_spill",
+    "mm.slab.fast",
+    "mm.slab.depot",
+    "fs.path_walk",
+    "fs.path_walk.cold",
+    "cgroup.charge",
+    "cgroup.stat_flush",
+    "sched.exit",
+    "sched.exit.reap",
+    // File I/O (`subsystems/fileio.rs`).
+    "io.read.ebadf",
+    "io.read.pipe",
+    "io.read.eventfd",
+    "io.read.socket",
+    "io.read.epoll",
+    "io.read.hit",
+    "io.read.miss",
+    "io.write.ebadf",
+    "io.write.pipe",
+    "io.write.eventfd",
+    "io.write.socket",
+    "io.write.epoll",
+    "io.write.file",
+    "io.write.throttled",
+    "io.lseek.ebadf",
+    "io.lseek",
+    "io.fsync.ebadf",
+    "io.fsync.nonfile",
+    "io.fsync.clean",
+    "io.fdatasync",
+    "io.fsync.commit",
+    "io.readv",
+    "io.writev",
+    "io.fallocate.ebadf",
+    "io.fallocate.nonfile",
+    "io.fallocate",
+    // Filesystem management (`subsystems/fs.rs`).
+    "fs.lookup.enoent",
+    "fs.create",
+    "fs.open.creat",
+    "fs.open.existing",
+    "fs.close.ebadf",
+    "fs.close",
+    "fs.stat",
+    "fs.fstat.ebadf",
+    "fs.fstat",
+    "fs.access",
+    "fs.getdents",
+    "fs.mkdir",
+    "fs.rmdir",
+    "fs.unlink",
+    "fs.unlink.enoent",
+    "fs.unlink.invalidate",
+    "fs.rename.enoent",
+    "fs.rename",
+    "fs.symlink",
+    "fs.readlink",
+    "fs.truncate",
+    "fs.truncate.invalidate",
+    // IPC (`subsystems/ipc.rs`).
+    "ipc.pipe2",
+    "ipc.futex.wait_eagain",
+    "ipc.futex.wake",
+    "ipc.msgget",
+    "ipc.msgsnd.einval",
+    "ipc.msgsnd",
+    "ipc.msgrcv.einval",
+    "ipc.msgrcv.eagain",
+    "ipc.msgrcv.dequeue",
+    "ipc.semget",
+    "ipc.semop.einval",
+    "ipc.semop",
+    "ipc.shmget",
+    "ipc.shmat.einval",
+    "ipc.shmat",
+    "ipc.shmdt.einval",
+    "ipc.shmdt",
+    "ipc.eventfd",
+    // Memory management (`subsystems/mm.rs`).
+    "mm.mmap",
+    "mm.mmap.populate",
+    "mm.munmap.efault",
+    "mm.munmap",
+    "mm.mprotect.efault",
+    "mm.mprotect",
+    "mm.madvise.efault",
+    "mm.madvise.dontneed",
+    "mm.madvise.willneed",
+    "mm.madvise.advisory",
+    "mm.brk.grow",
+    "mm.brk.shrink",
+    "mm.brk.query",
+    "mm.mremap.efault",
+    "mm.mremap",
+    "mm.mlock.efault",
+    "mm.mlock",
+    "mm.munlock.efault",
+    "mm.munlock",
+    "mm.msync.clean",
+    "mm.msync.flush",
+    "mm.mincore.efault",
+    "mm.mincore",
+    // Networking (`subsystems/net.rs`).
+    "net.close.flush",
+    "net.socket",
+    "net.socket.stream",
+    "net.socket.dgram",
+    "net.bind",
+    "net.bind.ebadf",
+    "net.bind.addrinuse",
+    "net.listen",
+    "net.listen.ebadf",
+    "net.listen.einval",
+    "net.connect",
+    "net.connect.ebadf",
+    "net.connect.refused",
+    "net.connect.backlog_full",
+    "net.connect.ring_full",
+    "net.accept",
+    "net.accept.einval",
+    "net.accept.eagain",
+    "net.sendto.ring_full",
+    "net.stack.shared",
+    "net.sendto.noroute",
+    "net.sendto.eagain",
+    "net.recvfrom.eagain",
+    "net.sendto",
+    "net.sendto.ebadf",
+    "net.recvfrom",
+    "net.recvfrom.ebadf",
+    "net.shutdown",
+    "net.shutdown.ebadf",
+    "net.shutdown.flush",
+    "net.epoll_create",
+    "net.epoll_wait",
+    "net.epoll_wait.ebadf",
+    // Permissions (`subsystems/perms.rs`).
+    "perm.chmod",
+    "perm.chmod.audit",
+    "perm.fchmod.ebadf",
+    "perm.fchmod",
+    "perm.fchmod.audit",
+    "perm.chown",
+    "perm.chown.audit",
+    "perm.setuid.change",
+    "perm.setuid.same",
+    "perm.setuid.audit",
+    "perm.getuid",
+    "perm.capget",
+    "perm.capset",
+    "perm.capset.audit",
+    "perm.umask",
+    "perm.setgroups",
+    "perm.setgroups.audit",
+    "perm.prctl.name",
+    "perm.prctl.seccomp",
+    "perm.prctl.audit",
+    "perm.prctl.simple",
+    // Process management (`subsystems/sched.rs`).
+    "sched.getpid",
+    "sched.yield",
+    "sched.clone",
+    "sched.clone.large_mm",
+    "sched.wait4.reap",
+    "sched.wait4.nochild",
+    "sched.kill.probe",
+    "sched.kill.deliver",
+    "sched.setaffinity",
+    "sched.setaffinity.migrate",
+    "sched.getparam",
+    "sched.setpriority",
+    "sched.nanosleep",
+    "sched.getrusage",
+    // `ksa-cluster` fabric recovery, recorded through `cov_block!`.
+    "recovery.cluster.dup_drop",
+    "recovery.cluster.retransmit",
+    "recovery.cluster.backoff_capped",
+    "recovery.cluster.rejoin",
+    "recovery.cluster.reassign",
+    "recovery.cluster.suspect",
+    "recovery.cluster.dead",
+    "recovery.cluster.reexec",
+];
 
-impl Registry {
-    /// Interns a full (already prefixed / formatted) name. The body is
-    /// straight-line and panic-free so a recovered write lock can never
-    /// expose a half-updated registry.
-    fn intern(&mut self, name: &'static str) -> BlockId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+/// Error-path block names, ids following [`PLAIN`]. Sites name them
+/// without the prefix: `fail!(h, Errno::ENOMEM, "mm.mmap.enomem")`.
+const ERR: &[&str] = &[
+    // Shared helpers and exit teardown (`dispatch.rs`).
+    "err.fs.path_walk.enomem",
+    "err.fs.path_walk.eio",
+    "err.spec.enosys",
+    // File I/O (`subsystems/fileio.rs`).
+    "err.io.read.enomem",
+    "err.io.read.eio",
+    "err.io.write.enomem",
+    "err.io.write.journal_timeout",
+    "err.io.write.eio",
+    "err.io.fsync.data_eio",
+    "err.io.fsync.journal_timeout",
+    "err.io.fsync.eio",
+    "err.io.fallocate.journal_timeout",
+    // Filesystem management (`subsystems/fs.rs`).
+    "err.fs.create.enomem",
+    "err.fs.create.journal_timeout",
+    "err.fs.unlink.journal_timeout",
+    "err.fs.rename.timeout",
+    "err.fs.rename.journal_timeout",
+    "err.fs.truncate.journal_timeout",
+    // IPC (`subsystems/ipc.rs`).
+    "err.ipc.pipe2.enomem",
+    "err.ipc.pipe2.buffer_enomem",
+    "err.ipc.msgget.enomem",
+    "err.ipc.msgsnd.enomem",
+    "err.ipc.semget.enomem",
+    "err.ipc.shmget.enomem",
+    "err.ipc.shmat.enomem",
+    "err.ipc.eventfd.enomem",
+    // Memory management (`subsystems/mm.rs`).
+    "err.mm.mmap.enomem",
+    "err.mm.mmap.eagain",
+    "err.mm.mmap.populate_enomem",
+    "err.mm.madvise.enomem",
+    "err.mm.brk.enomem",
+    "err.mm.mremap.enomem",
+    "err.mm.mlock.enomem",
+    // Networking (`subsystems/net.rs`).
+    "err.net.socket.enomem",
+    "err.net.bind.busy",
+    "err.net.listen.enomem",
+    "err.net.connect.enomem",
+    "err.net.connect.busy",
+    "err.net.accept.enomem",
+    "err.net.sendto.enomem",
+    "err.net.sendto.busy",
+    "err.net.sendto.eio",
+    "err.net.recvfrom.busy",
+    "err.net.shutdown.busy",
+    "err.net.epoll_create.enomem",
+    // Process management (`subsystems/sched.rs`).
+    "err.sched.clone.enomem",
+    "err.sched.clone.stack_enomem",
+    // `ksa-cluster` fabric recovery, recorded through `cov_block!`.
+    "err.cluster.ack_drop",
+    "err.cluster.partition",
+    "err.cluster.link_drop",
+    "err.cluster.completion_lost",
+    "err.cluster.no_members",
+    "err.cluster.hb_miss",
+    "err.cluster.node_crash",
+];
+
+/// Bucketed block names, each with the width of its id range (ranges
+/// follow [`ERR`] in this order). Bucket `b` of `name` renders as
+/// `name#b`.
+const BUCKETED: &[(&str, u32)] = &[
+    ("spec.enosys.sysno", SysNo::ALL.len() as u32), // bucket is `SysNo::index`
+    ("sched.exit.fds", SIZE_CLASSES),
+    ("sched.exit.vmas", SIZE_CLASSES),
+    ("io.read.size", SIZE_CLASSES),
+    ("io.write.size", SIZE_CLASSES),
+    ("fs.lookup.depth", 6), // depth is 2 + sel % 4
+    ("ipc.msgsnd.size", SIZE_CLASSES),
+    ("mm.mmap.pages", SIZE_CLASSES),
+    ("mm.munmap.pages", SIZE_CLASSES),
+    ("mm.mremap.pages", SIZE_CLASSES),
+    ("net.bind.table", SIZE_CLASSES),
+    ("net.sendto.size", SIZE_CLASSES),
+    ("net.recvfrom.size", SIZE_CLASSES),
+    ("net.epoll_wait.ready", SIZE_CLASSES),
+    ("sched.nanosleep.dur", SIZE_CLASSES),
+];
+
+const ERR_BASE: u32 = PLAIN.len() as u32;
+const BUCKET_BASE: u32 = ERR_BASE + ERR.len() as u32;
+
+const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
         }
-        let id = BlockId(self.names.len() as u32);
-        self.names.push(name);
-        if name.starts_with("err.") {
-            let (word, bit) = (id.0 as usize / 64, id.0 as usize % 64);
-            if word >= self.err_bits.len() {
-                self.err_bits.resize(word + 1, 0);
-            }
-            self.err_bits[word] |= 1 << bit;
+        i += 1;
+    }
+    true
+}
+
+const fn has_err_prefix(name: &str) -> bool {
+    let n = name.as_bytes();
+    n.len() > 4 && bytes_eq(n.split_at(4).0, b"err.")
+}
+
+/// Index of the first entry of `names` that equals `name` once its first
+/// `skip` bytes are dropped.
+const fn position(names: &[&str], skip: usize, name: &str) -> Option<usize> {
+    let mut i = 0;
+    while i < names.len() {
+        if bytes_eq(names[i].as_bytes().split_at(skip).1, name.as_bytes()) {
+            return Some(i);
         }
-        self.by_name.insert(name, id);
-        id
+        i += 1;
+    }
+    None
+}
+
+/// Checks one name list: no name twice, and the `err.` prefix on every
+/// name exactly when `err` is set.
+const fn check_names(names: &[&str], err: bool) {
+    let mut i = 0;
+    while i < names.len() {
+        assert!(
+            matches!(position(names, 0, names[i]), Some(j) if j == i),
+            "a block name is listed twice"
+        );
+        assert!(
+            has_err_prefix(names[i]) == err,
+            "the err. prefix marks exactly the ERR names"
+        );
+        i += 1;
     }
 }
 
-fn registry() -> &'static RwLock<Registry> {
-    static REG: OnceLock<RwLock<Registry>> = OnceLock::new();
-    REG.get_or_init(|| {
-        RwLock::new(Registry {
-            by_name: HashMap::new(),
-            bucketed: HashMap::new(),
-            err_by_base: HashMap::new(),
-            names: Vec::new(),
-            err_bits: Vec::new(),
-        })
-    })
-}
+// Checked at build time: a name listed twice would split its coverage
+// across two ids, and the `err.` prefix is what marks an error block.
+// The unit test that round-trips every id's name covers the rest.
+const _: () = {
+    check_names(PLAIN, false);
+    check_names(ERR, true);
+};
 
-/// Read access with poison recovery: a panicked sibling trial must never
-/// turn coverage lookups into a process-wide cascade panic.
-fn read_reg() -> RwLockReadGuard<'static, Registry> {
-    registry().read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write access with poison recovery (see [`read_reg`]; write sections
-/// are panic-free, so recovery always observes a consistent registry).
-fn write_reg() -> RwLockWriteGuard<'static, Registry> {
-    registry().write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Interns a block name; the same name always maps to the same id within
-/// a process.
-pub fn block(name: &'static str) -> BlockId {
-    if let Some(&id) = read_reg().by_name.get(name) {
-        return id;
+/// Id of the plain block `name`. The macros evaluate it at compile time.
+///
+/// # Panics
+///
+/// When `name` is not in the table (a build error at a macro site).
+pub const fn plain_id(name: &str) -> BlockId {
+    match position(PLAIN, 0, name) {
+        Some(i) => BlockId(i as u32),
+        None => panic!("not a coverage block: add the name to the table in coverage.rs"),
     }
-    write_reg().intern(name)
 }
 
-/// Interns a parameterized block, e.g. `("io.read.size", 3)` →
-/// `io.read.size#3`. Handlers use this for argument-dependent paths
-/// (size classes, depth classes), giving the generator a finer coverage
-/// signal — the analogue of distinct basic blocks inside `switch`es and
-/// size-dependent loops. The composite name is formatted and leaked once
-/// per distinct pair; the hit path looks up with a borrowed
-/// `(name, bucket)` key and allocates nothing.
-pub fn block_bucketed(name: &'static str, bucket: u32) -> BlockId {
-    if let Some(&id) = read_reg().bucketed.get(&(name, bucket)) {
-        return id;
+/// Id of the error-path block `err.{name}`. The macros evaluate it at
+/// compile time.
+///
+/// # Panics
+///
+/// When `err.{name}` is not in the table (a build error at a macro site).
+pub const fn err_id(name: &str) -> BlockId {
+    match position(ERR, 4, name) {
+        Some(i) => BlockId(ERR_BASE + i as u32),
+        None => panic!("not an error-path block: add err.<name> to the table in coverage.rs"),
     }
-    // Cold: format outside the write section, then double-check (another
-    // thread may have interned the pair between the two locks).
-    let full = format!("{name}#{bucket}");
-    let mut reg = write_reg();
-    if let Some(&id) = reg.bucketed.get(&(name, bucket)) {
-        return id;
-    }
-    let id = match reg.by_name.get(full.as_str()) {
-        Some(&id) => id,
-        None => {
-            let leaked: &'static str = Box::leak(full.into_boxed_str());
-            reg.intern(leaked)
+}
+
+/// The `(first id, width)` range of the bucketed block `name`.
+pub(crate) const fn bucket_range(name: &str) -> (u32, u32) {
+    let (mut base, mut i) = (BUCKET_BASE, 0);
+    while i < BUCKETED.len() {
+        let (entry, width) = BUCKETED[i];
+        if bytes_eq(entry.as_bytes(), name.as_bytes()) {
+            return (base, width);
         }
-    };
-    reg.bucketed.insert((name, bucket), id);
-    id
+        base += width;
+        i += 1;
+    }
+    panic!("not a bucketed block: add the name to the table in coverage.rs")
 }
 
-/// Interns an **error-path** block: the name is prefixed with `err.` so
-/// error blocks are distinguishable from happy-path blocks when counting
-/// coverage (e.g. `block_err("io.fsync.eio")` → `err.io.fsync.eio`).
-/// Handlers reach these only when a fault plan forces a failure, which is
-/// what makes fault-injection corpora measurably *new* coverage. The
-/// prefixed name is formatted and leaked once; the hit path looks up the
-/// unprefixed name and allocates nothing.
-pub fn block_err(name: &'static str) -> BlockId {
-    if let Some(&id) = read_reg().err_by_base.get(name) {
-        return id;
+/// The id of `bucket` within a bucketed block's `(first id, width)`
+/// range. A bucket past the range panics: its id would belong to the
+/// next name.
+#[inline]
+pub(crate) fn bucket_id((base, width): (u32, u32), bucket: u32) -> BlockId {
+    assert!(
+        bucket < width,
+        "coverage bucket {bucket} outside its range of {width}"
+    );
+    BlockId(base + bucket)
+}
+
+/// The name of `id`: `name`, `err.name` or `name#bucket`. Total: an id
+/// outside the table (e.g. a corrupted value in a crash report) maps to
+/// `<unknown block>`.
+pub fn block_name(id: BlockId) -> Cow<'static, str> {
+    let i = id.0;
+    if i < ERR_BASE {
+        return Cow::Borrowed(PLAIN[i as usize]);
     }
-    let full = format!("err.{name}");
-    let mut reg = write_reg();
-    if let Some(&id) = reg.err_by_base.get(name) {
-        return id;
+    if i < BUCKET_BASE {
+        return Cow::Borrowed(ERR[(i - ERR_BASE) as usize]);
     }
-    let id = match reg.by_name.get(full.as_str()) {
-        Some(&id) => id,
-        None => {
-            let leaked: &'static str = Box::leak(full.into_boxed_str());
-            reg.intern(leaked)
+    let mut bucket = i - BUCKET_BASE;
+    for &(name, width) in BUCKETED {
+        if bucket < width {
+            return Cow::Owned(format!("{name}#{bucket}"));
         }
-    };
-    reg.err_by_base.insert(name, id);
-    id
+        bucket -= width;
+    }
+    Cow::Borrowed("<unknown block>")
 }
 
-/// Reverse lookup for diagnostics. Total: an id that was never interned
-/// (e.g. a corrupted value surfaced in a crash report) maps to a
-/// placeholder instead of panicking while the registry lock is held —
-/// the exact slip that used to poison the registry for every sibling
-/// trial on the pool.
-pub fn block_name(id: BlockId) -> &'static str {
-    read_reg()
-        .names
-        .get(id.0 as usize)
-        .copied()
-        .unwrap_or("<unknown block>")
-}
-
-/// True when `id` names an error-path block (an `err.`-prefixed name,
-/// whether it was interned through [`block_err`] or directly). A bitset
-/// probe — no string comparison, no allocation.
+/// True when `id` names an error-path block (an `err.`-prefixed name).
 pub fn is_error_block(id: BlockId) -> bool {
-    let (word, bit) = (id.0 as usize / 64, id.0 as usize % 64);
-    read_reg()
-        .err_bits
-        .get(word)
-        .is_some_and(|w| w & (1 << bit) != 0)
+    (ERR_BASE..BUCKET_BASE).contains(&id.0)
 }
 
-/// Number of distinct blocks interned so far.
-pub fn block_universe() -> usize {
-    read_reg().names.len()
-}
-
-/// One instrumentation site's interned-id cache: a relaxed `AtomicU32`
-/// planted as a `static` by the [`cov!`]-family macros. The first hit
-/// interns through the registry; every later hit is a single atomic load.
-/// Racing first hits are benign — interning is idempotent, so both
-/// threads store the same id.
-pub struct SiteCache(AtomicU32);
-
-impl SiteCache {
-    /// A cache holding no id yet.
-    pub const fn new() -> Self {
-        Self(AtomicU32::new(UNINTERNED))
-    }
-
-    /// The site's id, interning `name` on first use.
-    #[inline]
-    pub fn get(&self, name: &'static str) -> BlockId {
-        let v = self.0.load(Ordering::Relaxed);
-        if v != UNINTERNED {
-            return BlockId(v);
-        }
-        let id = block(name);
-        self.0.store(id.0, Ordering::Relaxed);
-        id
-    }
-
-    /// The site's error-path id (`err.`-prefixed), interning on first use.
-    #[inline]
-    pub fn get_err(&self, name: &'static str) -> BlockId {
-        let v = self.0.load(Ordering::Relaxed);
-        if v != UNINTERNED {
-            return BlockId(v);
-        }
-        let id = block_err(name);
-        self.0.store(id.0, Ordering::Relaxed);
-        id
-    }
-}
-
-impl Default for SiteCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Per-call-site cache for bucketed blocks: one atomic slot per bucket
-/// value (size/depth classes are log2, so 65 slots cover every `u64`
-/// size class). Out-of-range buckets fall back to the registry's
-/// borrowed-key path, which is still allocation-free on hits.
-pub struct BucketSiteCache {
-    slots: [AtomicU32; Self::SLOTS],
-}
-
-impl BucketSiteCache {
-    const SLOTS: usize = 65;
-
-    /// A cache holding no ids yet.
-    pub const fn new() -> Self {
-        Self {
-            slots: [const { AtomicU32::new(UNINTERNED) }; Self::SLOTS],
-        }
-    }
-
-    /// The site's id for `bucket`, interning `name#bucket` on first use.
-    #[inline]
-    pub fn get(&self, name: &'static str, bucket: u32) -> BlockId {
-        match self.slots.get(bucket as usize) {
-            Some(slot) => {
-                let v = slot.load(Ordering::Relaxed);
-                if v != UNINTERNED {
-                    return BlockId(v);
-                }
-                let id = block_bucketed(name, bucket);
-                slot.store(id.0, Ordering::Relaxed);
-                id
-            }
-            None => block_bucketed(name, bucket),
-        }
-    }
-}
-
-impl Default for BucketSiteCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Records coverage of a named kernel path with a per-call-site cached
-/// id: `cov!(h, "mm.alloc.pcp")`. The name must be a literal — each
-/// expansion owns one `static` cache, so a runtime name would pin the
-/// first value it saw. Use [`crate::dispatch::HCtx::cover`] for dynamic
-/// names.
-macro_rules! cov {
-    ($h:expr, $name:literal) => {{
-        static SITE: $crate::coverage::SiteCache = $crate::coverage::SiteCache::new();
-        $h.cover_id(SITE.get($name));
+/// The [`BlockId`](crate::coverage::BlockId) of a table block, as a
+/// constant: `cov_block!("daemon.kswapd.reclaim")`, or
+/// `cov_block!(err "cluster.partition")` for the error-path block
+/// `err.cluster.partition`.
+///
+/// ```
+/// let id = ksa_kernel::cov_block!("daemon.kswapd.reclaim");
+/// assert_eq!(ksa_kernel::coverage::block_name(id), "daemon.kswapd.reclaim");
+/// let err = ksa_kernel::cov_block!(err "cluster.partition");
+/// assert_eq!(ksa_kernel::coverage::block_name(err), "err.cluster.partition");
+/// ```
+///
+/// A name missing from the table is a build error at the call:
+///
+/// ```compile_fail
+/// let id = ksa_kernel::cov_block!("no.such.block");
+/// ```
+#[macro_export]
+macro_rules! cov_block {
+    ($name:literal) => {{
+        const ID: $crate::coverage::BlockId = $crate::coverage::plain_id($name);
+        ID
     }};
+    (err $name:literal) => {{
+        const ID: $crate::coverage::BlockId = $crate::coverage::err_id($name);
+        ID
+    }};
+}
+
+/// Records coverage of a table block: `cov!(h, "mm.alloc.pcp")`.
+macro_rules! cov {
+    ($h:expr, $name:literal) => {
+        $h.cover_id($crate::cov_block!($name))
+    };
 }
 pub(crate) use cov;
 
-/// Records coverage of a parameterized path with per-call-site cached
-/// ids, one per bucket: `cov_bucket!(h, "io.read.size", class)`.
+/// Records coverage of one bucket of a bucketed block:
+/// `cov_bucket!(h, "io.read.size", class)`.
 macro_rules! cov_bucket {
     ($h:expr, $name:literal, $bucket:expr) => {{
-        static SITE: $crate::coverage::BucketSiteCache = $crate::coverage::BucketSiteCache::new();
-        $h.cover_id(SITE.get($name, $bucket));
+        const RANGE: (u32, u32) = $crate::coverage::bucket_range($name);
+        $h.cover_id($crate::coverage::bucket_id(RANGE, $bucket))
     }};
 }
 pub(crate) use cov_bucket;
 
-/// Terminates the call on an error path with a per-call-site cached
-/// error block: `fail!(h, Errno::ENOMEM, "mm.mmap.enomem")`. Equivalent
-/// to [`crate::dispatch::HCtx::fail`] minus the registry round-trip.
+/// Terminates the call on an error path, recording the error block
+/// `err.{name}`: `fail!(h, Errno::ENOMEM, "mm.mmap.enomem")`.
 macro_rules! fail {
-    ($h:expr, $errno:expr, $name:literal) => {{
-        static SITE: $crate::coverage::SiteCache = $crate::coverage::SiteCache::new();
-        $h.fail_id($errno, SITE.get_err($name));
-    }};
+    ($h:expr, $errno:expr, $name:literal) => {
+        $h.fail_id($errno, $crate::cov_block!(err $name))
+    };
 }
 pub(crate) use fail;
-
-/// Interns (once) and returns a cached [`BlockId`] for a literal name —
-/// the id-valued form of [`cov!`] for code that records into a
-/// [`CoverageSet`] directly (daemons, tests).
-macro_rules! cov_block {
-    ($name:literal) => {{
-        static SITE: $crate::coverage::SiteCache = $crate::coverage::SiteCache::new();
-        SITE.get($name)
-    }};
-}
-pub(crate) use cov_block;
 
 /// A set of covered blocks, implemented as a growable bitmap.
 #[derive(Debug, Clone, Default)]
@@ -419,17 +591,9 @@ impl CoverageSet {
 
     /// Number of covered **error-path** blocks (those with an `err.`
     /// prefix). A no-fault execution covers zero of these; any positive
-    /// count is coverage only fault injection can reach. A word-wise
-    /// intersection with the registry's intern-time error bitset — the
-    /// read lock is held for an O(words) bitmap walk, not a per-id
-    /// string scan.
+    /// count is coverage only fault injection can reach.
     pub fn error_blocks(&self) -> usize {
-        let reg = read_reg();
-        self.bits
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (w & reg.err_bits.get(i).copied().unwrap_or(0)).count_ones() as usize)
-            .sum()
+        self.iter().filter(|&id| is_error_block(id)).count()
     }
 
     /// Removes all blocks.
@@ -443,19 +607,72 @@ impl CoverageSet {
 mod tests {
     use super::*;
 
+    /// One past the largest id.
+    const BLOCKS: u32 = {
+        let (mut n, mut i) = (BUCKET_BASE, 0);
+        while i < BUCKETED.len() {
+            n += BUCKETED[i].1;
+            i += 1;
+        }
+        n
+    };
+
     #[test]
     fn interning_is_stable() {
-        let a = block("cov.test.alpha");
-        let b = block("cov.test.beta");
+        let a = cov_block!("mm.mmap");
+        let b = cov_block!("mm.munmap");
         assert_ne!(a, b);
-        assert_eq!(block("cov.test.alpha"), a);
-        assert_eq!(block_name(a), "cov.test.alpha");
+        assert_eq!(cov_block!("mm.mmap"), a);
+        assert_eq!(
+            plain_id("mm.mmap"),
+            a,
+            "the macro resolves through the table"
+        );
+        assert_eq!(block_name(a), "mm.mmap");
+    }
+
+    #[test]
+    fn every_id_round_trips_its_name() {
+        let mut kinds = [0usize; 3];
+        for i in 0..BLOCKS {
+            let id = BlockId(i);
+            let name = block_name(id);
+            let back = if let Some(base) = name.strip_prefix("err.") {
+                kinds[1] += 1;
+                err_id(base)
+            } else if let Some((base, bucket)) = name.split_once('#') {
+                kinds[2] += 1;
+                bucket_id(bucket_range(base), bucket.parse().expect("numeric bucket"))
+            } else {
+                kinds[0] += 1;
+                plain_id(&name)
+            };
+            assert_eq!(back, id, "{name}");
+            assert_eq!(is_error_block(id), name.starts_with("err."), "{name}");
+        }
+        assert_eq!(
+            kinds,
+            [PLAIN.len(), ERR.len(), (BLOCKS - BUCKET_BASE) as usize]
+        );
+        // The widest range holds one bucket per syscall.
+        let last_sysno = SysNo::ALL.len() as u32 - 1;
+        assert_eq!(
+            block_name(bucket_id(bucket_range("spec.enosys.sysno"), last_sysno)),
+            "spec.enosys.sysno#74"
+        );
+        assert_eq!(block_name(BlockId(BLOCKS)), "<unknown block>");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its range")]
+    fn bucket_past_its_range_panics() {
+        bucket_id(bucket_range("fs.lookup.depth"), 6);
     }
 
     #[test]
     fn insert_and_contains() {
         let mut s = CoverageSet::new();
-        let a = block("cov.test.i1");
+        let a = cov_block!("fs.stat");
         assert!(!s.contains(a));
         assert!(s.insert(a));
         assert!(!s.insert(a), "second insert is not new");
@@ -465,9 +682,7 @@ mod tests {
 
     #[test]
     fn merge_counts_new_blocks() {
-        let a = block("cov.test.m1");
-        let b = block("cov.test.m2");
-        let c = block("cov.test.m3");
+        let (a, b, c) = (BlockId(1), BlockId(2), BlockId(3));
         let mut base = CoverageSet::new();
         base.insert(a);
         let mut other = CoverageSet::new();
@@ -482,30 +697,22 @@ mod tests {
 
     #[test]
     fn iter_roundtrips() {
-        let ids = [
-            block("cov.test.r1"),
-            block("cov.test.r2"),
-            block("cov.test.r3"),
-        ];
+        let ids = [BlockId(0), BlockId(63), BlockId(BLOCKS - 1)];
         let mut s = CoverageSet::new();
         for &i in &ids {
             s.insert(i);
         }
         let got: Vec<BlockId> = s.iter().collect();
-        assert_eq!(got.len(), 3);
-        for &i in &ids {
-            assert!(got.contains(&i));
-        }
+        assert_eq!(got, ids);
     }
 
     #[test]
     fn error_blocks_are_counted_separately() {
-        let ok = block("cov.test.happy");
-        let bad = block_err("cov.test.sad");
+        let ok = cov_block!("mm.mmap");
+        let bad = cov_block!(err "mm.mmap.enomem");
         assert!(!is_error_block(ok));
         assert!(is_error_block(bad));
-        assert_eq!(block_name(bad), "err.cov.test.sad");
-        assert_eq!(block_err("cov.test.sad"), bad, "interning is stable");
+        assert_eq!(block_name(bad), "err.mm.mmap.enomem");
         let mut s = CoverageSet::new();
         s.insert(ok);
         assert_eq!(s.error_blocks(), 0);
@@ -516,124 +723,79 @@ mod tests {
 
     #[test]
     fn err_prefix_interned_directly_is_still_an_error_block() {
-        // The bitset is keyed on the name, not the entry point: a block
-        // interned through `block("err.x")` and one through
-        // `block_err("x")` are the same id and both flagged.
-        let via_block = block("err.cov.test.direct");
-        assert!(is_error_block(via_block));
-        assert_eq!(block_err("cov.test.direct"), via_block);
+        // The table is keyed on the full name: `err.x` found among the
+        // prefixed names is the same id `err_id("x")` resolves to, and is
+        // flagged. The prefixed name is not a plain block.
+        let direct = position(ERR, 0, "err.mm.mmap.enomem").expect("listed in ERR");
+        let via_full = BlockId(ERR_BASE + direct as u32);
+        assert!(is_error_block(via_full));
+        assert_eq!(err_id("mm.mmap.enomem"), via_full);
+        assert_eq!(position(PLAIN, 0, "err.mm.mmap.enomem"), None);
     }
 
     #[test]
     fn clear_empties() {
         let mut s = CoverageSet::new();
-        s.insert(block("cov.test.c1"));
+        s.insert(cov_block!("fs.stat"));
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
     }
 
-    /// How many interned ids carry `name`. Sibling tests intern blocks
-    /// concurrently, so the universe size itself is not a stable
-    /// witness; the count of ids under one name is.
-    fn interned_as(name: &str) -> usize {
-        (0..block_universe() as u32)
+    /// How many ids in the table carry `name`.
+    fn ids_named(name: &str) -> usize {
+        (0..BLOCKS)
             .filter(|&i| block_name(BlockId(i)) == name)
             .count()
     }
 
     #[test]
     fn bucketed_interning_is_stable_and_does_not_grow_the_universe() {
-        // Re-hitting an interned bucketed block must not mint a new id:
+        // Re-hitting a bucket yields the same id, inside the fixed table:
         // exactly one id carries the composite name.
-        let id = block_bucketed("cov.test.bucket.stable", 7);
+        let range = bucket_range("io.read.size");
+        let id = bucket_id(range, 7);
         for _ in 0..1_000 {
-            assert_eq!(block_bucketed("cov.test.bucket.stable", 7), id);
+            assert_eq!(bucket_id(bucket_range("io.read.size"), 7), id);
         }
-        assert_eq!(
-            interned_as("cov.test.bucket.stable#7"),
-            1,
-            "repeated hits must not re-intern"
-        );
+        assert!(id.0 < BLOCKS);
+        assert_eq!(ids_named("io.read.size#7"), 1, "one id per bucket");
         // A different bucket is a different block.
-        let other = block_bucketed("cov.test.bucket.stable", 8);
+        let other = bucket_id(range, 8);
         assert_ne!(other, id);
-        assert_eq!(block_name(id), "cov.test.bucket.stable#7");
+        assert_eq!(block_name(id), "io.read.size#7");
     }
 
     #[test]
     fn err_interning_is_stable_and_does_not_grow_the_universe() {
-        let id = block_err("cov.test.err.stable");
+        let id = err_id("mm.mmap.enomem");
         for _ in 0..1_000 {
-            assert_eq!(block_err("cov.test.err.stable"), id);
+            assert_eq!(err_id("mm.mmap.enomem"), id);
         }
-        assert_eq!(interned_as("err.cov.test.err.stable"), 1);
+        assert!((ERR_BASE..BUCKET_BASE).contains(&id.0));
+        assert_eq!(ids_named("err.mm.mmap.enomem"), 1);
     }
 
     #[test]
     fn site_caches_return_registry_ids() {
-        let cached = cov_block!("cov.test.site_cache");
-        assert_eq!(block("cov.test.site_cache"), cached);
-        // Second expansion hit goes through the atomic; same id.
-        assert_eq!(cov_block!("cov.test.site_cache"), cached);
+        // Each macro site is a constant equal to the table's lookup.
+        let site = cov_block!("fs.stat");
+        assert_eq!(plain_id("fs.stat"), site);
+        assert_eq!(cov_block!("fs.stat"), site);
 
-        let site = SiteCache::new();
-        let e = site.get_err("cov.test.site_cache.err");
-        assert_eq!(block_err("cov.test.site_cache.err"), e);
+        let e = cov_block!(err "net.bind.busy");
+        assert_eq!(err_id("net.bind.busy"), e);
         assert!(is_error_block(e));
 
-        let bsite = BucketSiteCache::new();
-        let b3 = bsite.get("cov.test.site_cache.bkt", 3);
-        assert_eq!(block_bucketed("cov.test.site_cache.bkt", 3), b3);
-        assert_eq!(bsite.get("cov.test.site_cache.bkt", 3), b3);
-        // Out-of-cache-range buckets still intern correctly.
-        let big = bsite.get("cov.test.site_cache.bkt", 1_000);
-        assert_eq!(block_bucketed("cov.test.site_cache.bkt", 1_000), big);
+        const RANGE: (u32, u32) = bucket_range("net.sendto.size");
+        assert_eq!(RANGE, bucket_range("net.sendto.size"));
+        let b3 = bucket_id(RANGE, 3);
+        assert_eq!(block_name(b3), "net.sendto.size#3");
     }
 
     #[test]
     fn unknown_id_has_a_placeholder_name() {
         assert_eq!(block_name(BlockId(u32::MAX - 1)), "<unknown block>");
         assert!(!is_error_block(BlockId(u32::MAX - 1)));
-    }
-
-    #[test]
-    fn registry_recovers_from_poison() {
-        let before = block("cov.test.poison.before");
-        // Poison the write lock: a thread panics while holding it (the
-        // guard is acquired and dropped mid-unwind without mutating, so
-        // the registry stays consistent).
-        let _ = std::thread::spawn(|| {
-            let _guard = super::registry().write().unwrap_or_else(|e| e.into_inner());
-            panic!("deliberately poison the coverage registry");
-        })
-        .join();
-        // Every accessor must recover instead of cascading the panic.
-        assert_eq!(block("cov.test.poison.before"), before);
-        let after = block("cov.test.poison.after");
-        assert_ne!(after, before);
-        assert_eq!(block_name(after), "cov.test.poison.after");
-        assert!(is_error_block(block_err("cov.test.poison.err")));
-        assert!(block_universe() > 0);
-        let mut s = CoverageSet::new();
-        s.insert(block_err("cov.test.poison.err"));
-        assert_eq!(s.error_blocks(), 1);
-    }
-
-    #[test]
-    fn no_bare_lock_unwrap_on_the_registry() {
-        // Source lint, enforced by `cargo test` everywhere (CI repeats it
-        // as a grep in the lint job): the registry must only be touched
-        // through the poison-recovering accessors. The needle is split so
-        // this test's own source doesn't match it.
-        let src = include_str!("coverage.rs");
-        for method in ["read", "write", "lock"] {
-            let needle = format!(".{method}().unwrap{}", "()");
-            assert!(
-                !src.contains(&needle),
-                "coverage.rs must not call {needle} on the registry — \
-                 use read_reg()/write_reg() (poison recovery)"
-            );
-        }
     }
 }

@@ -14,7 +14,7 @@ use ksa_desim::{Effect, Ns, Process, SimCtx, WakeReason, MS, US};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coverage::cov_block;
+use crate::cov_block;
 use crate::world::HasKernel;
 
 /// The periodic journal / dirty-page flusher (like `kworker` writeback).

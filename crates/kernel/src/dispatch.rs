@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::category::Category;
-use crate::coverage::{block, block_err, cov, cov_bucket, fail, BlockId, CoverageSet};
+use crate::coverage::{cov, cov_bucket, fail, BlockId, CoverageSet};
 use crate::errno::Errno;
 use crate::instance::KernelInstance;
 use crate::ops::{KOp, OpSeq};
@@ -43,20 +43,12 @@ pub struct HCtx<'a> {
 }
 
 impl<'a> HCtx<'a> {
-    /// Records coverage of an already-interned block — the hot sink the
-    /// [`crate::coverage::cov!`]-family macros feed with per-call-site
-    /// cached ids (no registry lock on the steady-state path).
+    /// Records coverage of a block — the sink the `cov!`-family macros
+    /// feed with each site's constant id.
     #[inline]
     pub fn cover_id(&mut self, id: BlockId) {
         self.cover.insert(id);
         self.k.coverage.insert(id);
-    }
-
-    /// Records coverage of a named kernel path. For *dynamic* names only
-    /// (a name picked at runtime); literal sites use `cov!`, which caches
-    /// the interned id at the call site.
-    pub fn cover(&mut self, name: &'static str) {
-        self.cover_id(block(name));
     }
 
     /// Log2 size class helper for bucketed coverage.
@@ -64,32 +56,19 @@ impl<'a> HCtx<'a> {
         64 - v.max(1).leading_zeros()
     }
 
-    /// Records coverage of an error-path block (interned under the `err.`
-    /// prefix; see [`crate::coverage::block_err`]). Dynamic names only;
-    /// err-tagged literal sites terminate through `fail!` instead.
-    pub fn cover_err(&mut self, name: &'static str) {
-        self.cover_id(block_err(name));
-    }
-
     /// Asks the fault plan whether `(kind, site)` fails at this hit.
     pub fn inject(&mut self, kind: FaultKind, site: &'static str) -> bool {
         self.faults.should_fail(kind, site)
     }
 
-    /// Terminates the call on an error path with an already-interned
-    /// error block: records it, charges the unwind cost and tags the
-    /// sequence with `errno` — the sink behind the `fail!` macro.
-    /// Handlers still perform their own state cleanup before returning.
+    /// Terminates the call on an error path with an error block: records
+    /// it, charges the unwind cost and tags the sequence with `errno` —
+    /// the sink behind the `fail!` macro. Handlers still perform their
+    /// own state cleanup before returning.
     pub fn fail_id(&mut self, errno: Errno, block: BlockId) {
         self.cover_id(block);
         self.cpu(250);
         self.seq.error = Some(errno);
-    }
-
-    /// [`Self::fail_id`] for dynamic block names; literal sites use the
-    /// `fail!` macro.
-    pub fn fail(&mut self, errno: Errno, block: &'static str) {
-        self.fail_id(errno, block_err(block));
     }
 
     /// Fallible page allocation: consults the fault plan before the real

@@ -2,8 +2,8 @@
 //!
 //! A compiled call either succeeds (`error == None`) or terminates on an
 //! error path with one of these codes. Error paths are first-class
-//! coverage targets: each is tagged with its own basic block (see
-//! [`crate::coverage::block_err`]) so the coverage-guided generator can
+//! coverage targets: each is tagged with its own `err.`-prefixed basic
+//! block (see [`crate::coverage`]) so the coverage-guided generator can
 //! chase them the way Syzkaller chases fault-injection coverage.
 
 /// The subset of errno values the simulated handlers produce.

@@ -27,9 +27,9 @@
 //! pairs, TLB shootdowns, device I/O, RCU grace periods and
 //! virtualization-sensitive operations. The [`exec::OpRunner`] replays the
 //! sequence on the discrete-event engine, where queueing, convoys and
-//! shootdown storms emerge. Handlers also emit **coverage blocks**
-//! (stable ids per code path), the signal the coverage-guided generator in
-//! `ksa-syzgen` uses.
+//! shootdown storms emerge. Handlers also emit **coverage blocks** (one
+//! id per code path, fixed at compile time by the table in [`coverage`]),
+//! the signal the coverage-guided generator in `ksa-syzgen` uses.
 //!
 //! Background daemons (journal flusher, kswapd, load balancer, vmstat
 //! worker) run as engine processes per instance; their critical-section

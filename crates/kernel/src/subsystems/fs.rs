@@ -7,7 +7,8 @@
 //! surface areas: fewer cores per kernel means fewer concurrent
 //! journal/dcache writers and smaller hash-chain pressure.
 
-use crate::coverage::{cov, cov_bucket, fail};
+use crate::cov_block;
+use crate::coverage::{cov, cov_bucket, fail, BlockId};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
 use crate::state::{FdKind, FileMeta};
@@ -166,15 +167,15 @@ pub fn sys_mkdir(h: &mut HCtx, path_sel: u64) {
 
 /// rmdir: remove a directory entry.
 pub fn sys_rmdir(h: &mut HCtx, path_sel: u64) {
-    unlink_common(h, path_sel | 0x8000_0000, "fs.rmdir");
+    unlink_common(h, path_sel | 0x8000_0000, cov_block!("fs.rmdir"));
 }
 
 /// unlink: remove a file entry.
 pub fn sys_unlink(h: &mut HCtx, path_sel: u64) {
-    unlink_common(h, path_sel, "fs.unlink");
+    unlink_common(h, path_sel, cov_block!("fs.unlink"));
 }
 
-fn unlink_common(h: &mut HCtx, path_sel: u64, blk: &'static str) {
+fn unlink_common(h: &mut HCtx, path_sel: u64, blk: BlockId) {
     let cost = h.cost();
     let name = h.name_index(path_sel);
     let Some(idx) = h.k.state.slots[h.slot].names[name] else {
@@ -182,7 +183,7 @@ fn unlink_common(h: &mut HCtx, path_sel: u64, blk: &'static str) {
         let _ = h.path_walk(2, true); // cached walk: cannot fail
         return;
     };
-    h.cover(blk);
+    h.cover_id(blk);
     let cached = h.k.state.fs.files[idx].dentry_cached;
     if !h.path_walk(2 + (path_sel % 4) as u32, cached) {
         return;

@@ -7,15 +7,16 @@
 //! Together these give the paper's "modest but consistent" improvement as
 //! surface area shrinks — the whole latency mass slides down.
 
-use crate::coverage::cov;
+use crate::cov_block;
+use crate::coverage::{cov, BlockId};
 use crate::dispatch::HCtx;
 use crate::ops::KOp;
 
 use super::fs::sys_stat;
 
 /// Emits the audit-trail record every security-relevant call pays.
-fn audit(h: &mut HCtx, blk: &'static str) {
-    h.cover(blk);
+fn audit(h: &mut HCtx, blk: BlockId) {
+    h.cover_id(blk);
     let cost = h.cost();
     let lock = h.k.locks.audit;
     h.slab_alloc(1); // audit buffer
@@ -39,7 +40,7 @@ pub fn sys_chmod(h: &mut HCtx, path_sel: u64, _mode: u64) {
     h.cpu(cost.dirent_update / 2);
     h.unlock(journal);
     h.k.state.fs.journal_dirty += 1;
-    audit(h, "perm.chmod.audit");
+    audit(h, cov_block!("perm.chmod.audit"));
 }
 
 /// fchmod(fd, mode): no walk.
@@ -60,7 +61,7 @@ pub fn sys_fchmod(h: &mut HCtx, fd_sel: u64, _mode: u64) {
     h.lock(journal);
     h.cpu(cost.dirent_update / 2);
     h.unlock(journal);
-    audit(h, "perm.fchmod.audit");
+    audit(h, cov_block!("perm.fchmod.audit"));
 }
 
 /// chown(path, uid): like chmod plus quota transfer bookkeeping.
@@ -77,7 +78,7 @@ pub fn sys_chown(h: &mut HCtx, path_sel: u64, _uid: u64) {
     h.cpu(cost.dirent_update / 2 + 300);
     h.unlock(journal);
     h.k.state.fs.journal_dirty += 1;
-    audit(h, "perm.chown.audit");
+    audit(h, cov_block!("perm.chown.audit"));
 }
 
 /// setuid(uid): prepare/commit creds under the cred lock; dropping or
@@ -98,7 +99,7 @@ pub fn sys_setuid(h: &mut HCtx, uid: u64) {
     } else {
         cov!(h, "perm.setuid.same");
     }
-    audit(h, "perm.setuid.audit");
+    audit(h, cov_block!("perm.setuid.audit"));
 }
 
 /// getuid: pure fast path.
@@ -128,7 +129,7 @@ pub fn sys_capset(h: &mut HCtx, _caps: u64) {
     h.cpu(cost.cred_update + cost.cap_compute);
     h.unlock(cred);
     h.push(KOp::RcuSync);
-    audit(h, "perm.capset.audit");
+    audit(h, cov_block!("perm.capset.audit"));
 }
 
 /// umask: per-process, trivial.
@@ -151,7 +152,7 @@ pub fn sys_setgroups(h: &mut HCtx, ngroups: u64) {
     h.lock(cred);
     h.cpu(cost.cred_update + 30 * n);
     h.unlock(cred);
-    audit(h, "perm.setgroups.audit");
+    audit(h, cov_block!("perm.setgroups.audit"));
 }
 
 /// prctl: mixed bag — some subcommands touch creds, some the task.
@@ -172,7 +173,7 @@ pub fn sys_prctl(h: &mut HCtx, option: u64) {
             h.lock(cred);
             h.cpu(cost.cred_update / 2);
             h.unlock(cred);
-            audit(h, "perm.prctl.audit");
+            audit(h, cov_block!("perm.prctl.audit"));
         }
         _ => {
             cov!(h, "perm.prctl.simple");

@@ -302,10 +302,9 @@ fn container_tenancy_adds_cgroup_paths() {
             &mut faults,
         );
     }
-    let names: Vec<&str> = cover.iter().map(ksa_kernel::coverage::block_name).collect();
-    assert!(names.contains(&"cgroup.charge"));
+    assert!(cover.contains(ksa_kernel::cov_block!("cgroup.charge")));
     assert!(
-        names.contains(&"cgroup.stat_flush"),
+        cover.contains(ksa_kernel::cov_block!("cgroup.stat_flush")),
         "200 charges must cross the flush threshold"
     );
 }

@@ -183,7 +183,7 @@ pub fn derive_profile(name: &str, corpus: &Corpus, seed: u64) -> SpecProfile {
         covered.merge(&sandbox.run_fresh(prog));
     }
     for id in covered.iter() {
-        if let Some(cat) = block_category(block_name(id)) {
+        if let Some(cat) = block_category(&block_name(id)) {
             mask.insert_cat(cat);
         }
     }

@@ -52,7 +52,7 @@ fn main() {
     if let Some(p) = out.corpus.programs.iter().max_by_key(|p| p.len()) {
         let cov = sandbox.run_fresh(p);
         println!("---\nlongest program covers {} blocks:", cov.len());
-        let mut names: Vec<&str> = cov.iter().map(coverage::block_name).collect();
+        let mut names: Vec<_> = cov.iter().map(coverage::block_name).collect();
         names.sort_unstable();
         for chunk in names.chunks(6) {
             println!("  {}", chunk.join(", "));

@@ -488,11 +488,11 @@ fn trace_ring_overflow_drops_oldest() {
 /// Coverage merging is idempotent and commutative on random sets.
 #[test]
 fn coverage_merge_laws() {
-    use ksa_core::kernel::coverage::block_bucketed;
+    use ksa_core::kernel::coverage::BlockId;
     let mk = |ids: &[u32]| {
         let mut s = CoverageSet::new();
         for &i in ids {
-            s.insert(block_bucketed("prop.cov", i));
+            s.insert(BlockId(i));
         }
         s
     };
@@ -545,26 +545,35 @@ fn parallel_runner_matches_sequential_bit_identically() {
             }
         }
     }
+    // Every third I/O and 15% of allocations fail, at whatever site.
     let hook =
         |i: usize, engine: &mut ksa_core::desim::Engine<ksa_core::kernel::world::KernelWorld>| {
             if faulted[i] {
                 engine.set_fault_plan(
                     FaultPlan::new(0xfa17 ^ i as u64)
-                        .site(
-                            FaultKind::IoError,
-                            "io.submit".to_string(),
-                            FaultSchedule::EveryNth(3),
-                        )
-                        .site(
-                            FaultKind::AllocFail,
-                            "mm.alloc".to_string(),
-                            FaultSchedule::ProbMilli(150),
-                        ),
+                        .kind_default(FaultKind::IoError, FaultSchedule::EveryNth(3))
+                        .kind_default(FaultKind::AllocFail, FaultSchedule::ProbMilli(150)),
                 );
             }
         };
 
     let seq = run_configs(&configs, &corpus, 1, &hook);
+    // The plan must reach the handlers: per env kind, some faulted slot
+    // differs from the same config run without a plan.
+    let clean = run_configs(&configs, &corpus, 1, &|_, _| {});
+    for kind in [EnvKind::Native, EnvKind::Vm(2), EnvKind::Container(4)] {
+        let injected = (0..configs.len())
+            .filter(|&i| faulted[i] && configs[i].env.kind == kind)
+            .any(|i| {
+                let (f, c) = (seq[i].as_ref().unwrap(), clean[i].as_ref().unwrap());
+                f.sim_ns != c.sim_ns
+                    || f.sites
+                        .iter()
+                        .zip(&c.sites)
+                        .any(|(a, b)| a.samples.raw() != b.samples.raw())
+            });
+        assert!(injected, "{kind:?}: the fault plan injected nothing");
+    }
     for jobs in [4usize, 0] {
         let par = run_configs(&configs, &corpus, jobs, &hook);
         assert_eq!(seq.len(), par.len());
