@@ -10,8 +10,9 @@
 //!    samples all match the disabled run, and the disabled registry
 //!    never takes a sample;
 //! 2. **attribution** — enabled per-category telemetry totals exactly
-//!    equal the independently-collected [`AttributionTable`] sums, and
-//!    the engine counter equals the run's event count;
+//!    equal the independently-collected
+//!    [`AttributionTable`](ksa_kernel::latency::AttributionTable) sums,
+//!    and the engine counter equals the run's event count;
 //! 3. **exports** — the Prometheus text, time-series JSON, collapsed
 //!    stacks and speedscope profile all parse / are well-formed;
 //! 4. **determinism** — with telemetry on, replay and `--jobs` pool

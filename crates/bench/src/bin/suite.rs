@@ -33,12 +33,13 @@
 //! flags (`--seed`, `--tiny`/`--quick`/`--full`, `--csv`, `--trace-out`,
 //! `--metrics-out`) are usage errors rather than silently ignored.
 //!
-//! Exit codes: 0 ok · 2 baseline drift or usage error · 3 speedup below
-//! gate · 4 parallel/sequential divergence · 5 events/sec below the
-//! committed perf floor · 6 malformed baseline file (unreadable, invalid
-//! JSON, or missing/mistyped gated fields — distinct from drift so CI
-//! can tell a corrupt committed baseline from a real behavioural
-//! change).
+//! Exit codes: 0 ok · 2 baseline drift (a gated metric changed, or an
+//! experiment is missing from the run or from the baseline) or usage
+//! error · 3 speedup below gate · 4 parallel/sequential divergence ·
+//! 5 events/sec below the committed perf floor · 6 malformed baseline
+//! file (unreadable, invalid JSON, or missing/mistyped gated fields —
+//! distinct from drift so CI can tell a corrupt committed baseline from
+//! a real behavioural change).
 //!
 //! The perf floor: when the baseline carries an `events_per_sec_floor`
 //! field, the sequential pass's throughput — Σ events / Σ sequential
@@ -637,10 +638,12 @@ fn main() {
             .get("experiments")
             .and_then(|v| v.as_array())
             .unwrap_or_else(|e| baseline_malformed(path, format_args!("experiments: {e}")));
+        let mut base_names = Vec::with_capacity(base_rows.len());
         for (i, be) in base_rows.iter().enumerate() {
             let name = be.get("name").and_then(|v| v.as_str()).unwrap_or_else(|e| {
                 baseline_malformed(path, format_args!("experiments[{i}].name: {e}"))
             });
+            base_names.push(name);
             // The rows are suite-built this run, so their shape is known.
             let Some(now) = rows
                 .iter()
@@ -664,6 +667,14 @@ fn main() {
                     );
                     drift = true;
                 }
+            }
+        }
+        // An experiment the baseline lacks is ungated, so it is drift too.
+        for e in &rows {
+            let name = e.get("name").unwrap().as_str().unwrap();
+            if !base_names.contains(&name) {
+                eprintln!("suite: experiment {name} missing from baseline {path}");
+                drift = true;
             }
         }
         if drift {

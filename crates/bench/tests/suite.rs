@@ -1,6 +1,7 @@
-//! Drives the `suite` binary: its usage errors, and one full run whose
+//! Drives the `suite` binary: its usage errors, one full run whose
 //! drift gate must pass against the committed baseline while an
-//! unreachable perf floor trips exit 5.
+//! unreachable perf floor trips exit 5, and one whose baseline lacks an
+//! experiment, which must count as drift.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -97,5 +98,43 @@ fn full_run_matches_baseline_and_trips_an_unreachable_floor() {
         .as_f64()
         .unwrap();
     assert!(eps > 0.0 && eps < 1e15, "events_per_sec_seq {eps}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn experiment_missing_from_the_baseline_is_drift() {
+    let dir = std::env::temp_dir().join(format!("ksa_suite_missing_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut base = read_json(&PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_baseline.json"
+    )));
+    let Value::Object(fields) = &mut base else {
+        panic!("BENCH_baseline.json is not an object")
+    };
+    let Some(Value::Array(rows)) = fields.get_mut("experiments") else {
+        panic!("BENCH_baseline.json has no experiments array")
+    };
+    let before = rows.len();
+    rows.retain(|e| e.get("name").unwrap().as_str().unwrap() != "churn");
+    assert_eq!(rows.len(), before - 1, "the baseline has one churn row");
+    let (base_path, report) = (dir.join("baseline.json"), dir.join("report.json"));
+    std::fs::write(&base_path, base.render()).unwrap();
+
+    let out = suite(&[
+        "--jobs",
+        "2",
+        "--baseline",
+        base_path.to_str().unwrap(),
+        "--out",
+        report.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("experiment churn missing from baseline"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("all gated metrics match"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -23,7 +23,6 @@ use ksa_tailbench::apps::AppProfile;
 use ksa_tailbench::single_node::{run_node_batched, SingleNodeConfig};
 
 pub mod fabric;
-pub mod serde;
 
 pub use fabric::{run_cluster_faulted, FabricConfig, FabricReport};
 
@@ -158,15 +157,6 @@ impl ClusterResult {
         } else {
             1.0
         }
-    }
-
-    /// Mean iteration duration, defined (0) for zero-iteration runs.
-    pub fn mean_iteration_ns(&self) -> u64 {
-        if self.iteration_ns.is_empty() {
-            return 0;
-        }
-        (self.iteration_ns.iter().map(|&n| n as u128).sum::<u128>()
-            / self.iteration_ns.len() as u128) as u64
     }
 }
 

@@ -43,7 +43,7 @@ impl FaultKind {
         self as usize
     }
 
-    /// Short stable name (used in serialized plans and reports).
+    /// Short stable name (used in reports and exported traces).
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::AllocFail => "alloc_fail",
@@ -181,15 +181,6 @@ impl FaultPlan {
             .find(|(k, _)| *k == kind)
             .map(|(_, s)| s.0)
             .unwrap_or(FaultSchedule::Never)
-    }
-
-    /// Iterates the explicitly scheduled sites.
-    pub fn scheduled_sites(&self) -> impl Iterator<Item = (FaultKind, &str, FaultSchedule)> {
-        FaultKind::ALL.into_iter().flat_map(move |k| {
-            self.sites[k.index()]
-                .iter()
-                .map(move |(s, sched)| (k, s.as_str(), *sched))
-        })
     }
 }
 
@@ -358,9 +349,9 @@ pub struct LinkDegrade {
 }
 
 /// SplitMix64-style mixer over `(seed, stream, a, b, n)` — the node-level
-/// analogue of [`decision_hash`]. `stream` namespaces independent decision
-/// families (message drops, ack drops, backoff jitter) so they never
-/// correlate.
+/// analogue of the per-site `decision_hash`. `stream` namespaces
+/// independent decision families (message drops, ack drops, backoff
+/// jitter) so they never correlate.
 pub fn node_decision_hash(seed: u64, stream: &str, a: u64, b: u64, n: u64) -> u64 {
     let mut h = seed ^ 0x9e3779b97f4a7c15;
     for byte in stream.bytes() {

@@ -1,11 +1,14 @@
-//! # ksa-json — minimal JSON for corpus and result persistence
+//! # ksa-json — minimal JSON for baselines and exported reports
 //!
-//! The workspace needs JSON in exactly three places: sharing a generated
-//! corpus across environments, round-tripping programs in tests, and the
-//! harness's partial-result persistence. None of that needs derive
-//! machinery — a small tree model ([`Value`]), a recursive-descent parser
-//! ([`parse`]) and a compact writer ([`Value::render`]) cover it without
-//! external dependencies (the build environment has no registry access).
+//! The workspace writes JSON for the suite's regression baseline
+//! (`BENCH_baseline.json`, which `suite` also reads back), for the
+//! observability exporters (`ksa-telemetry`'s time series and speedscope
+//! profiles, `ksa-varbench`'s Chrome trace and attribution table), and
+//! reads it in the tests that check those documents and the benchmark's
+//! result line. None of that needs derive machinery — a small tree model
+//! ([`Value`]), a recursive-descent parser ([`parse`]) and a compact
+//! writer ([`Value::render`]) cover it without external dependencies
+//! (the build environment has no registry access).
 //!
 //! Numbers are kept as `f64` plus a lossless `u64` fast path: simulation
 //! identifiers (seeds, block ids) exceed 2^53, so integers that fit in
@@ -52,7 +55,7 @@ impl Error {
     }
 
     /// An access error not tied to an input position.
-    pub fn shape(msg: impl Into<String>) -> Self {
+    fn shape(msg: impl Into<String>) -> Self {
         Error {
             msg: msg.into(),
             offset: 0,
@@ -96,14 +99,6 @@ impl Value {
         }
     }
 
-    /// Optional field of an object (`None` when absent or the value is null).
-    pub fn opt(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(m) => m.get(key).filter(|v| !matches!(v, Value::Null)),
-            _ => None,
-        }
-    }
-
     /// The value as `u64`.
     pub fn as_u64(&self) -> Result<u64, Error> {
         match *self {
@@ -112,11 +107,6 @@ impl Value {
             Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
             _ => Err(Error::shape(format!("expected u64, got {self:?}"))),
         }
-    }
-
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Result<usize, Error> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// The value as `f64` (integers widen).

@@ -128,112 +128,13 @@ impl Program {
     }
 }
 
-// ---- JSON codec ----------------------------------------------------------
-//
-// Programs are the exchange format between the generator, the harness and
-// persisted corpora, so they need a stable serialized form. Arguments
-// encode as one-key objects (`{"c": n}` / `{"r": i}`), calls carry the
-// syscall's stable index in [`SysNo::ALL`], and programs are plain arrays
-// of calls.
-
-use ksa_json::Value;
-
-impl Arg {
-    /// JSON encoding of the argument.
-    pub fn to_value(self) -> Value {
-        match self {
-            Arg::Const(v) => Value::object([("c", Value::from(v))]),
-            Arg::Ref(i) => Value::object([("r", Value::from(i))]),
-        }
-    }
-
-    /// Decodes an argument.
-    pub fn from_value(v: &Value) -> Result<Arg, ksa_json::Error> {
-        if let Some(c) = v.opt("c") {
-            Ok(Arg::Const(c.as_u64()?))
-        } else if let Some(r) = v.opt("r") {
-            Ok(Arg::Ref(r.as_usize()?))
-        } else {
-            Err(ksa_json::Error::shape("argument needs `c` or `r`"))
-        }
-    }
-}
-
 impl SysNo {
-    /// Stable index of the call in [`SysNo::ALL`] (serialization id).
-    /// `ALL` lists the variants in declaration order, so the index is
-    /// the discriminant — pinned by `sysno_all_is_declaration_order`.
+    /// Stable index of the call in [`SysNo::ALL`]. `ALL` lists the
+    /// variants in declaration order, so the index is the discriminant —
+    /// pinned by `sysno_all_is_declaration_order`.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Inverse of [`SysNo::index`].
-    pub fn from_index(idx: usize) -> Result<SysNo, ksa_json::Error> {
-        SysNo::ALL
-            .get(idx)
-            .copied()
-            .ok_or_else(|| ksa_json::Error::shape(format!("syscall index {idx} out of range")))
-    }
-}
-
-impl Call {
-    /// JSON encoding of the call.
-    pub fn to_value(&self) -> Value {
-        Value::object([
-            ("no", Value::from(self.no.index())),
-            ("args", Value::array(self.args.iter().map(|a| a.to_value()))),
-        ])
-    }
-
-    /// Decodes a call.
-    pub fn from_value(v: &Value) -> Result<Call, ksa_json::Error> {
-        let no = SysNo::from_index(v.get("no")?.as_usize()?)?;
-        let args = v
-            .get("args")?
-            .as_array()?
-            .iter()
-            .map(Arg::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Call { no, args })
-    }
-}
-
-impl Program {
-    /// JSON encoding of the program.
-    pub fn to_value(&self) -> Value {
-        Value::array(self.calls.iter().map(|c| c.to_value()))
-    }
-
-    /// Decodes a program.
-    pub fn from_value(v: &Value) -> Result<Program, ksa_json::Error> {
-        let calls = v
-            .as_array()?
-            .iter()
-            .map(Call::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Program { calls })
-    }
-}
-
-impl Corpus {
-    /// JSON encoding of the corpus.
-    pub fn to_value(&self) -> Value {
-        Value::object([(
-            "programs",
-            Value::array(self.programs.iter().map(|p| p.to_value())),
-        )])
-    }
-
-    /// Decodes a corpus.
-    pub fn from_value(v: &Value) -> Result<Corpus, ksa_json::Error> {
-        let programs = v
-            .get("programs")?
-            .as_array()?
-            .iter()
-            .map(Program::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Corpus { programs })
     }
 }
 
@@ -283,7 +184,6 @@ mod tests {
         for (i, &no) in SysNo::ALL.iter().enumerate() {
             assert_eq!(no as usize, i, "SysNo::ALL[{i}] = {no:?} out of order");
             assert_eq!(no.index(), i);
-            assert_eq!(SysNo::from_index(i).ok(), Some(no));
         }
     }
 
@@ -338,21 +238,5 @@ mod tests {
         let s = sample_program().render();
         assert!(s.contains("r0 = open("));
         assert!(s.contains("read(r0"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let p = sample_program();
-        let json = p.to_value().render();
-        let back = Program::from_value(&ksa_json::parse(&json).unwrap()).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn sysno_index_roundtrip() {
-        for &no in &SysNo::ALL {
-            assert_eq!(SysNo::from_index(no.index()).unwrap(), no);
-        }
-        assert!(SysNo::from_index(SysNo::ALL.len()).is_err());
     }
 }

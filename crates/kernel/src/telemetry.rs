@@ -1,6 +1,6 @@
 //! Kernel-level telemetry: per-category syscall counters that mirror
-//! [`AttributionTable`](crate::latency::AttributionTable) exactly, plus
-//! subsystem gauges sampled on coalesced sim-time ticks.
+//! [`AttributionTable`] exactly, plus subsystem gauges sampled on
+//! coalesced sim-time ticks.
 //!
 //! The counters use the same primary-category rule as the attribution
 //! table (`no.categories().first()`, defaulting to process/sched), so a

@@ -25,9 +25,10 @@
 //!    [`ksa_desim::FaultPlan`], and keeps the `(program, plan)` pairs
 //!    that reach otherwise-unreachable `err.*` blocks.
 //!
-//! The output ([`GeneratedCorpus`]) serializes with serde so experiments
-//! share one corpus across environments, as the paper shares one corpus
-//! across native/KVM/Docker.
+//! Generation is a pure function of its seed, so experiments share one
+//! corpus across environments, as the paper shares one corpus across
+//! native/KVM/Docker, by regenerating the output ([`GeneratedCorpus`])
+//! in-process rather than reading it from disk.
 
 pub mod argspec;
 pub mod corpus;
