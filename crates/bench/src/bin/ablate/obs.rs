@@ -8,7 +8,11 @@
 //! 1. **neutrality** — the simulation is bit-identical with telemetry
 //!    enabled: clock, event count, per-site latencies and sojourn
 //!    samples all match the disabled run, and the disabled registry
-//!    never takes a sample;
+//!    never takes a sample. Telemetry off is also the engine's IPI
+//!    coalescing path (one queue event per user broadcast), so two more
+//!    runs cover its edges: varbench on one native kernel, where every
+//!    shootdown fans out to all cores, and tailbench with noise on,
+//!    where daemon shootdowns are still in flight when the run ends;
 //! 2. **attribution** — enabled per-category telemetry totals exactly
 //!    equal the independently-collected
 //!    [`AttributionTable`](ksa_kernel::latency::AttributionTable) sums,
@@ -44,8 +48,8 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
         Scale::Full => Scale::Quick, // the gate needs a real run, not an hour
         s => s,
     };
-    let env = EnvSpec::new(scale.machine(), EnvKind::Vm(4));
-    let run_one = |metrics: bool, jobs: usize| {
+    let vm = EnvSpec::new(scale.machine(), EnvKind::Vm(4));
+    let run_one = |env: EnvSpec, metrics: bool, jobs: usize| {
         let cfg = RunConfig {
             metrics,
             ..RunConfig::new(env, scale.iterations(), cli.seed)
@@ -54,8 +58,8 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
             .remove(0)
             .unwrap_or_else(|e| panic!("ablation_obs trial failed: {e:?}"))
     };
-    let off = run_one(false, cli.jobs);
-    let on = run_one(true, cli.jobs);
+    let off = run_one(vm, false, cli.jobs);
+    let on = run_one(vm, true, cli.jobs);
     let (m, clock) = (&on.metrics, cell_ns(on.sim_ns));
     println!(
         "varbench: {} events / clock {clock} / {} telemetry samples",
@@ -68,6 +72,21 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
         format!(
             "telemetry on: clock {clock} events {} == disabled run; disabled registry inert",
             on.events
+        ),
+    );
+    let native = EnvSpec::new(scale.machine(), EnvKind::Native);
+    let (native_off, native_on) = (
+        run_one(native, false, cli.jobs),
+        run_one(native, true, cli.jobs),
+    );
+    gates.check(
+        "neutrality/varbench-native",
+        same_sim(&native_off, &native_on),
+        format!(
+            "one kernel on {} cores: clock {} events {} with telemetry on == off",
+            scale.machine().cores,
+            cell_ns(native_on.sim_ns),
+            native_on.events
         ),
     );
     let (samples, series) = (m.samples_taken, m.metrics().len());
@@ -102,7 +121,8 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
     );
 
     // ------------------------------------------------ tailbench request path
-    let app = &suite()[0]; // xapian
+    let apps = suite();
+    let app = &apps[0]; // xapian
     let base = match cli.scale {
         Scale::Full => SingleNodeConfig::paper(true, false, cli.seed),
         _ => SingleNodeConfig::quick(true, false, cli.seed),
@@ -121,6 +141,33 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
             "p99 {} and {} sojourns identical; {requests} requests counted",
             cell_ns(tail_on.p99),
             tail_on.sojourns.raw().len()
+        ),
+    );
+
+    // Containers share one kernel, so daemon shootdowns reach every
+    // core, and shore's run ends with some of them half acknowledged.
+    let shore = apps.iter().find(|a| a.name == "shore").expect("shore app");
+    let noisy = SingleNodeConfig {
+        virt: false,
+        noise: true,
+        ..base
+    };
+    let noisy_off = run_single_node(shore, &noisy, &corpus);
+    let noisy_on = run_single_node(
+        shore,
+        &SingleNodeConfig {
+            metrics: true,
+            ..noisy
+        },
+        &corpus,
+    );
+    gates.check(
+        "neutrality/tailbench-noise",
+        same_tail(&noisy_off, &noisy_on),
+        format!(
+            "shore, containers, noise on: p99 {}, {} events identical with telemetry on",
+            cell_ns(noisy_on.p99),
+            noisy_on.events
         ),
     );
 
@@ -153,8 +200,8 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
     );
 
     // Gate 4: replay and pool width reproduce results *and* registries.
-    let seq = run_one(true, 1);
-    let replay = run_one(true, cli.jobs);
+    let seq = run_one(vm, true, 1);
+    let replay = run_one(vm, true, cli.jobs);
     let digest = m.digest();
     gates.check(
         "determinism/jobs-and-replay",

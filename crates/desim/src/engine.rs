@@ -3,12 +3,13 @@
 //! The scheduling core is built for raw single-trial speed (see
 //! DESIGN.md, "engine hot path"): events live in an index-addressed
 //! slab queue ([`EventQueue`]) instead of a `BinaryHeap` of boxed
-//! records, IPI bookkeeping is a dense slab keyed by token index, and
+//! records, IPI bookkeeping is a dense slab keyed by token index,
 //! same-time wake trains (lock grants, barrier releases, queue
-//! signals) coalesce into a single queue operation. All of it is
-//! bit-identical to the naive one-event-per-wake formulation because
-//! `(t, seq)` is a total order — see the determinism notes on
-//! [`EventQueue`].
+//! signals) coalesce into a single queue operation, and a user
+//! process's IPI broadcast is one queue event at its last ack's key.
+//! All of it is bit-identical to the naive one-event-per-wake (and
+//! one-event-per-ack) formulation because `(t, seq)` is a total order
+//! — see the determinism notes on [`EventQueue`].
 
 use ksa_telemetry::{MetricId, Registry, TelemetryConfig};
 use rand::rngs::StdRng;
@@ -99,7 +100,7 @@ pub enum SimError {
     Stalled {
         /// Virtual time at the stall.
         clock: Ns,
-        /// Events processed by the failed `run_until` call.
+        /// Events processed by the failed `run` call.
         events: u64,
         /// True when the event budget was exhausted (livelock watchdog);
         /// false when the heap drained with live processes (deadlock).
@@ -157,7 +158,7 @@ pub struct SimResult {
     pub clock: Ns,
     /// All samples recorded during the run, in record order.
     pub records: Vec<Record>,
-    /// Events processed by this `run`/`run_until` call — the engine's
+    /// Events processed by this `run` call — the engine's
     /// unit of simulated work, used by the bench suite to report
     /// events/second throughput.
     pub events: u64,
@@ -172,7 +173,9 @@ enum EventKind {
     /// wakes would have held consecutive seqs and popped back-to-back),
     /// but costs one queue operation instead of N.
     WakeBatch(u32),
-    /// IPI acknowledgement; the token indexes `EngineState::ipis`.
+    /// IPI acknowledgement; the token indexes `EngineState::ipis`. The
+    /// event stands for `IpiPending::weight` acks: one, or every ack
+    /// the broadcast has left when it is coalesced.
     IpiAck(u32),
 }
 
@@ -195,10 +198,28 @@ struct RcuDomain {
 /// Slab entry for an in-flight IPI broadcast; the slot index is the
 /// token carried by `EventKind::IpiAck`. Token values never reach
 /// records, traces or digests, so free-list reuse is unobservable.
+///
+/// A *coalesced* broadcast (`weight` is its target count, at least
+/// two) is one queue event instead of one per ack. An ack only counts
+/// down `remaining`, and only the last one wakes the sender, so the
+/// event sits at the largest `(t, seq)` key its acks would have taken:
+/// each ack reserves its seq when its time becomes known, and the
+/// event is pushed once the last deferred ack has a key. Dispatch
+/// still counts one processed event per ack.
 #[derive(Debug, Clone, Copy)]
 struct IpiPending {
     sender: Pid,
+    /// Acks not yet dispatched.
     remaining: u32,
+    /// Acks one `IpiAck` event stands for: 1 (one event per ack) or the
+    /// target count (coalesced).
+    weight: u32,
+    /// Coalesced only: acks whose time is not known yet (deferred by a
+    /// spin section on their target core).
+    unkeyed: u32,
+    /// Coalesced only: the largest `(t, seq)` key among the acks whose
+    /// time is known.
+    last: (Ns, u64),
 }
 
 /// Mutable engine state shared with processes through [`SimCtx`].
@@ -457,15 +478,22 @@ impl EngineState {
         if kind == LockKind::Spin {
             let core = self.proc_core[pid.index()];
             let cs = &mut self.cores[core.index()];
-            assert!(cs.irq_depth > 0, "spin unlock without irq section");
+            assert!(
+                cs.irq_depth > 0,
+                "spin unlock without irq section: pid {} released spinlock {} \"{}\" on core {} at t={}ns",
+                pid.0,
+                lock.0,
+                self.locks[lock.index()].label,
+                core.0,
+                self.clock
+            );
             cs.irq_depth -= 1;
             if cs.irq_depth == 0 && !cs.deferred_acks.is_empty() {
                 let acks = std::mem::take(&mut cs.deferred_acks);
                 let now = self.clock;
                 for (token, handler_ns) in acks {
                     let done = self.cores[core.index()].steal(now, handler_ns);
-                    let t = done + self.params.ipi_latency;
-                    self.schedule(t, EventKind::IpiAck(token));
+                    self.land_ack(token, done + self.params.ipi_latency);
                 }
             }
         }
@@ -476,10 +504,16 @@ impl EngineState {
         self.grant_buf = granted;
     }
 
-    /// Allocates an IPI slab slot; the returned token rides in
-    /// `EventKind::IpiAck` events.
-    fn alloc_ipi(&mut self, sender: Pid, remaining: u32) -> u32 {
-        let pending = IpiPending { sender, remaining };
+    /// Allocates an IPI slab slot for a broadcast to `targets` cores;
+    /// the returned token rides in `EventKind::IpiAck` events.
+    fn alloc_ipi(&mut self, sender: Pid, targets: u32, coalesce: bool) -> u32 {
+        let pending = IpiPending {
+            sender,
+            remaining: targets,
+            weight: if coalesce { targets } else { 1 },
+            unkeyed: targets,
+            last: (0, 0),
+        };
         match self.ipi_free.pop() {
             Some(i) => {
                 self.ipis[i as usize] = pending;
@@ -490,6 +524,48 @@ impl EngineState {
                 self.ipis.len() as u32 - 1
             }
         }
+    }
+
+    /// Gives one of `token`'s acks its queue key, at time `t`. With
+    /// one event per ack it is scheduled now. A coalesced broadcast
+    /// reserves the seq that event would have taken and keeps the
+    /// largest key; once its last ack has a key, its one event is
+    /// pushed there.
+    fn land_ack(&mut self, token: u32, t: Ns) {
+        if self.ipis[token as usize].weight == 1 {
+            self.schedule(t, EventKind::IpiAck(token));
+            return;
+        }
+        let key = (t, self.events.reserve_seq());
+        let p = &mut self.ipis[token as usize];
+        p.last = p.last.max(key);
+        p.unkeyed -= 1;
+        if p.unkeyed == 0 {
+            let (t, seq) = p.last;
+            self.events.push_keyed(t, seq, EventKind::IpiAck(token));
+        }
+    }
+
+    /// Dispatches one ack of `token` at the current clock. Returns the
+    /// sender to wake when this was the broadcast's last ack.
+    fn ack(&mut self, token: u32) -> Option<Pid> {
+        let p = &mut self.ipis[token as usize];
+        let Some(left) = p.remaining.checked_sub(1) else {
+            let sender = p.sender;
+            panic!(
+                "IPI ack with none outstanding: token {token} of pid {} (core {}) at t={}ns",
+                sender.0,
+                self.proc_core[sender.index()].0,
+                self.clock
+            );
+        };
+        p.remaining = left;
+        if left > 0 {
+            return None;
+        }
+        let sender = p.sender;
+        self.ipi_free.push(token);
+        Some(sender)
     }
 }
 
@@ -894,7 +970,7 @@ impl<W> Engine<W> {
         &self.st.faults
     }
 
-    /// Arms the livelock watchdog: a single `run`/`run_until` call may
+    /// Arms the livelock watchdog: a single `run` call may
     /// process at most `budget` events before failing with a structured
     /// [`SimError::Stalled`] (`livelock == true`). `0` disables the
     /// watchdog (the default).
@@ -904,24 +980,12 @@ impl<W> Engine<W> {
 
     /// Runs to completion: until every non-daemon process is done.
     pub fn run(&mut self) -> Result<SimResult, SimError> {
-        self.run_until(Ns::MAX)
-    }
-
-    /// Runs until every non-daemon process is done or the clock passes
-    /// `deadline`, whichever comes first.
-    pub fn run_until(&mut self, deadline: Ns) -> Result<SimResult, SimError> {
         let mut processed: u64 = 0;
         let budget = self.st.event_budget;
         while self.st.live_users > 0 {
             let Some((t, seq, kind)) = self.st.events.pop() else {
                 return Err(self.stall_error(processed, false));
             };
-            if t > deadline {
-                // Park it back at its original key so a later
-                // run_until can continue exactly where this one stopped.
-                self.st.events.push_keyed(t, seq, kind);
-                break;
-            }
             match kind {
                 EventKind::Wake(pid, reason) => {
                     if budget != 0 && processed >= budget {
@@ -963,19 +1027,23 @@ impl<W> Engine<W> {
                     self.st.batch_free.push(b);
                 }
                 EventKind::IpiAck(token) => {
-                    if budget != 0 && processed >= budget {
-                        self.st.events.push_keyed(t, seq, kind);
-                        return Err(self.stall_error(processed, true));
-                    }
-                    processed += 1;
-                    self.st.clock = t;
-                    self.dispatch_telem();
-                    let p = &mut self.st.ipis[token as usize];
-                    p.remaining -= 1;
-                    if p.remaining == 0 {
-                        let sender = p.sender;
-                        self.st.ipi_free.push(token);
-                        self.run_process(sender, WakeReason::IpiDone);
+                    // A coalesced event carries every ack its broadcast
+                    // has left. Like a wake train, each ack counts as one
+                    // processed event with the budget checked before it,
+                    // and a budget stop re-parks the rest at this key.
+                    let p = self.st.ipis[token as usize];
+                    let acks = if p.weight == 1 { 1 } else { p.remaining };
+                    for _ in 0..acks {
+                        if budget != 0 && processed >= budget {
+                            self.st.events.push_keyed(t, seq, kind);
+                            return Err(self.stall_error(processed, true));
+                        }
+                        processed += 1;
+                        self.st.clock = t;
+                        self.dispatch_telem();
+                        if let Some(sender) = self.st.ack(token) {
+                            self.run_process(sender, WakeReason::IpiDone);
+                        }
                     }
                 }
             }
@@ -1193,7 +1261,12 @@ impl<W> Engine<W> {
                             },
                         );
                     }
-                    let token = st.alloc_ipi(pid, targets.len() as u32);
+                    // Coalesce the acks into one event unless telemetry
+                    // needs a dispatch point per ack (its queue gauges
+                    // and sampled ticks), or the sender is a daemon, whose
+                    // broadcast may still be in flight when the run ends.
+                    let coalesce = !st.telem_on() && !st.proc_daemon[pid.index()];
+                    let token = st.alloc_ipi(pid, targets.len() as u32, coalesce);
                     for target in targets {
                         debug_assert_ne!(target, core, "IPI to own core");
                         let tc = &mut st.cores[target.index()];
@@ -1201,8 +1274,7 @@ impl<W> Engine<W> {
                             tc.deferred_acks.push((token, handler_ns));
                         } else {
                             let done = tc.steal(now, handler_ns);
-                            let t = done + st.params.ipi_latency;
-                            st.schedule(t, EventKind::IpiAck(token));
+                            st.land_ack(token, done + st.params.ipi_latency);
                         }
                     }
                     st.proc_blocked_on[pid.index()] = "ipi";
@@ -1328,6 +1400,7 @@ mod tests {
         wakes: Vec<WakeReason>,
         releases: Vec<(usize, LockId)>, // release lock before issuing effect #i
         finish_time: std::rc::Rc<std::cell::Cell<Ns>>,
+        daemon: bool,
     }
 
     impl Scripted {
@@ -1338,7 +1411,13 @@ mod tests {
                 wakes: Vec::new(),
                 releases: Vec::new(),
                 finish_time: Default::default(),
+                daemon: false,
             }
+        }
+
+        fn daemonized(mut self) -> Self {
+            self.daemon = true;
+            self
         }
 
         fn with_release(mut self, before: usize, lock: LockId) -> Self {
@@ -1367,6 +1446,10 @@ mod tests {
             let e = self.effects[self.at].clone();
             self.at += 1;
             e
+        }
+
+        fn is_daemon(&self) -> bool {
+            self.daemon
         }
     }
 
@@ -2156,25 +2239,300 @@ mod tests {
         assert_eq!(last, 1000, "newest events survive overflow");
     }
 
-    #[test]
-    fn run_until_stops_at_deadline_and_resumes() {
+    /// Computes `step` ns at a time, `steps` times, recording the clock
+    /// at every resume, so the records show when each compute slice
+    /// ended behind the interrupt time stolen from its core.
+    struct Busy {
+        step: Ns,
+        steps: u32,
+        daemon: bool,
+    }
+
+    impl Process<()> for Busy {
+        fn resume(&mut self, ctx: &mut SimCtx<'_, ()>, _w: WakeReason) -> Effect {
+            ctx.record(self.step, ctx.now());
+            if self.steps == 0 {
+                return Effect::Done;
+            }
+            self.steps -= 1;
+            Effect::Delay(self.step)
+        }
+        fn is_daemon(&self) -> bool {
+            self.daemon
+        }
+    }
+
+    fn engine_with_telemetry(on: bool) -> Engine<()> {
         let mut eng = engine();
-        let c = eng.add_core(CoreConfig {
-            tick_period: 0,
-            tick_cost: 0,
+        if on {
+            eng.set_telemetry(ksa_telemetry::TelemetryConfig::enabled());
+        }
+        eng
+    }
+
+    fn tickless_cores(eng: &mut Engine<()>, n: usize) -> Vec<CoreId> {
+        (0..n)
+            .map(|_| {
+                eng.add_core(CoreConfig {
+                    tick_period: 0,
+                    tick_cost: 0,
+                })
+            })
+            .collect()
+    }
+
+    /// Everything a run simulates: its clock, events and records (or
+    /// its stall), and when the probed process finished.
+    type Outcome = (Result<(Ns, u64, Vec<Record>), SimError>, Ns);
+
+    fn outcome(
+        res: Result<SimResult, SimError>,
+        probe: &std::rc::Rc<std::cell::Cell<Ns>>,
+    ) -> Outcome {
+        (res.map(|r| (r.clock, r.events, r.records)), probe.get())
+    }
+
+    /// Runs `scenario` with telemetry off, where a user's IPI acks
+    /// coalesce into one event, and on, where every ack is its own
+    /// event, and asserts both simulate the same thing.
+    fn coalescing_is_neutral(scenario: impl Fn(bool) -> Outcome) -> Outcome {
+        let off = scenario(false);
+        let on = scenario(true);
+        assert_eq!(off, on, "telemetry off (coalesced) vs on (per-ack)");
+        off
+    }
+
+    #[test]
+    fn coalesced_broadcast_with_a_deferred_target_matches_per_ack() {
+        let params = EngineParams::default();
+        let (res, finish) = coalescing_is_neutral(|telem| {
+            let mut eng = engine_with_telemetry(telem);
+            let cores = tickless_cores(&mut eng, 8);
+            let l = eng.add_lock(LockKind::Spin, "irqsection");
+            // Core 3 is in a spin section until t=5000: its ack is
+            // deferred and keyed at the flush.
+            eng.spawn(
+                cores[3],
+                Box::new(
+                    Scripted::new(vec![
+                        Effect::Acquire(l, LockMode::Exclusive),
+                        Effect::Delay(5000),
+                    ])
+                    .with_release(2, l),
+                ),
+                0,
+            );
+            // Busy targets spread the ack times and interleave their
+            // own wakes with the acks.
+            for (i, &c) in cores[1..].iter().enumerate() {
+                let step = 300 * (i as Ns + 1);
+                eng.spawn(
+                    c,
+                    Box::new(Busy {
+                        step,
+                        steps: 20,
+                        daemon: false,
+                    }),
+                    0,
+                );
+            }
+            let probe = std::rc::Rc::new(std::cell::Cell::new(0));
+            eng.spawn(
+                cores[0],
+                Box::new(
+                    Scripted::new(vec![
+                        Effect::Delay(50),
+                        Effect::Ipi {
+                            targets: cores[1..].to_vec(),
+                            handler_ns: 200,
+                        },
+                        Effect::Delay(10),
+                    ])
+                    .with_finish_probe(probe.clone()),
+                ),
+                0,
+            );
+            outcome(eng.run(), &probe)
         });
-        eng.spawn(
-            c,
-            Box::new(Scripted::new(vec![
-                Effect::Delay(1000),
-                Effect::Delay(1000),
-                Effect::Delay(1000),
-            ])),
-            0,
+        assert!(res.is_ok(), "{res:?}");
+        assert!(
+            finish >= 5000 + 200 + params.ipi_latency + 10,
+            "sender finished at {finish}, before the deferred ack"
         );
-        eng.run_until(1500).unwrap();
-        assert!(eng.now() <= 1500);
-        let res = eng.run().unwrap();
-        assert_eq!(res.clock, 3000);
+    }
+
+    #[test]
+    fn coalesced_event_keeps_its_last_acks_place_among_same_time_wakes() {
+        let (res, finish) = coalescing_is_neutral(|telem| {
+            let mut eng = engine_with_telemetry(telem);
+            let cores = tickless_cores(&mut eng, 3);
+            let l = eng.add_lock(LockKind::Spin, "irqsection");
+            // Core 1 computes until t=3300, so its ack lands at 5000 with
+            // a seq taken at the broadcast (t=0).
+            eng.spawn(
+                cores[1],
+                Box::new(Busy {
+                    step: 3300,
+                    steps: 1,
+                    daemon: false,
+                }),
+                0,
+            );
+            // Core 2's ack is deferred to the flush at t=1000 and lands
+            // earlier, at 2700: the largest key is the older one.
+            eng.spawn(
+                cores[2],
+                Box::new(
+                    Scripted::new(vec![
+                        Effect::Acquire(l, LockMode::Exclusive),
+                        Effect::Delay(1000),
+                    ])
+                    .with_release(2, l),
+                ),
+                0,
+            );
+            let probe = std::rc::Rc::new(std::cell::Cell::new(0));
+            eng.spawn(
+                cores[0],
+                Box::new(
+                    Scripted::new(vec![
+                        Effect::Ipi {
+                            targets: cores[1..].to_vec(),
+                            handler_ns: 200,
+                        },
+                        Effect::Delay(100),
+                    ])
+                    .with_finish_probe(probe.clone()),
+                ),
+                0,
+            );
+            // A wake at t=5000 scheduled at t=500, between the two keys'
+            // seqs: the ack pops first, so the sender gets core 0 first.
+            eng.spawn(
+                cores[0],
+                Box::new(Busy {
+                    step: 4500,
+                    steps: 2,
+                    daemon: false,
+                }),
+                500,
+            );
+            outcome(eng.run(), &probe)
+        });
+        assert_eq!(finish, 5100, "the sender ran before the same-time wake");
+        assert_eq!(res.unwrap().0, 9600);
+    }
+
+    #[test]
+    fn daemon_broadcast_in_flight_at_run_end_counts_its_popped_acks() {
+        let (res, finish) = coalescing_is_neutral(|telem| {
+            let mut eng = engine_with_telemetry(telem);
+            let cores = tickless_cores(&mut eng, 5);
+            // Cores 1 and 2 compute past the run's end, so their acks
+            // are still queued when the last user exits.
+            for &c in &cores[1..3] {
+                eng.spawn(
+                    c,
+                    Box::new(Busy {
+                        step: 50_000,
+                        steps: 10,
+                        daemon: true,
+                    }),
+                    0,
+                );
+            }
+            eng.spawn(
+                cores[0],
+                Box::new(
+                    Scripted::new(vec![Effect::Ipi {
+                        targets: cores[1..4].to_vec(),
+                        handler_ns: 200,
+                    }])
+                    .daemonized(),
+                ),
+                0,
+            );
+            let probe = std::rc::Rc::new(std::cell::Cell::new(0));
+            eng.spawn(
+                cores[4],
+                Box::new(
+                    Scripted::new(vec![Effect::Delay(10_000)]).with_finish_probe(probe.clone()),
+                ),
+                0,
+            );
+            outcome(eng.run(), &probe)
+        });
+        // Four start wakes, core 3's ack at t=1700 and the user's wake
+        // at t=10000; the two acks behind the busy cores never pop.
+        let (clock, events, _) = res.unwrap();
+        assert_eq!((clock, events, finish), (10_000, 6, 10_000));
+    }
+
+    #[test]
+    fn event_budget_mid_broadcast_stalls_at_the_budget_either_way() {
+        let (res, finish) = coalescing_is_neutral(|telem| {
+            let mut eng = engine_with_telemetry(telem);
+            let cores = tickless_cores(&mut eng, 8);
+            let probe = std::rc::Rc::new(std::cell::Cell::new(0));
+            eng.spawn(
+                cores[0],
+                Box::new(
+                    Scripted::new(vec![
+                        Effect::Ipi {
+                            targets: cores[1..].to_vec(),
+                            handler_ns: 200,
+                        },
+                        Effect::Delay(10),
+                    ])
+                    .with_finish_probe(probe.clone()),
+                ),
+                0,
+            );
+            // The start wake and three of the seven acks fit the budget.
+            eng.set_event_budget(4);
+            let stalled = eng.run().unwrap_err();
+            let SimError::Stalled {
+                clock,
+                events,
+                livelock,
+                ..
+            } = &stalled;
+            assert_eq!((*clock, *events, *livelock), (1700, 4, true), "{stalled}");
+            // The re-parked acks resume ahead of everything else.
+            eng.set_event_budget(0);
+            outcome(eng.run(), &probe)
+        });
+        let (clock, events, _) = res.unwrap();
+        assert_eq!((clock, events, finish), (1710, 5, 1710));
+    }
+
+    #[test]
+    fn user_broadcast_is_one_queue_event_without_telemetry() {
+        // Queue depth right after a 7-target broadcast, next to a user
+        // whose compute keeps the run alive (one more queued wake).
+        let depth = |telem: bool, daemon: bool| {
+            let mut eng = engine_with_telemetry(telem);
+            let cores = tickless_cores(&mut eng, 9);
+            eng.spawn(
+                cores[8],
+                Box::new(Scripted::new(vec![Effect::Delay(100_000)])),
+                0,
+            );
+            let sender = Scripted::new(vec![Effect::Ipi {
+                targets: cores[1..8].to_vec(),
+                handler_ns: 200,
+            }]);
+            let sender = if daemon { sender.daemonized() } else { sender };
+            eng.spawn(cores[0], Box::new(sender), 0);
+            eng.set_event_budget(2);
+            assert!(matches!(
+                eng.run(),
+                Err(SimError::Stalled { events: 2, .. })
+            ));
+            eng.st.events.len()
+        };
+        assert_eq!(depth(false, false), 2, "coalesced: one event for 7 acks");
+        assert_eq!(depth(true, false), 8, "telemetry on: one event per ack");
+        assert_eq!(depth(false, true), 8, "daemon sender: one event per ack");
     }
 }

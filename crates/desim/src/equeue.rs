@@ -113,15 +113,25 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` at time `t`, after every event already
     /// scheduled for `t`. Returns a stable handle for cancellation.
     pub fn push(&mut self, t: Ns, payload: T) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.push_keyed(t, seq, payload)
     }
 
-    /// Re-inserts an event at an explicit `(t, seq)` key — used to park
-    /// a popped event back (deadline/budget boundaries) without
-    /// disturbing its position relative to later arrivals. The caller
-    /// must only replay keys obtained from [`pop`](Self::pop).
+    /// Takes the seq the next [`push`](Self::push) would have used,
+    /// without scheduling anything. Pushing at the reserved key later
+    /// with [`push_keyed`](Self::push_keyed) orders the event exactly as
+    /// if it had been pushed now.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Inserts an event at an explicit `(t, seq)` key — used to park a
+    /// popped event back at a budget boundary, or to push at a key
+    /// taken earlier, without disturbing its position relative to other
+    /// arrivals. The caller must only use keys obtained from
+    /// [`pop`](Self::pop) or [`reserve_seq`](Self::reserve_seq).
     pub(crate) fn push_keyed(&mut self, t: Ns, seq: u64, payload: T) -> EventId {
         debug_assert!(
             seq < self.next_seq,
@@ -329,11 +339,24 @@ mod tests {
         q.push(10, 'b');
         let (t, seq, p) = q.pop().unwrap();
         assert_eq!(p, 'a');
-        // Park it back (deadline boundary), then push a later arrival
+        // Park it back (budget boundary), then push a later arrival
         // at the same time: the parked event must still pop first.
         q.push_keyed(t, seq, p);
         q.push(10, 'z');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!['a', 'b', 'z']);
+    }
+
+    #[test]
+    fn reserved_seq_orders_as_if_pushed_then() {
+        let mut q = EventQueue::new();
+        q.push(10, 'a');
+        let seq = q.reserve_seq();
+        q.push(10, 'c');
+        q.push(5, 'x');
+        // Pushed last, but at the reserved key: between 'a' and 'c'.
+        q.push_keyed(10, seq, 'b');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, vec!['x', 'a', 'b', 'c']);
     }
 }

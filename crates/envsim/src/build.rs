@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn daemons_run_without_users() {
         // An environment with daemons but no user processes must not
-        // stall the engine (run_until with a deadline returns cleanly).
+        // stall the engine: daemons never keep a run alive.
         let mut eng = engine();
         let spec = EnvSpec::new(
             Machine {
