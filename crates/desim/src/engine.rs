@@ -17,9 +17,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::cpu::{CoreConfig, CoreId, CoreState, OccClass};
 use crate::equeue::EventQueue;
-use crate::fault::{FaultKind, FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultSite, FaultState};
 use crate::iodev::{DevId, DeviceModel, DeviceState};
-use crate::lock::{LockId, LockKind, LockMode, LockState, WAIT_HIST_BUCKETS};
+use crate::lock::{LockId, LockKind, LockMode, LockState};
 use crate::process::{Effect, Pid, Process, WakeReason};
 use crate::time::{Ns, US};
 use crate::trace::{
@@ -635,19 +635,16 @@ impl<'a, W> SimCtx<'a, W> {
         self.st.records.push(rec);
     }
 
-    /// The engine's fault-injection state.
-    pub fn faults(&mut self) -> &mut FaultState {
-        &mut self.st.faults
-    }
-
-    /// Registers a hit of `(kind, site)` and asks the fault plan whether
-    /// this hit should fail. Convenience over [`SimCtx::faults`].
-    pub fn should_fail(&mut self, kind: FaultKind, site: &str) -> bool {
-        let fail = self.st.faults.should_fail(kind, site);
+    /// Registers a hit of `site` and asks the fault plan whether this hit
+    /// should fail, tracing the injection when it does.
+    pub fn should_fail(&mut self, site: FaultSite) -> bool {
+        let fail = self.st.faults.should_fail(site);
         if fail && self.st.trace_on() {
             let pid = self.pid;
-            let site = site.to_string();
-            let args = Box::new(FaultInjectedArgs { kind, site });
+            let args = Box::new(FaultInjectedArgs {
+                kind: site.kind,
+                site: site.name,
+            });
             self.st.trace_push(pid, TraceEventKind::FaultInjected(args));
         }
         fail
@@ -676,20 +673,10 @@ impl<'a, W> SimCtx<'a, W> {
     }
 
     /// A consistent snapshot of this process's cumulative latency
-    /// components and per-label lock waits. Two snapshots bracketing a
-    /// stretch of work decompose exactly the virtual time elapsed
-    /// between them ([`LatBreakdown::since`]).
-    pub fn lat_snapshot(&self) -> LatSnapshot {
-        LatSnapshot {
-            comps: self.st.lat[self.pid.index()],
-            lock_waits: self.st.lock_waits[self.pid.index()].clone(),
-        }
-    }
-
-    /// [`SimCtx::lat_snapshot`] into a caller-owned snapshot, reusing
-    /// its `lock_waits` allocation. Syscall-bracketing callers take two
-    /// snapshots per call, so the reuse removes two Vec clones from
-    /// every simulated syscall.
+    /// components and per-label lock waits, written into a caller-owned
+    /// snapshot to reuse its `lock_waits` allocation. Two snapshots
+    /// bracketing a stretch of work decompose exactly the virtual time
+    /// elapsed between them ([`LatBreakdown::since`]).
     pub fn lat_snapshot_into(&self, out: &mut LatSnapshot) {
         out.comps = self.st.lat[self.pid.index()];
         out.lock_waits
@@ -860,13 +847,11 @@ impl<W> Engine<W> {
     }
 
     /// Iterates `(label, acquisitions, contended, total_wait_ns,
-    /// max_wait_ns, wait_hist)` over every registered lock — the lockstat
+    /// max_wait_ns)` over every registered lock — the lockstat
     /// analogue's raw material (durations, not just rates).
-    #[allow(clippy::type_complexity)]
     pub fn all_lock_wait_stats(
         &self,
-    ) -> impl Iterator<Item = (&'static str, u64, u64, Ns, Ns, &[u64; WAIT_HIST_BUCKETS])> + '_
-    {
+    ) -> impl Iterator<Item = (&'static str, u64, u64, Ns, Ns)> + '_ {
         self.st.locks.iter().map(|l| {
             (
                 l.label,
@@ -874,9 +859,26 @@ impl<W> Engine<W> {
                 l.contended,
                 l.total_wait_ns,
                 l.max_wait_ns,
-                &l.wait_hist,
             )
         })
+    }
+
+    /// Folds every lock's counters into `metrics` as `lock_acquisitions`,
+    /// `lock_contended` and `lock_wait_ns`, labelled by lock label, in
+    /// registration order (no-op when `metrics` is disabled).
+    pub fn fold_lock_counters(&self, metrics: &mut Registry) {
+        if !metrics.enabled() {
+            return;
+        }
+        for (label, acq, cont, total_wait, _max) in self.all_lock_wait_stats() {
+            let labels = [("label", label.to_string())];
+            let a = metrics.counter("lock_acquisitions", &labels);
+            let c = metrics.counter("lock_contended", &labels);
+            let w = metrics.counter("lock_wait_ns", &labels);
+            metrics.add(a, acq);
+            metrics.add(c, cont);
+            metrics.add(w, total_wait);
+        }
     }
 
     /// A process's cumulative latency components.
@@ -1935,7 +1937,12 @@ mod tests {
 
     #[test]
     fn fault_plan_is_reachable_through_ctx() {
-        use crate::fault::{FaultSchedule, InjectedFault};
+        use crate::fault::{FaultKind, FaultSchedule, InjectedFault};
+        const SITE: FaultSite = FaultSite {
+            id: 0,
+            kind: FaultKind::AllocFail,
+            name: "mm.alloc_pages",
+        };
 
         struct Failer {
             outcomes: std::rc::Rc<std::cell::RefCell<Vec<bool>>>,
@@ -1943,21 +1950,17 @@ mod tests {
         impl Process<()> for Failer {
             fn resume(&mut self, ctx: &mut SimCtx<'_, ()>, _w: WakeReason) -> Effect {
                 for _ in 0..3 {
-                    let fail = ctx.should_fail(FaultKind::AllocFail, "mm.alloc_pages");
+                    let fail = ctx.should_fail(SITE);
                     self.outcomes.borrow_mut().push(fail);
                 }
                 let (_world, faults) = ctx.world_and_faults();
-                assert_eq!(faults.hits_at(FaultKind::AllocFail, "mm.alloc_pages"), 3);
+                assert_eq!(faults.hits(SITE), 3);
                 Effect::Done
             }
         }
         let mut eng = engine();
         let c = eng.add_core(CoreConfig::default());
-        eng.set_fault_plan(FaultPlan::new(9).site(
-            FaultKind::AllocFail,
-            "mm.alloc_pages",
-            FaultSchedule::Nth(2),
-        ));
+        eng.set_fault_plan(FaultPlan::new(9).site(SITE, FaultSchedule::Nth(2)));
         let outcomes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         eng.spawn(
             c,
@@ -1970,11 +1973,7 @@ mod tests {
         assert_eq!(*outcomes.borrow(), vec![false, true, false]);
         assert_eq!(
             eng.fault_state().injected(),
-            &[InjectedFault {
-                kind: FaultKind::AllocFail,
-                site: "mm.alloc_pages".to_string(),
-                hit: 2,
-            }]
+            &[InjectedFault { site: SITE, hit: 2 }]
         );
     }
 
@@ -2157,10 +2156,9 @@ mod tests {
         assert_eq!(max, expected);
         assert_eq!(eng.lat_breakdown(waiter).get(LatComp::LockWait), expected);
         assert_eq!(eng.proc_lock_waits(waiter), &[("test", expected)]);
-        let (_, _, contended, total_w, _, hist) = eng.all_lock_wait_stats().next().unwrap();
+        let (_, _, contended, total_w, _) = eng.all_lock_wait_stats().next().unwrap();
         assert_eq!(contended, 1);
         assert_eq!(total_w, expected);
-        assert_eq!(hist.iter().sum::<u64>(), 1, "one contended acquisition");
     }
 
     #[test]

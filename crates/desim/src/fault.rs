@@ -2,19 +2,18 @@
 //!
 //! Syzkaller only reaches deep kernel error paths because its executor can
 //! force failures (alloc failures, I/O errors) at chosen call sites; this
-//! module is the simulation's analogue. A [`FaultPlan`] names *sites*
-//! (static strings like `"mm.alloc_pages"`) and gives each a
+//! module is the simulation's analogue. A [`FaultPlan`] gives [`FaultSite`]s
+//! (the kernel's failable points, each with a compile-time id) a
 //! [`FaultSchedule`]; a [`FaultState`] owns the plan plus per-site hit
 //! counters and answers the single question handlers ask:
 //! [`FaultState::should_fail`].
 //!
-//! Every decision is a pure function of `(plan seed, kind, site, hit
+//! Every decision is a pure function of `(plan seed, kind, site name, hit
 //! number)` — no wall clock, no global RNG — so identical seed + identical
 //! plan replays bit-identically, and disjoint sites never interact. That
 //! determinism is what lets the fuzzer *mutate schedules* the way it
 //! mutates programs.
 
-use crate::fxmap::FxHashMap;
 use crate::time::Ns;
 
 /// The class of failure a site can inject.
@@ -29,15 +28,8 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All kinds, in a stable order.
-    pub const ALL: [FaultKind; 3] = [
-        FaultKind::AllocFail,
-        FaultKind::IoError,
-        FaultKind::LockTimeout,
-    ];
-
-    /// Dense index of this kind (its position in [`FaultKind::ALL`]),
-    /// used to address per-kind lookup tables without hashing the kind.
+    /// Dense index of this kind (its declaration position), used to
+    /// address per-kind lookup tables without hashing the kind.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -51,6 +43,19 @@ impl FaultKind {
             FaultKind::LockTimeout => "lock_timeout",
         }
     }
+}
+
+/// One failable point. The kernel's sites come from its static table
+/// (`ksa_kernel::fault_site!`), which fixes `id` at compile time; the
+/// value carries its own kind and name so [`FaultState`] needs no table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultSite {
+    /// Dense id: indexes per-site hit counters.
+    pub id: u16,
+    /// The failure this site injects; selects the per-kind default.
+    pub kind: FaultKind,
+    /// Stable name: feeds decision hashes, reports and traces.
+    pub name: &'static str,
 }
 
 /// When a site fails, as a function of its hit counter (1-based).
@@ -68,13 +73,13 @@ pub enum FaultSchedule {
 }
 
 impl FaultSchedule {
-    fn decides(self, seed: u64, kind: FaultKind, site: &str, hit: u64) -> bool {
+    fn decides(self, seed: u64, site: FaultSite, hit: u64) -> bool {
         match self {
             FaultSchedule::Never => false,
             FaultSchedule::Nth(n) => hit == n.max(1),
             FaultSchedule::EveryNth(n) => hit.is_multiple_of(n.max(1)),
             FaultSchedule::ProbMilli(milli) => {
-                decision_hash(seed, kind, site, hit) % 1000 < milli as u64
+                decision_hash(seed, site.kind, site.name, hit) % 1000 < milli as u64
             }
         }
     }
@@ -97,21 +102,11 @@ fn decision_hash(seed: u64, kind: FaultKind, site: &str, hit: u64) -> u64 {
 pub struct FaultPlan {
     /// Seed for probabilistic schedules.
     pub seed: u64,
-    /// Per-kind default schedule for sites without an explicit entry.
-    defaults: [(FaultKind, FaultScheduleSlot); 3],
-    /// Site-specific schedules, one map per kind so the hot lookup is
-    /// a single `&str` probe — no `(kind, String)` key allocation.
-    sites: [FxHashMap<String, FaultSchedule>; 3],
-}
-
-/// Internal: a schedule slot that defaults to `Never`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FaultScheduleSlot(FaultSchedule);
-
-impl Default for FaultScheduleSlot {
-    fn default() -> Self {
-        FaultScheduleSlot(FaultSchedule::Never)
-    }
+    /// Per-kind default schedule, indexed by [`FaultKind::index`], for
+    /// sites without an explicit entry.
+    defaults: [FaultSchedule; 3],
+    /// Site-specific schedules: a handful at most, so a linear scan.
+    sites: Vec<(FaultSite, FaultSchedule)>,
 }
 
 impl Default for FaultPlan {
@@ -130,67 +125,40 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            defaults: [
-                (FaultKind::AllocFail, FaultScheduleSlot::default()),
-                (FaultKind::IoError, FaultScheduleSlot::default()),
-                (FaultKind::LockTimeout, FaultScheduleSlot::default()),
-            ],
-            sites: Default::default(),
+            defaults: [FaultSchedule::Never; 3],
+            sites: Vec::new(),
         }
     }
 
-    /// True when no schedule can ever fire.
-    pub fn is_empty(&self) -> bool {
-        self.defaults
-            .iter()
-            .all(|(_, s)| s.0 == FaultSchedule::Never)
-            && self
-                .sites
-                .iter()
-                .all(|m| m.values().all(|s| *s == FaultSchedule::Never))
-    }
-
     /// Sets the schedule for one site (builder style).
-    pub fn site(mut self, kind: FaultKind, site: impl Into<String>, sched: FaultSchedule) -> Self {
-        self.set_site(kind, site, sched);
+    pub fn site(mut self, site: FaultSite, sched: FaultSchedule) -> Self {
+        match self.sites.iter_mut().find(|(s, _)| s.id == site.id) {
+            Some(entry) => entry.1 = sched,
+            None => self.sites.push((site, sched)),
+        }
         self
-    }
-
-    /// Sets the schedule for one site.
-    pub fn set_site(&mut self, kind: FaultKind, site: impl Into<String>, sched: FaultSchedule) {
-        self.sites[kind.index()].insert(site.into(), sched);
     }
 
     /// Sets the default schedule for every site of `kind` (builder style).
     pub fn kind_default(mut self, kind: FaultKind, sched: FaultSchedule) -> Self {
-        for slot in &mut self.defaults {
-            if slot.0 == kind {
-                slot.1 = FaultScheduleSlot(sched);
-            }
-        }
+        self.defaults[kind.index()] = sched;
         self
     }
 
-    /// The schedule governing `(kind, site)`.
-    pub fn schedule_for(&self, kind: FaultKind, site: &str) -> FaultSchedule {
-        if let Some(s) = self.sites[kind.index()].get(site) {
-            return *s;
+    /// The schedule governing `site`.
+    fn schedule_for(&self, site: FaultSite) -> FaultSchedule {
+        match self.sites.iter().find(|(s, _)| s.id == site.id) {
+            Some((_, sched)) => *sched,
+            None => self.defaults[site.kind.index()],
         }
-        self.defaults
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, s)| s.0)
-            .unwrap_or(FaultSchedule::Never)
     }
 }
 
 /// One injected fault, for reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedFault {
-    /// The failure class.
-    pub kind: FaultKind,
     /// The site that failed.
-    pub site: String,
+    pub site: FaultSite,
     /// Which hit (1-based) of that site failed.
     pub hit: u64,
 }
@@ -199,10 +167,9 @@ pub struct InjectedFault {
 #[derive(Debug, Clone, Default)]
 pub struct FaultState {
     plan: FaultPlan,
-    /// Per-kind hit counters. The steady-state path (a re-hit of a
-    /// known site) is one Fx probe with a `&str` key; the site string
-    /// is only allocated on a site's first-ever hit.
-    hits: [FxHashMap<String, u64>; 3],
+    /// Hit counters indexed by [`FaultSite::id`], grown on a site's
+    /// first hit.
+    hits: Vec<u64>,
     injected: Vec<InjectedFault>,
 }
 
@@ -211,7 +178,7 @@ impl FaultState {
     pub fn new(plan: FaultPlan) -> Self {
         FaultState {
             plan,
-            hits: Default::default(),
+            hits: Vec::new(),
             injected: Vec::new(),
         }
     }
@@ -219,63 +186,41 @@ impl FaultState {
     /// Replaces the plan and clears all counters.
     pub fn reset(&mut self, plan: FaultPlan) {
         self.plan = plan;
-        self.hits.iter_mut().for_each(|m| m.clear());
-        self.injected.clear();
+        self.rearm();
     }
 
     /// Clears counters and the injection log but keeps the plan, so its
     /// schedules replay from hit 1 (a fresh "VM boot" under the same
     /// plan).
     pub fn rearm(&mut self) {
-        self.hits.iter_mut().for_each(|m| m.clear());
+        self.hits.fill(0);
         self.injected.clear();
     }
 
-    /// The governing plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Registers one hit of `(kind, site)` and decides whether this hit
-    /// fails. Handlers call this at each failable point; the counter
-    /// advances regardless of the verdict so `Nth` schedules address
-    /// individual dynamic occurrences.
-    pub fn should_fail(&mut self, kind: FaultKind, site: &str) -> bool {
-        let map = &mut self.hits[kind.index()];
-        let hit = match map.get_mut(site) {
-            Some(h) => {
-                *h += 1;
-                *h
-            }
-            None => {
-                map.insert(site.to_string(), 1);
-                1
-            }
-        };
-        let sched = self.plan.schedule_for(kind, site);
-        let fail = sched.decides(self.plan.seed, kind, site, hit);
+    /// Registers one hit of `site` and decides whether this hit fails.
+    /// Handlers call this at each failable point; the counter advances
+    /// regardless of the verdict so `Nth` schedules address individual
+    /// dynamic occurrences.
+    pub fn should_fail(&mut self, site: FaultSite) -> bool {
+        let i = site.id as usize;
+        if i >= self.hits.len() {
+            self.hits.resize(i + 1, 0);
+        }
+        self.hits[i] += 1;
+        let hit = self.hits[i];
+        let fail = self
+            .plan
+            .schedule_for(site)
+            .decides(self.plan.seed, site, hit);
         if fail {
-            self.injected.push(InjectedFault {
-                kind,
-                site: site.to_string(),
-                hit,
-            });
+            self.injected.push(InjectedFault { site, hit });
         }
         fail
     }
 
-    /// Hit counters, in arbitrary order: `(kind, site, hits)`.
-    pub fn hit_counts(&self) -> impl Iterator<Item = (FaultKind, &str, u64)> {
-        FaultKind::ALL.into_iter().flat_map(move |k| {
-            self.hits[k.index()]
-                .iter()
-                .map(move |(s, h)| (k, s.as_str(), *h))
-        })
-    }
-
-    /// Total hits registered for `(kind, site)`.
-    pub fn hits_at(&self, kind: FaultKind, site: &str) -> u64 {
-        self.hits[kind.index()].get(site).copied().unwrap_or(0)
+    /// Total hits registered for `site`.
+    pub fn hits(&self, site: FaultSite) -> u64 {
+        self.hits.get(site.id as usize).copied().unwrap_or(0)
     }
 
     /// Every fault injected so far, in injection order.
@@ -565,50 +510,48 @@ impl Backoff {
 mod tests {
     use super::*;
 
+    const fn site(id: u16, kind: FaultKind, name: &'static str) -> FaultSite {
+        FaultSite { id, kind, name }
+    }
+    const ALLOC: FaultSite = site(0, FaultKind::AllocFail, "mm.alloc_pages");
+    const SLAB: FaultSite = site(1, FaultKind::AllocFail, "mm.slab");
+    const READ: FaultSite = site(2, FaultKind::IoError, "fileio.read");
+
     #[test]
     fn empty_plan_never_fails() {
         let mut st = FaultState::new(FaultPlan::none());
         for _ in 0..1000 {
-            assert!(!st.should_fail(FaultKind::AllocFail, "mm.alloc_pages"));
+            assert!(!st.should_fail(ALLOC));
         }
         assert!(st.injected().is_empty());
-        assert_eq!(st.hits_at(FaultKind::AllocFail, "mm.alloc_pages"), 1000);
+        assert_eq!(st.hits(ALLOC), 1000);
+        assert_eq!(st.hits(READ), 0, "a site never hit");
     }
 
     #[test]
     fn nth_fails_exactly_once() {
-        let plan = FaultPlan::new(1).site(FaultKind::IoError, "fileio.read", FaultSchedule::Nth(3));
+        let plan = FaultPlan::new(1).site(READ, FaultSchedule::Nth(3));
         let mut st = FaultState::new(plan);
-        let verdicts: Vec<bool> = (0..6)
-            .map(|_| st.should_fail(FaultKind::IoError, "fileio.read"))
-            .collect();
+        let verdicts: Vec<bool> = (0..6).map(|_| st.should_fail(READ)).collect();
         assert_eq!(verdicts, [false, false, true, false, false, false]);
-        assert_eq!(st.injected().len(), 1);
-        assert_eq!(st.injected()[0].hit, 3);
+        assert_eq!(st.injected(), [InjectedFault { site: READ, hit: 3 }]);
     }
 
     #[test]
     fn every_nth_recurs() {
-        let plan =
-            FaultPlan::new(1).site(FaultKind::AllocFail, "mm.slab", FaultSchedule::EveryNth(2));
+        let plan = FaultPlan::new(1).site(SLAB, FaultSchedule::EveryNth(2));
         let mut st = FaultState::new(plan);
-        let verdicts: Vec<bool> = (0..6)
-            .map(|_| st.should_fail(FaultKind::AllocFail, "mm.slab"))
-            .collect();
+        let verdicts: Vec<bool> = (0..6).map(|_| st.should_fail(SLAB)).collect();
         assert_eq!(verdicts, [false, true, false, true, false, true]);
     }
 
     #[test]
     fn prob_is_deterministic_and_seed_sensitive() {
         let run = |seed| {
-            let plan = FaultPlan::new(seed).site(
-                FaultKind::AllocFail,
-                "mm.alloc_pages",
-                FaultSchedule::ProbMilli(300),
-            );
+            let plan = FaultPlan::new(seed).site(ALLOC, FaultSchedule::ProbMilli(300));
             let mut st = FaultState::new(plan);
             (0..200)
-                .map(|_| st.should_fail(FaultKind::AllocFail, "mm.alloc_pages"))
+                .map(|_| st.should_fail(ALLOC))
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(7), run(7), "same seed, same verdicts");
@@ -621,36 +564,28 @@ mod tests {
     fn kind_default_covers_unnamed_sites() {
         let plan = FaultPlan::new(2).kind_default(FaultKind::IoError, FaultSchedule::EveryNth(1));
         let mut st = FaultState::new(plan);
-        assert!(st.should_fail(FaultKind::IoError, "anywhere"));
-        assert!(!st.should_fail(FaultKind::AllocFail, "anywhere"));
+        assert!(st.should_fail(READ));
+        assert!(!st.should_fail(ALLOC));
     }
 
     #[test]
     fn sites_are_independent() {
         let plan = FaultPlan::new(3)
-            .site(FaultKind::AllocFail, "a", FaultSchedule::Nth(1))
-            .site(FaultKind::AllocFail, "b", FaultSchedule::Nth(2));
+            .site(ALLOC, FaultSchedule::Nth(1))
+            .site(SLAB, FaultSchedule::Nth(2));
         let mut st = FaultState::new(plan.clone());
-        assert!(st.should_fail(FaultKind::AllocFail, "a"));
-        assert!(!st.should_fail(FaultKind::AllocFail, "b"));
-        assert!(st.should_fail(FaultKind::AllocFail, "b"));
+        assert!(st.should_fail(ALLOC));
+        assert!(!st.should_fail(SLAB));
+        assert!(st.should_fail(SLAB));
 
-        // Interleaving hits of a *different* site does not shift b's
+        // Interleaving hits of a *different* site does not shift SLAB's
         // decisions: counters are per-site.
         let mut st2 = FaultState::new(plan);
         for _ in 0..50 {
-            st2.should_fail(FaultKind::AllocFail, "a");
+            st2.should_fail(ALLOC);
         }
-        assert!(!st2.should_fail(FaultKind::AllocFail, "b"));
-        assert!(st2.should_fail(FaultKind::AllocFail, "b"));
-    }
-
-    #[test]
-    fn kinds_do_not_collide_on_the_same_site_name() {
-        let plan = FaultPlan::new(4).site(FaultKind::AllocFail, "x", FaultSchedule::Nth(1));
-        let mut st = FaultState::new(plan);
-        assert!(!st.should_fail(FaultKind::IoError, "x"));
-        assert!(st.should_fail(FaultKind::AllocFail, "x"));
+        assert!(!st2.should_fail(SLAB));
+        assert!(st2.should_fail(SLAB));
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod cpu;
 pub mod engine;
 pub mod equeue;
 pub mod fault;
-pub mod fxmap;
 pub mod iodev;
 pub mod lock;
 pub mod netdev;
@@ -63,12 +62,11 @@ pub use engine::{
 };
 pub use equeue::{EventId, EventQueue};
 pub use fault::{
-    Backoff, FaultKind, FaultPlan, FaultSchedule, FaultState, InjectedFault, LinkDegrade,
-    LinkPartition, NodeCrash, NodeFaultPlan, NsWindow,
+    Backoff, FaultKind, FaultPlan, FaultSchedule, FaultSite, FaultState, InjectedFault,
+    LinkDegrade, LinkPartition, NodeCrash, NodeFaultPlan, NsWindow,
 };
-pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use iodev::{DevId, DeviceModel};
-pub use lock::{LockId, LockKind, LockMode, WAIT_HIST_BUCKETS};
+pub use lock::{LockId, LockKind, LockMode};
 pub use netdev::{NicModel, NicState};
 pub use pool::{default_jobs, parallel_indexed, resolve_jobs, run_tasks, TaskResult};
 pub use process::{Effect, Pid, Process, WakeReason};

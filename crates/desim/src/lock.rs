@@ -5,9 +5,6 @@ use std::collections::VecDeque;
 use crate::process::Pid;
 use crate::time::Ns;
 
-/// Number of log2 buckets in a per-lock wait-time histogram.
-pub const WAIT_HIST_BUCKETS: usize = 64;
-
 /// Identifier of a simulated lock within one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LockId(pub u32);
@@ -79,9 +76,6 @@ pub struct LockState {
     pub total_wait_ns: Ns,
     /// Longest single enqueue → grant wait.
     pub max_wait_ns: Ns,
-    /// Log2 histogram of contended waits: bucket `b` counts waits with
-    /// `floor(log2(ns)) == b` (bucket 0 also holds zero-ns waits).
-    pub wait_hist: [u64; WAIT_HIST_BUCKETS],
     /// When the current exclusive holder took ownership (hold-time
     /// tracing; meaningless while free or reader-held).
     pub held_since: Ns,
@@ -99,7 +93,6 @@ impl LockState {
             contended: 0,
             total_wait_ns: 0,
             max_wait_ns: 0,
-            wait_hist: [0; WAIT_HIST_BUCKETS],
             held_since: 0,
         }
     }
@@ -110,12 +103,6 @@ impl LockState {
         if wait > self.max_wait_ns {
             self.max_wait_ns = wait;
         }
-        let bucket = if wait == 0 {
-            0
-        } else {
-            63 - wait.leading_zeros() as usize
-        };
-        self.wait_hist[bucket] += 1;
     }
 
     /// Attempts an immediate acquisition for `pid`. Returns `true` when
@@ -278,21 +265,10 @@ mod tests {
         let mut l = LockState::new(LockKind::Spin, "w");
         l.record_wait(0);
         l.record_wait(1);
-        l.record_wait(1000); // floor(log2(1000)) = 9
+        l.record_wait(1000);
         l.record_wait(1 << 20);
         assert_eq!(l.total_wait_ns, 1 + 1000 + (1 << 20));
         assert_eq!(l.max_wait_ns, 1 << 20);
-        assert_eq!(l.wait_hist[0], 2, "zero and 1ns waits share bucket 0");
-        assert_eq!(l.wait_hist[9], 1);
-        assert_eq!(l.wait_hist[20], 1);
-        assert_eq!(l.wait_hist.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn huge_wait_lands_in_top_bucket() {
-        let mut l = LockState::new(LockKind::Spin, "w");
-        l.record_wait(u64::MAX);
-        assert_eq!(l.wait_hist[63], 1);
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl LatBreakdown {
 }
 
 /// A consistent snapshot of one process's latency accounting, taken at a
-/// resume point (see [`crate::SimCtx::lat_snapshot`]).
+/// resume point (see [`crate::SimCtx::lat_snapshot_into`]).
 ///
 /// The engine only ever appends to a process's label list, so an earlier
 /// snapshot's `lock_waits` labels are a prefix of a later one's. The
@@ -340,7 +340,7 @@ pub struct FaultInjectedArgs {
     /// Fault class.
     pub kind: FaultKind,
     /// Site name.
-    pub site: String,
+    pub site: &'static str,
 }
 
 /// Payload of [`TraceEventKind::Mark`].
@@ -597,7 +597,7 @@ impl TraceLog {
             }
             TraceEventKind::FaultInjected(fault) => {
                 f("fault", S(fault.kind.name()));
-                f("site", S(&fault.site));
+                f("site", S(fault.site));
             }
             TraceEventKind::Syscall { no, enter } => {
                 f("enter", B(*enter));

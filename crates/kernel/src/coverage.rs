@@ -321,7 +321,7 @@ const BUCKETED: &[(&str, u32)] = &[
 const ERR_BASE: u32 = PLAIN.len() as u32;
 const BUCKET_BASE: u32 = ERR_BASE + ERR.len() as u32;
 
-const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

@@ -11,13 +11,14 @@
 
 use std::cmp::Reverse;
 
-use ksa_desim::{FaultKind, FaultState, LockId, LockMode, Ns};
+use ksa_desim::{FaultKind, FaultSite, FaultState, LockId, LockMode, Ns};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::category::Category;
 use crate::coverage::{cov, cov_bucket, fail, BlockId, CoverageSet};
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::instance::KernelInstance;
 use crate::ops::{KOp, OpSeq};
 use crate::state::{Fd, FdKind, NAMES_PER_SLOT};
@@ -56,9 +57,9 @@ impl<'a> HCtx<'a> {
         64 - v.max(1).leading_zeros()
     }
 
-    /// Asks the fault plan whether `(kind, site)` fails at this hit.
-    pub fn inject(&mut self, kind: FaultKind, site: &'static str) -> bool {
-        self.faults.should_fail(kind, site)
+    /// Asks the fault plan whether `site` fails at this hit.
+    pub fn inject(&mut self, site: FaultSite) -> bool {
+        self.faults.should_fail(site)
     }
 
     /// Terminates the call on an error path with an error block: records
@@ -75,8 +76,9 @@ impl<'a> HCtx<'a> {
     /// allocation. A forced failure still pays a truncated direct-reclaim
     /// attempt (the kernel scans before giving up) and returns `false`;
     /// the caller takes its ENOMEM path.
-    pub fn try_alloc_pages(&mut self, pages: u64, site: &'static str) -> bool {
-        if pages > 0 && self.faults.should_fail(FaultKind::AllocFail, site) {
+    pub fn try_alloc_pages(&mut self, pages: u64, site: FaultSite) -> bool {
+        debug_assert_eq!(site.kind, FaultKind::AllocFail, "{}", site.name);
+        if pages > 0 && self.faults.should_fail(site) {
             let cost = self.cost();
             let scan = (self.k.state.mm.lru_pages / 16).clamp(32, 4_096);
             self.cpu(cost.lru_scan_per_page * scan / 4);
@@ -87,8 +89,9 @@ impl<'a> HCtx<'a> {
     }
 
     /// Fallible slab allocation (see [`Self::try_alloc_pages`]).
-    pub fn try_slab_alloc(&mut self, objs: u64, site: &'static str) -> bool {
-        if objs > 0 && self.faults.should_fail(FaultKind::AllocFail, site) {
+    pub fn try_slab_alloc(&mut self, objs: u64, site: FaultSite) -> bool {
+        debug_assert_eq!(site.kind, FaultKind::AllocFail, "{}", site.name);
+        if objs > 0 && self.faults.should_fail(site) {
             let cost = self.cost();
             self.cpu(cost.slab_refill / 2);
             return false;
@@ -100,8 +103,9 @@ impl<'a> HCtx<'a> {
     /// Fallible exclusive lock acquire: a forced timeout pays a bounded
     /// backoff spin and returns `false` *without* taking the lock, so
     /// sequences stay balanced; the caller takes its EAGAIN path.
-    pub fn try_lock(&mut self, l: LockId, site: &'static str) -> bool {
-        if self.faults.should_fail(FaultKind::LockTimeout, site) {
+    pub fn try_lock(&mut self, l: LockId, site: FaultSite) -> bool {
+        debug_assert_eq!(site.kind, FaultKind::LockTimeout, "{}", site.name);
+        if self.faults.should_fail(site) {
             self.cpu(1_500);
             return false;
         }
@@ -113,8 +117,9 @@ impl<'a> HCtx<'a> {
     /// comes back on completion, so the device round-trip is still paid),
     /// but a forced failure returns `false` and the caller takes its EIO
     /// path instead of completing the transfer.
-    pub fn try_io(&mut self, bytes: u64, write: bool, site: &'static str) -> bool {
-        if self.faults.should_fail(FaultKind::IoError, site) {
+    pub fn try_io(&mut self, bytes: u64, write: bool, site: FaultSite) -> bool {
+        debug_assert_eq!(site.kind, FaultKind::IoError, "{}", site.name);
+        if self.faults.should_fail(site) {
             self.push(KOp::Io {
                 bytes: bytes.min(4_096),
                 write,
@@ -258,7 +263,7 @@ impl<'a> HCtx<'a> {
         self.cpu((cost.dentry_hop + chain) * depth as Ns);
         if !cached {
             cov!(self, "fs.path_walk.cold");
-            if !self.try_slab_alloc(2, "fs.path_walk.dentry") {
+            if !self.try_slab_alloc(2, fault_site!("fs.path_walk.dentry")) {
                 // dentry + inode allocation failed: nothing was inserted.
                 fail!(self, Errno::ENOMEM, "fs.path_walk.enomem");
                 return false;
@@ -271,7 +276,7 @@ impl<'a> HCtx<'a> {
             self.lock(sb);
             self.cpu(cost.inode_read_cpu);
             self.unlock(sb);
-            if !self.try_io(4096, false, "fs.inode_read") {
+            if !self.try_io(4096, false, fault_site!("fs.inode_read")) {
                 // The inode never arrived: the dentry stays negative.
                 fail!(self, Errno::EIO, "fs.path_walk.eio");
                 return false;

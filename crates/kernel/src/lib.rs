@@ -29,7 +29,10 @@
 //! sequence on the discrete-event engine, where queueing, convoys and
 //! shootdown storms emerge. Handlers also emit **coverage blocks** (one
 //! id per code path, fixed at compile time by the table in [`coverage`]),
-//! the signal the coverage-guided generator in `ksa-syzgen` uses.
+//! the signal the coverage-guided generator in `ksa-syzgen` uses. Their
+//! failable points (allocations, I/O, lock acquisitions) name a
+//! [`ksa_desim::FaultSite`] from the table in [`fault_sites`], which the
+//! fault plan consults.
 //!
 //! Background daemons (journal flusher, kswapd, load balancer, vmstat
 //! worker) run as engine processes per instance; their critical-section
@@ -42,6 +45,7 @@ pub mod daemons;
 pub mod dispatch;
 pub mod errno;
 pub mod exec;
+pub mod fault_sites;
 pub mod instance;
 pub mod latency;
 pub mod ops;

@@ -13,6 +13,7 @@ use ksa_desim::Ns;
 use crate::coverage::{cov, cov_bucket, fail};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::ops::{KOp, VmExitKind};
 use crate::state::FdKind;
 
@@ -82,13 +83,13 @@ pub fn sys_read(h: &mut HCtx, fd_sel: u64, len: u64, positional: bool) {
                 // Miss: readahead from disk, insert into cache + LRU.
                 cov!(h, "io.read.miss");
                 let miss_pages = end.saturating_sub(cached.min(end)) + 8; // readahead
-                if !h.try_alloc_pages(miss_pages, "io.read.pages") {
+                if !h.try_alloc_pages(miss_pages, fault_site!("io.read.pages")) {
                     // No pages for the readahead window.
                     fail!(h, Errno::ENOMEM, "io.read.enomem");
                     return;
                 }
                 h.push(KOp::VmExit(VmExitKind::IoKick));
-                let ok = h.try_io(miss_pages * 4096, false, "io.read.disk");
+                let ok = h.try_io(miss_pages * 4096, false, fault_site!("io.read.disk"));
                 h.push(KOp::VmExit(VmExitKind::IoIrq));
                 if !ok {
                     // The device errored: drop the speculative pages and
@@ -156,7 +157,7 @@ pub fn sys_write(h: &mut HCtx, fd_sel: u64, len: u64, positional: bool) {
             cov!(h, "io.write.file");
             cov_bucket!(h, "io.write.size", crate::dispatch::HCtx::size_class(bytes));
             let pages = bytes.div_ceil(4096);
-            if !h.try_alloc_pages(pages, "io.write.pages") {
+            if !h.try_alloc_pages(pages, fault_site!("io.write.pages")) {
                 // No pages for the cache-side copy: nothing dirtied yet.
                 fail!(h, Errno::ENOMEM, "io.write.enomem");
                 return;
@@ -182,7 +183,7 @@ pub fn sys_write(h: &mut HCtx, fd_sel: u64, len: u64, positional: bool) {
                 cov!(h, "io.write.throttled");
                 let flush = (h.k.state.mm.dirty_pages / 2).min(4096);
                 let journal = h.k.locks.journal;
-                if !h.try_lock(journal, "io.write.journal") {
+                if !h.try_lock(journal, fault_site!("io.write.journal")) {
                     // Could not join the flush transaction; the data is in
                     // the cache but the caller must back off and retry.
                     fail!(h, Errno::EAGAIN, "io.write.journal_timeout");
@@ -190,7 +191,7 @@ pub fn sys_write(h: &mut HCtx, fd_sel: u64, len: u64, positional: bool) {
                 }
                 h.cpu(cost.writeback_base + cost.writeback_per_page * flush);
                 h.push(KOp::VmExit(VmExitKind::IoKick));
-                let ok = h.try_io(flush * 4096, true, "io.write.writeback");
+                let ok = h.try_io(flush * 4096, true, fault_site!("io.write.writeback"));
                 h.push(KOp::VmExit(VmExitKind::IoIrq));
                 h.unlock(journal);
                 if !ok {
@@ -252,7 +253,11 @@ pub fn sys_fsync(h: &mut HCtx, fd_sel: u64, data_only: bool) {
     if file_dirty > 0 {
         h.cpu(cost.writeback_base / 2 + cost.writeback_per_page * file_dirty.min(1024));
         h.push(KOp::VmExit(VmExitKind::IoKick));
-        let ok = h.try_io(file_dirty.min(1024) * 4096, true, "io.fsync.data");
+        let ok = h.try_io(
+            file_dirty.min(1024) * 4096,
+            true,
+            fault_site!("io.fsync.data"),
+        );
         h.push(KOp::VmExit(VmExitKind::IoIrq));
         if !ok {
             // Data writeback failed; pages stay dirty, durability not
@@ -268,14 +273,18 @@ pub fn sys_fsync(h: &mut HCtx, fd_sel: u64, data_only: bool) {
     if !data_only && h.k.state.fs.journal_dirty > 0 {
         let journal = h.k.locks.journal;
         let blocks = h.k.state.fs.journal_dirty.min(8_192);
-        if !h.try_lock(journal, "io.fsync.journal") {
+        if !h.try_lock(journal, fault_site!("io.fsync.journal")) {
             // Timed out waiting on the running transaction.
             fail!(h, Errno::EAGAIN, "io.fsync.journal_timeout");
             return;
         }
         h.cpu(cost.journal_commit_base + cost.journal_per_block * blocks);
         h.push(KOp::VmExit(VmExitKind::IoKick));
-        let ok = h.try_io((blocks + 1) * 4096, true, "io.fsync.journal_io");
+        let ok = h.try_io(
+            (blocks + 1) * 4096,
+            true,
+            fault_site!("io.fsync.journal_io"),
+        );
         h.push(KOp::VmExit(VmExitKind::IoIrq));
         h.unlock(journal);
         if !ok {
@@ -330,7 +339,7 @@ pub fn sys_fallocate(h: &mut HCtx, fd_sel: u64, len: u64) {
     cov!(h, "io.fallocate");
     let blocks = (len % 64).max(1);
     let journal = h.k.locks.journal;
-    if !h.try_lock(journal, "io.fallocate.journal") {
+    if !h.try_lock(journal, fault_site!("io.fallocate.journal")) {
         // Block allocation needs the journal; no metadata was touched.
         fail!(h, Errno::EAGAIN, "io.fallocate.journal_timeout");
         return;

@@ -11,6 +11,7 @@ use crate::cov_block;
 use crate::coverage::{cov, cov_bucket, fail, BlockId};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::state::{FdKind, FileMeta};
 
 /// Gets or creates the file behind a path selector in this slot's
@@ -41,7 +42,7 @@ fn lookup_or_create(h: &mut HCtx, sel: u64, create: bool) -> Option<(usize, bool
     if !h.path_walk(depth - 1, true) {
         return None;
     }
-    if !h.try_slab_alloc(2, "fs.create.inode") {
+    if !h.try_slab_alloc(2, fault_site!("fs.create.inode")) {
         // No memory for the dentry + inode pair; nothing inserted yet.
         fail!(h, Errno::ENOMEM, "fs.create.enomem");
         return None;
@@ -56,7 +57,7 @@ fn lookup_or_create(h: &mut HCtx, sel: u64, create: bool) -> Option<(usize, bool
     h.cpu(400);
     h.unlock(sb);
     let journal = h.k.locks.journal;
-    if !h.try_lock(journal, "fs.create.journal") {
+    if !h.try_lock(journal, fault_site!("fs.create.journal")) {
         // Could not journal the create: free the speculative dentry and
         // inode and leave the namespace unchanged.
         h.cpu(cost.slab_fast * 2);
@@ -193,7 +194,7 @@ fn unlink_common(h: &mut HCtx, path_sel: u64, blk: BlockId) {
     h.cpu(cost.dentry_insert / 2);
     h.unlock(dcache);
     let journal = h.k.locks.journal;
-    if !h.try_lock(journal, "fs.unlink.journal") {
+    if !h.try_lock(journal, fault_site!("fs.unlink.journal")) {
         // The entry survives: nothing was journaled or removed.
         fail!(h, Errno::EAGAIN, "fs.unlink.journal_timeout");
         return;
@@ -230,7 +231,7 @@ pub fn sys_rename(h: &mut HCtx, from_sel: u64, to_sel: u64) {
     let rename = h.k.locks.rename;
     let dcache = h.k.locks.dcache;
     let journal = h.k.locks.journal;
-    if !h.try_lock(rename, "fs.rename.mutex") {
+    if !h.try_lock(rename, fault_site!("fs.rename.mutex")) {
         // Lost the race for the instance-wide rename mutex.
         fail!(h, Errno::EAGAIN, "fs.rename.timeout");
         return;
@@ -240,7 +241,7 @@ pub fn sys_rename(h: &mut HCtx, from_sel: u64, to_sel: u64) {
     h.lock(dcache);
     h.cpu(cost.dentry_insert);
     h.unlock(dcache);
-    if !h.try_lock(journal, "fs.rename.journal") {
+    if !h.try_lock(journal, fault_site!("fs.rename.journal")) {
         // Back out: release the rename mutex, leave both names as-is.
         h.unlock(rename);
         fail!(h, Errno::EAGAIN, "fs.rename.journal_timeout");
@@ -281,7 +282,7 @@ pub fn sys_truncate(h: &mut HCtx, path_sel: u64, new_pages: u64) {
     cov!(h, "fs.truncate");
     let new_pages = new_pages % 64;
     let journal = h.k.locks.journal;
-    if !h.try_lock(journal, "fs.truncate.journal") {
+    if !h.try_lock(journal, fault_site!("fs.truncate.journal")) {
         // Size change not journaled: the file keeps its old length.
         fail!(h, Errno::EAGAIN, "fs.truncate.journal_timeout");
         return;

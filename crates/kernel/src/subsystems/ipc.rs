@@ -10,6 +10,7 @@
 use crate::coverage::{cov, cov_bucket, fail};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::instance::FUTEX_BUCKETS;
 use crate::ops::KOp;
 use crate::state::{FdKind, MsgQueue, ShmSeg, Vma};
@@ -19,11 +20,11 @@ use crate::state::{FdKind, MsgQueue, ShmSeg, Vma};
 pub fn sys_pipe2(h: &mut HCtx) {
     cov!(h, "ipc.pipe2");
     let cost = h.cost();
-    if !h.try_slab_alloc(2, "ipc.pipe2.inode") {
+    if !h.try_slab_alloc(2, fault_site!("ipc.pipe2.inode")) {
         fail!(h, Errno::ENOMEM, "ipc.pipe2.enomem");
         return;
     }
-    if !h.try_alloc_pages(4, "ipc.pipe2.buffer") {
+    if !h.try_alloc_pages(4, fault_site!("ipc.pipe2.buffer")) {
         // Free the two inode objects; no fd was installed.
         h.cpu(cost.slab_fast * 2);
         fail!(h, Errno::ENOMEM, "ipc.pipe2.buffer_enomem");
@@ -67,7 +68,7 @@ pub fn sys_futex_wake(h: &mut HCtx, uaddr: u64, nwake: u64) {
 pub fn sys_msgget(h: &mut HCtx) {
     cov!(h, "ipc.msgget");
     let cost = h.cost();
-    if !h.try_slab_alloc(1, "ipc.msgget.queue") {
+    if !h.try_slab_alloc(1, fault_site!("ipc.msgget.queue")) {
         fail!(h, Errno::ENOMEM, "ipc.msgget.enomem");
         return;
     }
@@ -103,7 +104,7 @@ pub fn sys_msgsnd(h: &mut HCtx, qid: u64, bytes: u64) {
     h.push(KOp::Lock(ids, ksa_desim::LockMode::Shared));
     h.cpu(cost.ipc_lookup);
     h.push(KOp::Unlock(ids));
-    if !h.try_slab_alloc(1, "ipc.msgsnd.msg") {
+    if !h.try_slab_alloc(1, fault_site!("ipc.msgsnd.msg")) {
         // No msg_msg buffer: the queue is untouched.
         fail!(h, Errno::ENOMEM, "ipc.msgsnd.enomem");
         return;
@@ -162,7 +163,7 @@ pub fn sys_semget(h: &mut HCtx, nsems: u64) {
     cov!(h, "ipc.semget");
     let cost = h.cost();
     let n = (nsems % 16).max(1) as u32;
-    if !h.try_slab_alloc(1, "ipc.semget.set") {
+    if !h.try_slab_alloc(1, fault_site!("ipc.semget.set")) {
         fail!(h, Errno::ENOMEM, "ipc.semget.enomem");
         return;
     }
@@ -202,7 +203,7 @@ pub fn sys_shmget(h: &mut HCtx, pages: u64) {
     cov!(h, "ipc.shmget");
     let cost = h.cost();
     let pages = (pages % 128).max(1);
-    if !h.try_slab_alloc(2, "ipc.shmget.seg") {
+    if !h.try_slab_alloc(2, fault_site!("ipc.shmget.seg")) {
         fail!(h, Errno::ENOMEM, "ipc.shmget.enomem");
         return;
     }
@@ -236,7 +237,7 @@ pub fn sys_shmat(h: &mut HCtx, shmid: u64) {
     h.lock(mmap_sem);
     h.cpu(cost.vma_alloc);
     h.unlock(mmap_sem);
-    if !h.try_alloc_pages(pages.min(32), "ipc.shmat.pages") {
+    if !h.try_alloc_pages(pages.min(32), fault_site!("ipc.shmat.pages")) {
         // The segment exists but could not be mapped; no VMA inserted.
         fail!(h, Errno::ENOMEM, "ipc.shmat.enomem");
         return;
@@ -292,7 +293,7 @@ pub fn sys_shmdt(h: &mut HCtx, vma_sel: u64) {
 /// eventfd2: lightweight counter fd.
 pub fn sys_eventfd(h: &mut HCtx) {
     cov!(h, "ipc.eventfd");
-    if !h.try_slab_alloc(1, "ipc.eventfd.ctx") {
+    if !h.try_slab_alloc(1, fault_site!("ipc.eventfd.ctx")) {
         fail!(h, Errno::ENOMEM, "ipc.eventfd.enomem");
         return;
     }

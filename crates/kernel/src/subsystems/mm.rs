@@ -14,6 +14,7 @@ use ksa_desim::Ns;
 use crate::coverage::{cov, cov_bucket, fail};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::ops::KOp;
 use crate::state::Vma;
 
@@ -28,12 +29,12 @@ pub fn sys_mmap(h: &mut HCtx, len_pages: u64, flags: u64) {
     let mmap_sem = h.k.locks.mmap_sem[h.slot];
     cov!(h, "mm.mmap");
     cov_bucket!(h, "mm.mmap.pages", crate::dispatch::HCtx::size_class(pages));
-    if !h.try_slab_alloc(1, "mm.mmap.vma") {
+    if !h.try_slab_alloc(1, fault_site!("mm.mmap.vma")) {
         // No vma struct: nothing to unwind.
         fail!(h, Errno::ENOMEM, "mm.mmap.enomem");
         return;
     }
-    if !h.try_lock(mmap_sem, "mm.mmap.mmap_sem") {
+    if !h.try_lock(mmap_sem, fault_site!("mm.mmap.mmap_sem")) {
         // Return the vma struct to the slab on the way out.
         h.cpu(cost.slab_fast);
         fail!(h, Errno::EAGAIN, "mm.mmap.eagain");
@@ -44,7 +45,7 @@ pub fn sys_mmap(h: &mut HCtx, len_pages: u64, flags: u64) {
     let mut populated = 0;
     if flags & 1 != 0 {
         cov!(h, "mm.mmap.populate");
-        if !h.try_alloc_pages(pages, "mm.mmap.populate") {
+        if !h.try_alloc_pages(pages, fault_site!("mm.mmap.populate")) {
             // Tear the fresh vma back down before reporting ENOMEM.
             h.cpu(cost.slab_fast);
             fail!(h, Errno::ENOMEM, "mm.mmap.populate_enomem");
@@ -153,7 +154,7 @@ pub fn sys_madvise(h: &mut HCtx, vma_sel: u64, advice: u64) {
             cov!(h, "mm.madvise.willneed");
             let v = h.k.state.slots[h.slot].vmas[vi];
             let want = (v.pages - v.populated).min(v.pages / 2 + 1);
-            if !h.try_alloc_pages(want, "mm.madvise.willneed") {
+            if !h.try_alloc_pages(want, fault_site!("mm.madvise.willneed")) {
                 // Prefault failed; the mapping itself is untouched.
                 fail!(h, Errno::ENOMEM, "mm.madvise.enomem");
                 return;
@@ -180,7 +181,7 @@ pub fn sys_brk(h: &mut HCtx, delta: u64) {
         h.lock(mmap_sem);
         h.cpu(cost.vma_alloc / 2);
         h.unlock(mmap_sem);
-        if !h.try_alloc_pages(grow.max(1), "mm.brk.grow") {
+        if !h.try_alloc_pages(grow.max(1), fault_site!("mm.brk.grow")) {
             // The break stays where it was.
             fail!(h, Errno::ENOMEM, "mm.brk.enomem");
             h.seq.result = h.k.state.slots[h.slot].brk_pages;
@@ -236,7 +237,7 @@ pub fn sys_mremap(h: &mut HCtx, vma_sel: u64, new_len: u64) {
     h.push(KOp::Tlb { pages: old_pages });
     h.unlock(mmap_sem);
     if new_pages > old_pages {
-        if !h.try_alloc_pages(new_pages - old_pages, "mm.mremap.grow") {
+        if !h.try_alloc_pages(new_pages - old_pages, fault_site!("mm.mremap.grow")) {
             // Growth failed: the mapping keeps its old size.
             fail!(h, Errno::ENOMEM, "mm.mremap.enomem");
             return;
@@ -267,7 +268,7 @@ pub fn sys_mlock(h: &mut HCtx, vma_sel: u64) {
     h.cpu(cost.vma_alloc / 2);
     h.unlock(mmap_sem);
     let need = pages - h.k.state.slots[h.slot].vmas[vi].populated;
-    if !h.try_alloc_pages(need, "mm.mlock.populate") {
+    if !h.try_alloc_pages(need, fault_site!("mm.mlock.populate")) {
         // Nothing pinned; the vma stays unlocked.
         fail!(h, Errno::ENOMEM, "mm.mlock.enomem");
         return;

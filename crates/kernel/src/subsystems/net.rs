@@ -15,9 +15,9 @@
 use crate::coverage::{cov, cov_bucket, fail};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::ops::{KOp, VmExitKind};
 use crate::state::{FdKind, NET_PORT_SPACE};
-use ksa_desim::FaultKind;
 
 /// Largest payload one sendto/recvfrom moves (matches file I/O's cap).
 pub const MAX_MSG_BYTES: u64 = 65_536;
@@ -123,7 +123,7 @@ pub(crate) fn drop_sock_ref(h: &mut HCtx, idx: usize) {
 pub fn sys_socket(h: &mut HCtx, flags: u64) {
     let cost = h.cost();
     cov!(h, "net.socket");
-    if !h.try_slab_alloc(2, "net.socket.sock") {
+    if !h.try_slab_alloc(2, fault_site!("net.socket.sock")) {
         fail!(h, Errno::ENOMEM, "net.socket.enomem");
         return;
     }
@@ -150,7 +150,7 @@ pub fn sys_bind(h: &mut HCtx, sock_sel: u64, port_sel: u64) {
     let port = port_sel % NET_PORT_SPACE;
     let nb = h.k.locks.sock_buckets.len();
     let bucket = h.k.locks.sock_buckets[port as usize % nb];
-    if !h.try_lock(bucket, "net.bind.bucket") {
+    if !h.try_lock(bucket, fault_site!("net.bind.bucket")) {
         fail!(h, Errno::EAGAIN, "net.bind.busy");
         return;
     }
@@ -186,7 +186,7 @@ pub fn sys_listen(h: &mut HCtx, sock_sel: u64, backlog: u64) {
         h.seq.error = Some(Errno::EINVAL);
         return;
     }
-    if !h.try_slab_alloc(1, "net.listen.backlog") {
+    if !h.try_slab_alloc(1, fault_site!("net.listen.backlog")) {
         fail!(h, Errno::ENOMEM, "net.listen.enomem");
         return;
     }
@@ -207,7 +207,7 @@ pub fn sys_connect(h: &mut HCtx, sock_sel: u64, port_sel: u64) {
         h.seq.error = Some(Errno::EBADF);
         return;
     };
-    if !h.try_slab_alloc(1, "net.connect.skb") {
+    if !h.try_slab_alloc(1, fault_site!("net.connect.skb")) {
         fail!(h, Errno::ENOMEM, "net.connect.enomem");
         return;
     }
@@ -215,7 +215,7 @@ pub fn sys_connect(h: &mut HCtx, sock_sel: u64, port_sel: u64) {
     let port = port_sel % NET_PORT_SPACE;
     let nb = h.k.locks.sock_buckets.len();
     let bucket = h.k.locks.sock_buckets[port as usize % nb];
-    if !h.try_lock(bucket, "net.connect.bucket") {
+    if !h.try_lock(bucket, fault_site!("net.connect.bucket")) {
         fail!(h, Errno::EAGAIN, "net.connect.busy");
         return;
     }
@@ -281,7 +281,7 @@ pub fn sys_accept(h: &mut HCtx, sock_sel: u64) {
         h.seq.error = Some(Errno::EAGAIN);
         return;
     }
-    if !h.try_slab_alloc(2, "net.accept.sock") {
+    if !h.try_slab_alloc(2, fault_site!("net.accept.sock")) {
         fail!(h, Errno::ENOMEM, "net.accept.enomem");
         return;
     }
@@ -302,7 +302,7 @@ pub fn sys_accept(h: &mut HCtx, sock_sel: u64) {
 pub(crate) fn sock_send(h: &mut HCtx, src: usize, bytes: u64, port_sel: Option<u64>) {
     let cost = h.cost();
     cov_bucket!(h, "net.sendto.size", HCtx::size_class(bytes));
-    if !h.try_slab_alloc(1 + bytes / 4_096, "net.sendto.skb") {
+    if !h.try_slab_alloc(1 + bytes / 4_096, fault_site!("net.sendto.skb")) {
         fail!(h, Errno::ENOMEM, "net.sendto.enomem");
         return;
     }
@@ -320,12 +320,12 @@ pub(crate) fn sock_send(h: &mut HCtx, src: usize, bytes: u64, port_sel: Option<u
     };
     let nb = h.k.locks.sock_buckets.len();
     let bucket = h.k.locks.sock_buckets[bucket_key as usize % nb];
-    if !h.try_lock(bucket, "net.sendto.bucket") {
+    if !h.try_lock(bucket, fault_site!("net.sendto.bucket")) {
         fail!(h, Errno::EAGAIN, "net.sendto.busy");
         return;
     }
     h.cpu(cost.proto_demux);
-    if h.inject(FaultKind::IoError, "net.sendto.nic") {
+    if h.inject(fault_site!("net.sendto.nic")) {
         h.unlock(bucket);
         fail!(h, Errno::EIO, "net.sendto.eio");
         return;
@@ -399,7 +399,7 @@ pub(crate) fn sock_recv(h: &mut HCtx, src: usize, want: u64) {
     }
     let nb = h.k.locks.sock_buckets.len();
     let bucket = h.k.locks.sock_buckets[src % nb];
-    if !h.try_lock(bucket, "net.recvfrom.bucket") {
+    if !h.try_lock(bucket, fault_site!("net.recvfrom.bucket")) {
         fail!(h, Errno::EAGAIN, "net.recvfrom.busy");
         return;
     }
@@ -456,7 +456,7 @@ pub fn sys_shutdown_sock(h: &mut HCtx, sock_sel: u64) {
     };
     let nb = h.k.locks.sock_buckets.len();
     let bucket = h.k.locks.sock_buckets[src % nb];
-    if !h.try_lock(bucket, "net.shutdown.bucket") {
+    if !h.try_lock(bucket, fault_site!("net.shutdown.bucket")) {
         fail!(h, Errno::EAGAIN, "net.shutdown.busy");
         return;
     }
@@ -475,7 +475,7 @@ pub fn sys_shutdown_sock(h: &mut HCtx, sock_sel: u64) {
 pub fn sys_epoll_create(h: &mut HCtx) {
     let cost = h.cost();
     cov!(h, "net.epoll_create");
-    if !h.try_slab_alloc(1, "net.epoll.ctx") {
+    if !h.try_slab_alloc(1, fault_site!("net.epoll.ctx")) {
         fail!(h, Errno::ENOMEM, "net.epoll_create.enomem");
         return;
     }

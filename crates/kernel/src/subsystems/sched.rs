@@ -12,6 +12,7 @@ use ksa_desim::{Ns, US};
 use crate::coverage::{cov, cov_bucket, fail};
 use crate::dispatch::HCtx;
 use crate::errno::Errno;
+use crate::fault_site;
 use crate::ops::{KOp, VmExitKind};
 
 /// getpid: pure fast path, no shared state.
@@ -45,12 +46,12 @@ pub fn sys_clone(h: &mut HCtx, _flags: u64) {
     let rq = h.k.locks.runqueue[h.slot];
 
     // Task struct + cred + stack allocations.
-    if !h.try_slab_alloc(4, "sched.clone.task") {
+    if !h.try_slab_alloc(4, fault_site!("sched.clone.task")) {
         // Fork fails before any shared structure is touched.
         fail!(h, Errno::ENOMEM, "sched.clone.enomem");
         return;
     }
-    if !h.try_alloc_pages(4, "sched.clone.stack") {
+    if !h.try_alloc_pages(4, fault_site!("sched.clone.stack")) {
         // Free the task/cred objects; no pid was allocated.
         h.cpu(cost.slab_fast * 4);
         fail!(h, Errno::ENOMEM, "sched.clone.stack_enomem");

@@ -7,6 +7,7 @@ use ksa_desim::{
 };
 use ksa_kernel::coverage::{block_name, CoverageSet};
 use ksa_kernel::dispatch::dispatch;
+use ksa_kernel::fault_site;
 use ksa_kernel::instance::{InstanceConfig, KernelInstance, TenancyProfile, VirtProfile};
 use ksa_kernel::params::CostModel;
 use ksa_kernel::spec::SpecMask;
@@ -67,7 +68,7 @@ impl Fixture {
 
 #[test]
 fn mmap_vma_alloc_failure_returns_enomem_without_vma() {
-    let plan = FaultPlan::new(1).site(FaultKind::AllocFail, "mm.mmap.vma", FaultSchedule::Nth(1));
+    let plan = FaultPlan::new(1).site(fault_site!("mm.mmap.vma"), FaultSchedule::Nth(1));
     let mut f = Fixture::new(plan);
     let seq = f.call(SysNo::Mmap, &[64, 1]);
     assert_eq!(seq.error, Some(Errno::ENOMEM));
@@ -84,7 +85,7 @@ fn mmap_vma_alloc_failure_returns_enomem_without_vma() {
 
 #[test]
 fn read_disk_error_leaves_cache_and_offset_untouched() {
-    let plan = FaultPlan::new(2).site(FaultKind::IoError, "io.read.disk", FaultSchedule::Nth(1));
+    let plan = FaultPlan::new(2).site(fault_site!("io.read.disk"), FaultSchedule::Nth(1));
     let mut f = Fixture::new(plan);
     let seq = f.call(SysNo::Open, &[5, 1]);
     let fd = seq.result;
@@ -107,11 +108,7 @@ fn read_disk_error_leaves_cache_and_offset_untouched() {
 
 #[test]
 fn fsync_journal_io_failure_keeps_backlog_and_skips_commit() {
-    let plan = FaultPlan::new(3).site(
-        FaultKind::IoError,
-        "io.fsync.journal_io",
-        FaultSchedule::Nth(1),
-    );
+    let plan = FaultPlan::new(3).site(fault_site!("io.fsync.journal_io"), FaultSchedule::Nth(1));
     let mut f = Fixture::new(plan);
     let seq = f.call(SysNo::Open, &[5, 1]);
     let fd = seq.result;
@@ -133,11 +130,7 @@ fn fsync_journal_io_failure_keeps_backlog_and_skips_commit() {
 
 #[test]
 fn clone_alloc_failure_touches_no_task_state() {
-    let plan = FaultPlan::new(4).site(
-        FaultKind::AllocFail,
-        "sched.clone.task",
-        FaultSchedule::Nth(1),
-    );
+    let plan = FaultPlan::new(4).site(fault_site!("sched.clone.task"), FaultSchedule::Nth(1));
     let mut f = Fixture::new(plan);
     let tasks = f.inst.state.sched.nr_tasks;
     let seq = f.call(SysNo::Clone, &[0]);
@@ -194,11 +187,7 @@ fn identical_plans_replay_identically() {
     let plan = FaultPlan::new(7)
         .kind_default(FaultKind::AllocFail, FaultSchedule::ProbMilli(250))
         .kind_default(FaultKind::IoError, FaultSchedule::EveryNth(3))
-        .site(
-            FaultKind::LockTimeout,
-            "fs.rename.mutex",
-            FaultSchedule::Nth(2),
-        );
+        .site(fault_site!("fs.rename.mutex"), FaultSchedule::Nth(2));
     let run = |plan: FaultPlan| {
         let mut f = Fixture::new(plan);
         let mut errors = Vec::new();

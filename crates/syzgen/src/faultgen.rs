@@ -9,12 +9,14 @@
 //!
 //! The probe mirrors Syzkaller exactly: run a program once with an empty
 //! plan to *enumerate* its fault points (the hit counters advance even
-//! when nothing fails), then re-execute it once per `(kind, site, n)`
-//! with an `Nth(n)` schedule — "fail the n-th occurrence of this site" —
-//! and check the coverage signal. All candidate orderings are sorted, so
-//! the phase is deterministic for a given seed and base corpus.
+//! when nothing fails), then re-execute it once per `(site, n)` with an
+//! `Nth(n)` schedule — "fail the n-th occurrence of this site" — and
+//! check the coverage signal. Sites are probed in fault-site table order,
+//! so the phase is deterministic for a given seed and base corpus.
 
-use ksa_desim::{FaultKind, FaultPlan, FaultSchedule};
+use std::collections::BTreeSet;
+
+use ksa_desim::{FaultPlan, FaultSchedule, FaultSite};
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 
@@ -27,7 +29,7 @@ pub struct FaultGenConfig {
     pub seed: u64,
     /// Cap on candidate executions (probes excluded).
     pub max_candidates: usize,
-    /// Cap on the `n` probed per `(kind, site)`: sites hit thousands of
+    /// Cap on the `n` probed per site: sites hit thousands of
     /// times only get their first few occurrences targeted.
     pub per_site_cap: u64,
     /// Stop after this many consecutive candidates without new coverage.
@@ -87,28 +89,17 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
     let mut global = CoverageSet::new();
 
     // Baseline: replay the corpus fault-free and record per-program fault
-    // points. `(kind, site, hits)` tuples are sorted for determinism —
-    // the hit map iterates in arbitrary order.
-    let mut points: Vec<(usize, FaultKind, String, u64)> = Vec::new();
+    // points, each program's in table order.
+    let mut points: Vec<(usize, FaultSite, u64)> = Vec::new();
     for (pi, prog) in base.programs.iter().enumerate() {
         let cover = sandbox.run_fresh(prog);
         global.merge(&cover);
-        let mut sites: Vec<(FaultKind, String, u64)> = sandbox
-            .fault_hits()
-            .map(|(k, s, h)| (k, s.to_string(), h))
-            .collect();
-        sites.sort();
-        for (kind, site, hits) in sites {
-            points.push((pi, kind, site, hits));
-        }
+        points.extend(sandbox.fault_hits().map(|(site, hits)| (pi, site, hits)));
     }
-    let mut sites_seen: Vec<(FaultKind, &str)> =
-        points.iter().map(|(_, k, s, _)| (*k, s.as_str())).collect();
-    sites_seen.sort();
-    sites_seen.dedup();
+    let probed: BTreeSet<u16> = points.iter().map(|(_, site, _)| site.id).collect();
 
     let mut stats = FaultGenStats {
-        sites_probed: sites_seen.len(),
+        sites_probed: probed.len(),
         ..FaultGenStats::default()
     };
     let base_blocks = global.len();
@@ -116,14 +107,14 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
     // Candidate sweep: fail the n-th occurrence of each point.
     let mut entries = Vec::new();
     let mut stall = 0usize;
-    'sweep: for (pi, kind, site, hits) in &points {
-        for n in 1..=(*hits).min(cfg.per_site_cap) {
+    'sweep: for &(pi, site, hits) in &points {
+        for n in 1..=hits.min(cfg.per_site_cap) {
             if stats.executed >= cfg.max_candidates || stall >= cfg.stall_limit {
                 break 'sweep;
             }
-            let plan = FaultPlan::new(cfg.seed).site(*kind, site.clone(), FaultSchedule::Nth(n));
+            let plan = FaultPlan::new(cfg.seed).site(site, FaultSchedule::Nth(n));
             sandbox.set_fault_plan(plan.clone());
-            let cover = sandbox.run_fresh(&base.programs[*pi]);
+            let cover = sandbox.run_fresh(&base.programs[pi]);
             stats.executed += 1;
             if global.new_blocks(&cover) == 0 {
                 stall += 1;
@@ -131,7 +122,7 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
             }
             stall = 0;
             global.merge(&cover);
-            entries.push(FaultEntry { prog: *pi, plan });
+            entries.push(FaultEntry { prog: pi, plan });
             stats.accepted += 1;
         }
     }
@@ -204,5 +195,44 @@ mod tests {
         let b = fault_phase(&base, FaultGenConfig::default());
         assert_eq!(a.entries, b.entries);
         assert_eq!(a.stats.error_blocks, b.stats.error_blocks);
+    }
+
+    /// Pins `fault_phase` on the `ablate faults` corpus: the stats and an
+    /// FNV-1a over every accepted `(prog, site, n)` in acceptance order, so
+    /// a change to probe order moves the digest.
+    #[test]
+    fn fault_phase_is_pinned_on_the_ablate_corpus() {
+        let base = generate(GenConfig {
+            seed: 11,
+            max_programs: 20,
+            stall_limit: 150,
+            mutate_pct: 70,
+            minimize: false,
+        })
+        .corpus;
+        let out = fault_phase(&base, FaultGenConfig::default());
+        let s = out.stats;
+        assert_eq!(
+            (s.sites_probed, s.accepted, s.new_blocks, s.error_blocks),
+            (28, 40, 43, 28)
+        );
+        let mut sb = Sandbox::new(11);
+        let mut h = 0xcbf29ce484222325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        };
+        for e in &out.entries {
+            sb.set_fault_plan(e.plan.clone());
+            sb.run_fresh(&base.programs[e.prog]);
+            let [fault] = sb.injected() else {
+                panic!("an Nth plan injects exactly once")
+            };
+            eat(&(e.prog as u64).to_le_bytes());
+            eat(fault.site.name.as_bytes());
+            eat(&fault.hit.to_le_bytes());
+        }
+        assert_eq!(h, 0xa6e9_2528_e0ea_ce18, "accepted (prog, site, n) digest");
     }
 }

@@ -3,10 +3,11 @@
 //! handlers emit coverage when the call is compiled).
 
 use ksa_desim::{
-    CoreId, DeviceModel, Engine, EngineParams, FaultKind, FaultPlan, FaultState, InjectedFault,
+    CoreId, DeviceModel, Engine, EngineParams, FaultPlan, FaultSite, FaultState, InjectedFault,
 };
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::dispatch::dispatch;
+use ksa_kernel::fault_sites;
 use ksa_kernel::instance::{InstanceConfig, KernelInstance, TenancyProfile, VirtProfile};
 use ksa_kernel::params::CostModel;
 use ksa_kernel::spec::SpecMask;
@@ -72,11 +73,13 @@ impl Sandbox {
         self.faults.injected()
     }
 
-    /// Fault points the last runs reached: `(kind, site, hit count)` in
-    /// arbitrary order. Counters advance even with an empty plan, so a
-    /// plain run enumerates every injectable point of a program.
-    pub fn fault_hits(&self) -> impl Iterator<Item = (FaultKind, &str, u64)> {
-        self.faults.hit_counts()
+    /// Fault points the last runs reached: `(site, hit count)` in table
+    /// order. Counters advance even with an empty plan, so a plain run
+    /// enumerates every injectable point of a program.
+    pub fn fault_hits(&self) -> impl Iterator<Item = (FaultSite, u64)> + '_ {
+        fault_sites::all()
+            .map(|site| (site, self.faults.hits(site)))
+            .filter(|&(_, hits)| hits > 0)
     }
 
     /// Executes `prog`, returning the blocks it covered.

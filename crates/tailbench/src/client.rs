@@ -229,22 +229,16 @@ impl Client {
     fn start_drain(&mut self, ctx: &mut SimCtx<'_, TbWorld>) -> Effect {
         self.state = State::Draining;
         let q = &mut ctx.world.queues[self.app_id];
-        let target = q.completed + q.pending.len() as u64 + self.in_flight_estimate();
         // Target = everything issued this run so far: completed plus
         // everything still pending or in service. Since only this client
         // issues, issued totals are exact.
         let issued_total = self.batch * self.round_total() + self.issued_in_round;
-        let _ = target;
         if q.completed >= issued_total {
             // Everything already done.
             return self.round_done(ctx);
         }
         q.batch_target = issued_total;
         Effect::Wait(self.done_q)
-    }
-
-    fn in_flight_estimate(&self) -> u64 {
-        0
     }
 
     fn round_done(&mut self, ctx: &mut SimCtx<'_, TbWorld>) -> Effect {

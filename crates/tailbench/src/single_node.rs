@@ -343,17 +343,7 @@ fn run_node(
         kw.metrics.finish(now, &kw.instances)
     };
     let mut metrics = engine.take_telemetry();
-    if metrics.enabled() {
-        for (label, acq, cont, total_wait, _max, _hist) in engine.all_lock_wait_stats() {
-            let labels = [("label", label.to_string())];
-            let a = metrics.counter("lock_acquisitions", &labels);
-            let c = metrics.counter("lock_contended", &labels);
-            let w = metrics.counter("lock_wait_ns", &labels);
-            metrics.add(a, acq);
-            metrics.add(c, cont);
-            metrics.add(w, total_wait);
-        }
-    }
+    engine.fold_lock_counters(&mut metrics);
     metrics.absorb(&kernel_metrics, &[]);
     let request_attrib = std::mem::take(&mut engine.world_mut().request_attrib);
     let noise_attrib = std::mem::take(&mut engine.world_mut().kernel.attrib);

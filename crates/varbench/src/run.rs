@@ -269,7 +269,7 @@ fn run_hooked_shared(
         s.samples.freeze();
     }
     let mut contention = ContentionProfile::default();
-    for (label, acq, cont, total_wait, max_wait, _hist) in engine.all_lock_wait_stats() {
+    for (label, acq, cont, total_wait, max_wait) in engine.all_lock_wait_stats() {
         contention.add_waits(label, acq, cont, total_wait, max_wait);
     }
     let trace = engine.take_trace();
@@ -279,19 +279,8 @@ fn run_hooked_shared(
         kw.metrics.finish(now, &kw.instances)
     };
     let mut metrics = engine.take_telemetry();
-    if metrics.enabled() {
-        // Fold the engine's per-label lock-wait stats in: the "lockstat"
-        // view of software interference, grouped by lock label.
-        for (label, acq, cont, total_wait, _max, _hist) in engine.all_lock_wait_stats() {
-            let labels = [("label", label.to_string())];
-            let a = metrics.counter("lock_acquisitions", &labels);
-            let c = metrics.counter("lock_contended", &labels);
-            let w = metrics.counter("lock_wait_ns", &labels);
-            metrics.add(a, acq);
-            metrics.add(c, cont);
-            metrics.add(w, total_wait);
-        }
-    }
+    // The "lockstat" view of software interference, by lock label.
+    engine.fold_lock_counters(&mut metrics);
     metrics.absorb(&kernel_metrics, &[]);
     let attrib = std::mem::take(&mut engine.world_mut().kernel_mut().attrib);
     Ok(RunResult {

@@ -201,7 +201,7 @@ mod tests {
             }
             TraceEventKind::FaultInjected(fault) => {
                 args.push(("fault", Value::from(fault.kind.name())));
-                args.push(("site", Value::str(fault.site.clone())));
+                args.push(("site", Value::str(fault.site)));
             }
             TraceEventKind::Syscall { no, enter } => {
                 args.push(("no", Value::from(u64::from(*no))));
@@ -309,7 +309,7 @@ mod tests {
             TraceEventKind::TimerTicks(Box::new(TimerTicksArgs { n: max, cost_ns: 0 })),
             TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
                 kind: ksa_desim::FaultKind::IoError,
-                site: "io:\"q\\d\"\n\t\u{1}é😀".to_string(),
+                site: "io:\"q\\d\"\n\t\u{1}é😀",
             })),
             TraceEventKind::Syscall {
                 no: u16::MAX,
@@ -444,7 +444,7 @@ mod tests {
             10,
             TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
                 kind: ksa_desim::FaultKind::AllocFail,
-                site: "mmap:\"zone\\lru\"\n".to_string(),
+                site: "mmap:\"zone\\lru\"\n",
             })),
         )]);
         let rendered = chrome_trace_json(&log);

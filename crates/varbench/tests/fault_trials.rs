@@ -6,8 +6,9 @@
 //! leaves the latencies of calls that only touch site B's error path
 //! unchanged relative to a plan that never fires.
 
-use ksa_desim::{FaultKind, FaultPlan, FaultSchedule};
+use ksa_desim::{FaultPlan, FaultSchedule};
 use ksa_envsim::{EnvKind, EnvSpec, Machine};
+use ksa_kernel::fault_site;
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::{Arg, Call, Program, SysNo};
 use ksa_varbench::{run_hooked, RunConfig, RunResult};
@@ -55,16 +56,8 @@ fn run_with_plan(seed: u64, plan: FaultPlan) -> RunResult {
 #[test]
 fn same_seed_and_plan_replay_bit_identically() {
     let plan = FaultPlan::new(0xfa17)
-        .site(
-            FaultKind::IoError,
-            "io.fsync.data".to_string(),
-            FaultSchedule::EveryNth(3),
-        )
-        .site(
-            FaultKind::AllocFail,
-            "mm.mmap.vma".to_string(),
-            FaultSchedule::ProbMilli(200),
-        );
+        .site(fault_site!("io.fsync.data"), FaultSchedule::EveryNth(3))
+        .site(fault_site!("mm.mmap.vma"), FaultSchedule::ProbMilli(200));
     let a = run_with_plan(21, plan.clone());
     let b = run_with_plan(21, plan);
     assert_eq!(a.sim_ns, b.sim_ns);
@@ -86,16 +79,8 @@ fn different_plans_diverge() {
     // Sanity check that the injection actually changes timing — without
     // it, the determinism test above would pass vacuously.
     let hot = FaultPlan::new(1)
-        .site(
-            FaultKind::IoError,
-            "io.fsync.data".to_string(),
-            FaultSchedule::EveryNth(2),
-        )
-        .site(
-            FaultKind::AllocFail,
-            "mm.mmap.vma".to_string(),
-            FaultSchedule::EveryNth(2),
-        );
+        .site(fault_site!("io.fsync.data"), FaultSchedule::EveryNth(2))
+        .site(fault_site!("mm.mmap.vma"), FaultSchedule::EveryNth(2));
     let a = run_with_plan(21, hot);
     let b = run_with_plan(21, FaultPlan::none());
     let diverged = a
@@ -112,22 +97,11 @@ fn disjoint_fault_sites_do_not_interfere() {
     // mmap/munmap program's samples identical to a plan that schedules a
     // *different*, never-reached file-I/O site: the decision hash is
     // per-site, so an unrelated schedule entry cannot perturb it.
-    let mm_only = FaultPlan::new(7).site(
-        FaultKind::AllocFail,
-        "mm.mmap.vma".to_string(),
-        FaultSchedule::EveryNth(2),
-    );
+    let mm_only = FaultPlan::new(7).site(fault_site!("mm.mmap.vma"), FaultSchedule::EveryNth(2));
     let mm_plus_unreached = FaultPlan::new(7)
-        .site(
-            FaultKind::AllocFail,
-            "mm.mmap.vma".to_string(),
-            FaultSchedule::EveryNth(2),
-        )
-        .site(
-            FaultKind::IoError,
-            "io.read.disk".to_string(), // corpus never reads: site unreached
-            FaultSchedule::EveryNth(1),
-        );
+        .site(fault_site!("mm.mmap.vma"), FaultSchedule::EveryNth(2))
+        // The corpus never reads: this site is unreached.
+        .site(fault_site!("io.read.disk"), FaultSchedule::EveryNth(1));
     let a = run_with_plan(33, mm_only);
     let b = run_with_plan(33, mm_plus_unreached);
     assert_eq!(
