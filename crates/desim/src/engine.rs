@@ -1,15 +1,16 @@
 //! The event engine: virtual clock, event queue and effect dispatch.
 //!
 //! The scheduling core is built for raw single-trial speed (see
-//! DESIGN.md, "engine hot path"): events live in an index-addressed
-//! slab queue ([`EventQueue`]) instead of a `BinaryHeap` of boxed
-//! records, IPI bookkeeping is a dense slab keyed by token index,
-//! same-time wake trains (lock grants, barrier releases, queue
-//! signals) coalesce into a single queue operation, and a user
-//! process's IPI broadcast is one queue event at its last ack's key.
-//! All of it is bit-identical to the naive one-event-per-wake (and
-//! one-event-per-ack) formulation because `(t, seq)` is a total order
-//! — see the determinism notes on [`EventQueue`].
+//! DESIGN.md, "engine hot path"): events live inline in a 4-ary heap
+//! behind a front slot ([`EventQueue`]), so an event pushed as the new
+//! minimum and popped next never touches the heap; IPI bookkeeping is
+//! a dense slab keyed by token index; same-time wake trains (lock
+//! grants, barrier releases, queue signals) coalesce into a single
+//! queue operation; and a user process's IPI broadcast is one queue
+//! event at its last ack's key. All of it is bit-identical to the
+//! naive one-event-per-wake (and one-event-per-ack) formulation
+//! because `(t, seq)` is a total order — see the determinism notes on
+//! [`EventQueue`].
 
 use ksa_telemetry::{MetricId, Registry, TelemetryConfig};
 use rand::rngs::StdRng;
@@ -179,6 +180,10 @@ enum EventKind {
     IpiAck(u32),
 }
 
+// Every sift moves whole entries: a wider `WakeReason` or `EventKind`
+// would grow each of them.
+const _: () = assert!(std::mem::size_of::<crate::equeue::Entry<EventKind>>() <= 32);
+
 #[derive(Debug)]
 struct QueueState {
     waiting: std::collections::VecDeque<Pid>,
@@ -251,6 +256,9 @@ pub struct EngineState {
     proc_done: Vec<bool>,
     /// Per-pid label of what the process is blocked on (diagnostics).
     proc_blocked_on: Vec<&'static str>,
+    /// Per-pid [`Process::label`], read at spawn so diagnostics can
+    /// name a process whose box is out of the table.
+    proc_label: Vec<&'static str>,
     records: Vec<Record>,
     params: EngineParams,
     rng: StdRng,
@@ -723,6 +731,7 @@ impl<W> Engine<W> {
                 grant_buf: Vec::new(),
                 proc_done: Vec::new(),
                 proc_blocked_on: Vec::new(),
+                proc_label: Vec::new(),
                 records: Vec::new(),
                 params,
                 rng: StdRng::seed_from_u64(seed),
@@ -795,13 +804,20 @@ impl<W> Engine<W> {
 
     /// Spawns a process bound to `core`, first resumed at `start_at`.
     pub fn spawn(&mut self, core: CoreId, proc: Box<dyn Process<W>>, start_at: Ns) -> Pid {
-        assert!(core.index() < self.st.cores.len(), "unknown core");
+        let label = proc.label();
+        assert!(
+            core.index() < self.st.cores.len(),
+            "spawn of \"{label}\" on unknown core {} (the engine has {} cores)",
+            core.0,
+            self.st.cores.len()
+        );
         let pid = Pid(self.procs.len() as u32);
         let daemon = proc.is_daemon();
         let kind = proc.kind();
         self.procs.push(Some(proc));
         self.st.proc_done.push(false);
         self.st.proc_blocked_on.push("start");
+        self.st.proc_label.push(label);
         self.st.proc_core.push(core);
         self.st.proc_daemon.push(daemon);
         self.st.proc_kind.push(kind);
@@ -1072,17 +1088,14 @@ impl<W> Engine<W> {
     }
 
     fn stall_error(&self, events: u64, livelock: bool) -> SimError {
-        let blocked = self
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.st.proc_done[i])
-            .map(|(i, s)| {
-                let label = s
-                    .as_ref()
-                    .map(|p| p.label().to_string())
-                    .unwrap_or_default();
-                (Pid(i as u32), label, self.st.proc_blocked_on[i].to_string())
+        let blocked = (0..self.procs.len())
+            .filter(|&i| !self.st.proc_done[i])
+            .map(|i| {
+                (
+                    Pid(i as u32),
+                    self.st.proc_label[i].to_string(),
+                    self.st.proc_blocked_on[i].to_string(),
+                )
             })
             .collect();
         let trace_tail = self.st.trace_on().then(|| {
@@ -1126,10 +1139,17 @@ impl<W> Engine<W> {
             let id = self.st.em.wakes;
             self.st.telem.add(id, 1);
         }
-        let mut proc = self.procs[pid.index()]
-            .take()
-            .expect("process resumed re-entrantly");
         let core = self.st.proc_core[pid.index()];
+        let Some(mut proc) = self.procs[pid.index()].take() else {
+            panic!(
+                "process resumed re-entrantly: pid {} \"{}\" on core {} at t={}ns ({} wake)",
+                pid.0,
+                self.st.proc_label[pid.index()],
+                core.0,
+                self.st.clock,
+                wake.tag()
+            );
+        };
         loop {
             let effect = {
                 let mut ctx = SimCtx {
@@ -1478,6 +1498,28 @@ mod tests {
         let res = eng.run().unwrap();
         assert_eq!(res.clock, 150);
         assert_eq!(probe.get(), 150);
+    }
+
+    #[test]
+    #[should_panic(expected = "spawn of \"process\" on unknown core 3 (the engine has 1 cores)")]
+    fn spawn_on_unknown_core_names_core_and_count() {
+        let mut eng = engine();
+        eng.add_core(CoreConfig::default());
+        eng.spawn(CoreId(3), Box::new(Scripted::new(vec![])), 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "process resumed re-entrantly: pid 0 \"process\" on core 1 at t=250ns (start wake)"
+    )]
+    fn reentrant_resume_names_pid_core_and_time() {
+        let mut eng = engine();
+        let cores = [0, 1].map(|_| eng.add_core(CoreConfig::default()));
+        let pid = eng.spawn(cores[1], Box::new(Scripted::new(vec![])), 250);
+        // The state a resume leaves behind while the box is out of the
+        // table; waking the pid then is the re-entrant case.
+        eng.procs[pid.index()].take();
+        let _ = eng.run();
     }
 
     #[test]

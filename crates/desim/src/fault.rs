@@ -345,14 +345,6 @@ impl NodeFaultPlan {
         }
     }
 
-    /// True when no fault can ever fire.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.partitions.is_empty()
-            && self.degrades.is_empty()
-            && self.drop_milli == 0
-    }
-
     /// Schedules a crash (builder style).
     pub fn crash(mut self, node: usize, at: Ns, down_for: Ns) -> Self {
         self.crashes.push(NodeCrash { node, at, down_for });

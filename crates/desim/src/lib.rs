@@ -60,7 +60,7 @@ pub use cpu::{CoreConfig, CoreId, CoreState, OccClass};
 pub use engine::{
     BarrierId, Engine, EngineParams, QueueId, RcuId, Record, SimCtx, SimError, SimResult,
 };
-pub use equeue::{EventId, EventQueue};
+pub use equeue::EventQueue;
 pub use fault::{
     Backoff, FaultKind, FaultPlan, FaultSchedule, FaultSite, FaultState, InjectedFault,
     LinkDegrade, LinkPartition, NodeCrash, NodeFaultPlan, NsWindow,

@@ -125,8 +125,9 @@ pub trait Process<W> {
         }
     }
 
-    /// Debug label used in stall diagnostics.
-    fn label(&self) -> &str {
+    /// Debug label used in stall and panic diagnostics; the engine
+    /// reads it once, at spawn.
+    fn label(&self) -> &'static str {
         "process"
     }
 }

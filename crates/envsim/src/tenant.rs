@@ -441,7 +441,7 @@ impl<W: HasKernel + 'static> Process<W> for TenantHost {
         self.next(ctx)
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "tenant-host"
     }
 }

@@ -110,7 +110,7 @@ impl<W: HasKernel> Process<W> for Flusher {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "flusher"
     }
 }
@@ -173,7 +173,7 @@ impl<W: HasKernel> Process<W> for Kswapd {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "kswapd"
     }
 }
@@ -268,7 +268,7 @@ impl<W: HasKernel> Process<W> for LoadBalancer {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "load_balancer"
     }
 }
@@ -326,7 +326,7 @@ impl<W: HasKernel> Process<W> for VmstatWorker {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "vmstat"
     }
 }
@@ -405,7 +405,7 @@ impl<W: HasKernel> Process<W> for NapiPoller {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "napi"
     }
 

@@ -364,16 +364,17 @@ impl<'a> HCtx<'a> {
             .find(|&i| !matches!(fds[i].kind, crate::state::FdKind::Closed))
     }
 
-    /// Resolves an argument to one of this slot's mapped VMAs.
+    /// Resolves an argument to one of this slot's mapped VMAs: the
+    /// first mapped index at or after `raw % vmas.len()`, wrapping
+    /// around to the lowest.
     pub fn pick_vma(&self, raw: u64) -> Option<usize> {
-        let vmas = &self.k.state.slots[self.slot].vmas;
-        if vmas.is_empty() {
+        let slot = &self.k.state.slots[self.slot];
+        if slot.vmas.is_empty() {
             return None;
         }
-        let start = (raw as usize) % vmas.len();
-        (0..vmas.len())
-            .map(|i| (start + i) % vmas.len())
-            .find(|&i| vmas[i].mapped)
+        let start = (raw as usize) % slot.vmas.len();
+        let mapped = &slot.mapped_idx;
+        mapped.range(start..).next().or(mapped.first()).copied()
     }
 
     /// Maps a path selector into this slot's name table index.
@@ -624,20 +625,19 @@ pub fn dispatch_exit(
     // Address-space teardown: one page-table walk and one shootdown for
     // everything still mapped, then the vma table dies with the process.
     let (vpages, vpop, nvmas, shm_idx) = {
-        let vmas = &h.k.state.slots[slot].vmas;
+        let st = &h.k.state.slots[slot];
         let mut pages = 0;
         let mut pop = 0;
-        let mut n = 0u64;
         let mut shm = Vec::new();
-        for v in vmas.iter().filter(|v| v.mapped) {
+        for &i in &st.mapped_idx {
+            let v = &st.vmas[i];
             pages += v.pages;
             pop += v.populated;
-            n += 1;
             if let Some(si) = v.shm {
                 shm.push(si);
             }
         }
-        (pages, pop, n, shm)
+        (pages, pop, st.mapped_idx.len() as u64, shm)
     };
     if nvmas > 0 {
         cov_bucket!(h, "sched.exit.vmas", HCtx::size_class(nvmas));
@@ -657,7 +657,7 @@ pub fn dispatch_exit(
     }
     let st = &mut h.k.state.slots[slot];
     st.vmas.clear();
-    st.mapped_vmas = 0;
+    st.mapped_idx.clear();
 
     // Heap: free everything brk grew past the initial break.
     let brk = h.k.state.slots[slot].brk_pages;
@@ -865,7 +865,7 @@ mod tests {
         let slot = &inst.state.slots[0];
         assert!(slot.open_fds > 0);
         assert_eq!(slot.children_pending, 1);
-        assert_eq!(slot.mapped_vmas, 1);
+        assert_eq!(slot.mapped_idx.len(), 1);
         assert_eq!(slot.free_fds.len(), 0, "the closed fd was reused");
         assert_eq!(inst.state.net.socks[sock_idx(&inst, c)].backlog_refs, 2);
 
@@ -881,12 +881,54 @@ mod tests {
         assert!(slot.fds.len() as u64 <= slot.peak_open_fds);
         assert_eq!(slot.free_fds.len(), slot.fds.len(), "every fd reusable");
         assert!(slot.vmas.is_empty());
-        assert_eq!(slot.mapped_vmas, 0);
+        assert!(slot.mapped_idx.is_empty());
         assert_eq!(slot.brk_pages, 16);
         assert_eq!(slot.children_pending, 0);
         let net = &inst.state.net;
         assert_eq!(net.live_socks, 0);
         assert!(net.socks.len() as u64 <= net.peak_socks);
         assert!(net.socks.iter().all(|s| s.backlog_refs == 0));
+    }
+
+    /// The mapped-VMA index resolves every selector to the same VMA as
+    /// a cyclic scan of the whole table from `raw % len`.
+    #[test]
+    fn pick_vma_matches_cyclic_scan() {
+        let mut inst = test_instance();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut sel = SmallRng::seed_from_u64(8);
+        for _ in 0..400 {
+            if sel.gen_bool(0.5) {
+                let pages = sel.gen_range(1u64..8);
+                dispatch_simple(&mut inst, 0, SysNo::Mmap, &[pages, 0], &mut rng);
+            } else {
+                let vma = sel.gen::<u64>();
+                dispatch_simple(&mut inst, 0, SysNo::Munmap, &[vma], &mut rng);
+            }
+        }
+        let vmas = inst.state.slots[0].vmas.clone();
+        let mapped = vmas.iter().filter(|v| v.mapped).count();
+        assert!(
+            vmas.len() > 64 && mapped > 0,
+            "churn left {mapped}/{}",
+            vmas.len()
+        );
+        let (mut cover, mut faults, mut seq) =
+            (CoverageSet::new(), FaultState::default(), OpSeq::new());
+        let h = HCtx {
+            k: &mut inst,
+            slot: 0,
+            rng: &mut rng,
+            cover: &mut cover,
+            faults: &mut faults,
+            seq: &mut seq,
+        };
+        for raw in (0..3 * vmas.len() as u64).chain([u64::MAX]) {
+            let start = raw as usize % vmas.len();
+            let scan = (0..vmas.len())
+                .map(|i| (start + i) % vmas.len())
+                .find(|&i| vmas[i].mapped);
+            assert_eq!(h.pick_vma(raw), scan, "selector {raw}");
+        }
     }
 }

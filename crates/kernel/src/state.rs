@@ -10,11 +10,11 @@
 //! The host-side bookkeeping is indexed so that no per-event lookup
 //! walks a table that grows with tenant density: free fd and socket
 //! slots sit in min-heaps, sockets count the backlog entries naming
-//! them, and slots count their mapped VMAs. None of it reaches the cost
+//! them, and slots index their mapped VMAs. None of it reaches the cost
 //! model, which is charged only through the handlers' `cpu`/`mem` calls.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// A file descriptor entry in a slot's fd table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +79,10 @@ pub struct SlotState {
     /// VMAs; index+1 = the "address" handle returned by mmap. Unmapped
     /// entries stay until process exit clears the table.
     pub vmas: Vec<Vma>,
-    /// Entries of `vmas` still mapped (what `clone` copies).
-    pub mapped_vmas: u64,
+    /// Indices of the entries of `vmas` still mapped (what `clone`
+    /// copies), so resolving a VMA selector is a range lookup instead of
+    /// a scan of the whole table.
+    pub mapped_idx: BTreeSet<usize>,
     /// Heap size in pages (brk).
     pub brk_pages: u64,
     /// Effective uid.
@@ -397,7 +399,7 @@ impl SubsysState {
                 fds: Vec::new(),
                 free_fds: BinaryHeap::new(),
                 vmas: Vec::new(),
-                mapped_vmas: 0,
+                mapped_idx: BTreeSet::new(),
                 brk_pages: 16,
                 uid: 1000,
                 umask: 0o022,

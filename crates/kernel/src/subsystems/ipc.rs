@@ -252,7 +252,7 @@ pub fn sys_shmat(h: &mut HCtx, shmid: u64) {
         locked: false,
         shm: Some(si),
     });
-    slot.mapped_vmas += 1;
+    slot.mapped_idx.insert(slot.vmas.len() - 1);
     h.seq.result = slot.vmas.len() as u64;
 }
 
@@ -286,7 +286,7 @@ pub fn sys_shmdt(h: &mut HCtx, vma_sel: u64) {
     let slot = &mut h.k.state.slots[h.slot];
     slot.vmas[vi].mapped = false;
     slot.vmas[vi].populated = 0;
-    slot.mapped_vmas -= 1;
+    slot.mapped_idx.remove(&vi);
     h.k.state.ipc.shms[si].attaches = h.k.state.ipc.shms[si].attaches.saturating_sub(1);
 }
 

@@ -62,7 +62,7 @@ pub fn sys_mmap(h: &mut HCtx, len_pages: u64, flags: u64) {
         locked: false,
         shm: None,
     });
-    slot.mapped_vmas += 1;
+    slot.mapped_idx.insert(slot.vmas.len() - 1);
     h.seq.result = slot.vmas.len() as u64; // address handle
 }
 
@@ -97,7 +97,7 @@ pub fn sys_munmap(h: &mut HCtx, vma_sel: u64) {
     let slot = &mut h.k.state.slots[h.slot];
     slot.vmas[vi].mapped = false;
     slot.vmas[vi].populated = 0;
-    slot.mapped_vmas -= 1;
+    slot.mapped_idx.remove(&vi);
 }
 
 /// mprotect(vma): PTE rewrite plus shootdown for permission narrowing.

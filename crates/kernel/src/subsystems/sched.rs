@@ -59,7 +59,7 @@ pub fn sys_clone(h: &mut HCtx, _flags: u64) {
     }
 
     // Copy mm: cost scales with the address-space size built up so far.
-    let vmas = h.k.state.slots[h.slot].mapped_vmas as Ns;
+    let vmas = h.k.state.slots[h.slot].mapped_idx.len() as Ns;
     if vmas > 8 {
         cov!(h, "sched.clone.large_mm");
     }

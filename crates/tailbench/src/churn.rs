@@ -181,7 +181,11 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
             fd_open_after += slot.open_fds;
             tables_bounded &= slot.fds.len() as u64 <= slot.peak_open_fds
                 && slot.free_fds.len() as u64 + slot.open_fds == slot.fds.len() as u64
-                && slot.mapped_vmas == slot.vmas.iter().filter(|v| v.mapped).count() as u64;
+                && slot
+                    .mapped_idx
+                    .iter()
+                    .copied()
+                    .eq((0..slot.vmas.len()).filter(|&i| slot.vmas[i].mapped));
         }
         let net = &inst.state.net;
         sock_table_len += net.socks.len() as u64;

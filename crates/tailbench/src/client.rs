@@ -302,7 +302,7 @@ impl Process<TbWorld> for Client {
         }
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "tailbench_client"
     }
 }

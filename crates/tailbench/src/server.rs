@@ -308,7 +308,7 @@ impl Process<TbWorld> for ServerWorker {
         true
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         self.app.name
     }
 }

@@ -281,7 +281,7 @@ impl<W: HasKernel> Process<W> for CorpusWorker {
         self.daemon
     }
 
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "corpus_worker"
     }
 }

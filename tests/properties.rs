@@ -16,6 +16,7 @@ use ksa_core::stats::{quantile_sorted, BucketRow, Samples};
 use ksa_core::syzgen::{mutate, ProgramGenerator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const CASES: u64 = 64;
 
@@ -868,84 +869,60 @@ fn pool_panics_stay_isolated() {
     });
 }
 
-/// The slab event queue's free-list reuse is invisible to simulation
-/// outputs. Two layers:
+/// The front-slot event queue is invisible to simulation outputs. Two
+/// layers:
 ///
-/// 1. **Model check.** Under arbitrary random churn — pushes, pops and
-///    cancellations interleaved, so freed slots are constantly recycled
-///    and lazily-reclaimed cancelled entries linger in the heap — the
-///    queue pops exactly the `(t, seq)` order of a reference model, a
-///    second queue driven by the same script pops byte-identically, and
-///    the slab never materializes more slots than the peak number of
-///    outstanding heap entries (reuse actually happens).
+/// 1. **Model check.** Under random push/pop churn with half the times
+///    drawn from a narrow window above the last popped time — so pushes
+///    that become the new minimum, pushes that displace a held front,
+///    and equal-`t` ties all occur, and the check asserts they did — the
+///    queue pops exactly the `(t, seq)` order of a `BTreeSet` model and
+///    its `len` tracks the model's.
 /// 2. **Campaign check.** A full varbench campaign — the workload whose
-///    sleep timers, lock queues and IPI fan-outs recycle slab slots
-///    millions of times — produces identical FNV digests across pool
-///    widths 1/4/auto and across a replay at every width.
+///    sleep timers, lock queues and IPI fan-outs push and pop millions
+///    of events — produces identical FNV digests across pool widths
+///    1/4/auto and across a replay at every width.
 #[test]
-fn engine_slab_reuse_is_bit_identical() {
-    use ksa_core::desim::{EventId, EventQueue};
+fn event_queue_pops_in_model_order() {
+    use ksa_core::desim::EventQueue;
 
-    for_each_case("engine_slab_reuse_is_bit_identical", |seed, rng| {
+    for_each_case("event_queue_pops_in_model_order", |seed, rng| {
         let mut q: EventQueue<u32> = EventQueue::new();
-        let mut twin: EventQueue<u32> = EventQueue::new();
-        // Reference model: the live key set. `seq` assignment is the
+        // Reference model: the queued key set. `seq` assignment is the
         // queue's own, mirrored here by counting pushes.
-        let mut model: std::collections::BTreeSet<(u64, u64, u32)> = Default::default();
-        let mut live: Vec<(EventId, EventId, (u64, u64, u32))> = Vec::new();
-        let mut pushes = 0u64;
-        let mut pops = 0u64;
-        let mut peak_outstanding = 0usize;
-        let mut payload = 0u32;
+        let mut model: BTreeSet<(u64, u64, u32)> = BTreeSet::new();
+        let (mut pushes, mut now) = (0u64, 0u64);
+        // Pushes below the model minimum; of those, the ones made while
+        // the front slot was held (a new minimum pushed since the last
+        // pop takes it); and pushes tying an already-queued time.
+        let (mut new_min, mut displaced, mut ties) = (0u32, 0u32, 0u32);
+        let mut front_held = false;
         for _ in 0..400 {
-            match rng.gen_range(0u32..10) {
-                // Push (~half the steps, so the queue stays populated).
-                0..=4 => {
-                    let t = rng.gen_range(0u64..50);
-                    payload += 1;
-                    let key = (t, pushes, payload);
-                    let id = q.push(t, payload);
-                    let tid = twin.push(t, payload);
-                    pushes += 1;
-                    model.insert(key);
-                    live.push((id, tid, key));
+            if rng.gen_range(0u32..8) < 4 {
+                // Half the pushes land just after `now`, the rest far
+                // out, so near pushes often beat everything queued.
+                let window = if rng.gen_bool(0.5) { 4 } else { 200 };
+                let t = now + rng.gen_range(0u64..window);
+                let key = (t, pushes, pushes as u32);
+                let is_min = model.first().is_none_or(|&first| key < first);
+                new_min += u32::from(is_min);
+                displaced += u32::from(is_min && front_held);
+                ties += u32::from(model.iter().any(|&(mt, _, _)| mt == t));
+                front_held |= is_min;
+                q.push(t, key.2);
+                pushes += 1;
+                model.insert(key);
+            } else {
+                let got = q.pop();
+                assert_eq!(got, model.pop_first(), "seed {seed:#x}: wrong pop");
+                if let Some((t, _, _)) = got {
+                    now = t;
                 }
-                // Pop: both queues must yield the model minimum.
-                5..=7 => {
-                    let got = q.pop();
-                    assert_eq!(got, twin.pop(), "seed {seed:#x}: twin diverged");
-                    match model.pop_first() {
-                        Some((t, s, p)) => {
-                            assert_eq!(got, Some((t, s, p)), "seed {seed:#x}: wrong pop");
-                            pops += 1;
-                            live.retain(|(_, _, key)| *key != (t, s, p));
-                        }
-                        None => assert_eq!(got, None, "seed {seed:#x}: pop from empty"),
-                    }
-                }
-                // Cancel a random live event (stale ids exercised too:
-                // popped entries stay in `live` until the retain above).
-                _ => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let i = rng.gen_range(0..live.len());
-                    let (id, tid, key) = live.swap_remove(i);
-                    assert_eq!(
-                        q.cancel(id),
-                        twin.cancel(tid),
-                        "seed {seed:#x}: cancel outcome diverged"
-                    );
-                    model.remove(&key);
-                }
+                front_held = false;
             }
-            // Heap entries never exceed pushes - successful pops (cancels
-            // leave their entry in place until it surfaces), so this is
-            // an upper bound on the slab the queue may materialize.
-            peak_outstanding = peak_outstanding.max((pushes - pops) as usize);
+            assert_eq!(q.len(), model.len(), "seed {seed:#x}: len diverged");
         }
         while let Some(got) = q.pop() {
-            assert_eq!(Some(got), twin.pop(), "seed {seed:#x}: drain diverged");
             assert_eq!(
                 Some(got),
                 model.pop_first(),
@@ -957,14 +934,13 @@ fn engine_slab_reuse_is_bit_identical() {
             "seed {seed:#x}: model has leftover events"
         );
         assert!(
-            q.slab_len() <= peak_outstanding,
-            "seed {seed:#x}: slab grew to {} with peak {} outstanding — free list not reused",
-            q.slab_len(),
-            peak_outstanding
+            new_min > 0 && displaced > 0 && ties > 0,
+            "seed {seed:#x}: churn missed a path (new minimum {new_min}, \
+             displaced front {displaced}, equal-t ties {ties})"
         );
     });
 
-    // Campaign layer: slab recycling at scale must be invisible to the
+    // Campaign layer: queue churn at scale must be invisible to the
     // simulated outputs for every pool width, twice.
     use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
     use ksa_core::experiments::{default_corpus, Scale};
@@ -1005,7 +981,7 @@ fn engine_slab_reuse_is_bit_identical() {
         assert_eq!(
             digest(&run_configs(&configs, &corpus, jobs, &|_, _| {})),
             baseline,
-            "jobs {jobs}: slab-backed campaign not bit-identical on replay"
+            "jobs {jobs}: campaign not bit-identical on replay"
         );
     }
 }
@@ -1132,8 +1108,10 @@ fn indexed_kernel_tables_match_linear_scans() {
                 .filter(|f| matches!(f.kind, FdKind::Closed))
                 .count();
             assert_eq!(slot.free_fds.len(), closed, "{ctx}: slot {si} free fds");
-            let mapped = slot.vmas.iter().filter(|v| v.mapped).count() as u64;
-            assert_eq!(slot.mapped_vmas, mapped, "{ctx}: slot {si} mapped vmas");
+            let mapped: BTreeSet<usize> = (0..slot.vmas.len())
+                .filter(|&i| slot.vmas[i].mapped)
+                .collect();
+            assert_eq!(slot.mapped_idx, mapped, "{ctx}: slot {si} mapped vmas");
         }
         let net = &inst.state.net;
         let held = held_socks(inst);
