@@ -6,10 +6,12 @@
 //! minimum and popped next never touches the heap; IPI bookkeeping is
 //! a dense slab keyed by token index; same-time wake trains (lock
 //! grants, barrier releases, queue signals) coalesce into a single
-//! queue operation; and a user process's IPI broadcast is one queue
-//! event at its last ack's key. All of it is bit-identical to the
-//! naive one-event-per-wake (and one-event-per-ack) formulation
-//! because `(t, seq)` is a total order — see the determinism notes on
+//! queue operation; a user process's IPI broadcast is one queue event
+//! at its last ack's key; and a process whose own next wake would be
+//! popped next keeps running without queueing it (inline continuation,
+//! `EngineState::wake_self`). All of it is bit-identical to the naive
+//! one-event-per-wake (and one-event-per-ack) formulation because
+//! `(t, seq)` is a total order — see the determinism notes on
 //! [`EventQueue`].
 
 use ksa_telemetry::{MetricId, Registry, TelemetryConfig};
@@ -264,6 +266,13 @@ pub struct EngineState {
     rng: StdRng,
     faults: FaultState,
     event_budget: u64,
+    /// Events processed by the current `run` call, popped or continued
+    /// in place.
+    processed: u64,
+    /// True while a wake train's later members are still to be
+    /// dispatched: they are out of the queue, so the queue minimum does
+    /// not show them and no wake may continue in place.
+    train_pending: bool,
     proc_core: Vec<CoreId>,
     proc_daemon: Vec<bool>,
     live_users: usize,
@@ -292,9 +301,10 @@ pub struct EngineState {
 struct EngineMetrics {
     /// Events popped and dispatched (`engine_events_dispatched`).
     dispatched: MetricId,
-    /// Events pushed onto the heap — the engine's allocation-rate
-    /// proxy, since each event is a heap slot and the heap grows by
-    /// doubling (`engine_events_scheduled`).
+    /// Events scheduled: pushed onto the queue, or continued in place
+    /// of a push that would have been popped next (`Engine::run`'s
+    /// inline continuation), so the count matches one push per wake
+    /// (`engine_events_scheduled`).
     scheduled: MetricId,
     /// Event-queue depth after each dispatch (`engine_event_queue_depth`).
     queue_depth: MetricId,
@@ -340,11 +350,107 @@ impl EngineState {
     }
 
     fn schedule(&mut self, t: Ns, kind: EventKind) {
-        debug_assert!(t >= self.clock, "scheduling into the past");
-        self.events.push(t, kind);
+        let seq = self.reserve_key(t, kind, 1);
+        self.events.push_keyed(t, seq, kind);
+    }
+
+    /// Takes the seq a push of `kind` at `t` uses, counting it as `n`
+    /// scheduled events; `kind` must not lie in the past.
+    fn reserve_key(&mut self, t: Ns, kind: EventKind, n: u64) -> u64 {
+        debug_assert!(
+            t >= self.clock,
+            "scheduling into the past: {} at t={t}ns, but the clock is at t={}ns",
+            self.describe(kind),
+            self.clock
+        );
         if self.telem_on() {
-            self.telem.add(self.em.scheduled, 1);
+            self.telem.add(self.em.scheduled, n);
         }
+        self.events.reserve_seq()
+    }
+
+    /// Names an event and the process it concerns, for diagnostics.
+    fn describe(&self, kind: EventKind) -> String {
+        match kind {
+            EventKind::Wake(pid, reason) => format!("{} wake of pid {}", reason.tag(), pid.0),
+            EventKind::WakeBatch(b) => {
+                let train = &self.batches[b as usize];
+                let lead = train.first().map_or(0, |w| w.0 .0);
+                format!("wake train of {} led by pid {lead}", train.len())
+            }
+            EventKind::IpiAck(token) => {
+                format!("IPI ack for pid {}", self.ipis[token as usize].sender.0)
+            }
+        }
+    }
+
+    /// The dispatch prologue every processed event shares, popped or
+    /// continued in place: checks the event budget, counts the event,
+    /// moves the clock to `t` and fires the per-dispatch telemetry.
+    /// Returns false, changing nothing, when the budget is spent.
+    #[inline]
+    fn begin_dispatch(&mut self, t: Ns) -> bool {
+        if self.event_budget != 0 && self.processed >= self.event_budget {
+            return false;
+        }
+        self.processed += 1;
+        self.clock = t;
+        if self.telem_on() {
+            let em = self.em;
+            let depth = self.events.len() as u64;
+            self.telem.add(em.dispatched, 1);
+            self.telem.set(em.queue_depth, depth);
+            self.telem.set_max(em.queue_peak, depth);
+            self.telem.sample_tick(self.clock);
+        }
+        true
+    }
+
+    /// The wake prologue: settles an unknown-duration block now that its
+    /// end is known, traces the wake and counts it. (Timer, I/O and RCU
+    /// waits were settled when the effect was issued.)
+    fn begin_wake(&mut self, pid: Pid, wake: WakeReason) {
+        let settle = match wake {
+            WakeReason::LockGranted(_) => Some(LatComp::LockWait),
+            WakeReason::IpiDone => Some(LatComp::IpiWait),
+            WakeReason::BarrierReleased => Some(LatComp::BarrierWait),
+            WakeReason::Signaled(_) => Some(LatComp::QueueWait),
+            _ => None,
+        };
+        if let Some(comp) = settle {
+            let dt = self.clock - self.blocked_since[pid.index()];
+            self.lat[pid.index()].add(comp, dt);
+        }
+        if self.trace_on() {
+            self.trace_push(pid, TraceEventKind::Wake { reason: wake });
+        }
+        if self.telem_on() {
+            self.telem.add(self.em.wakes, 1);
+        }
+    }
+
+    /// Wakes `pid` at `t`, the known end of its own wait. When that wake
+    /// would be the next event popped, it is dispatched in place instead
+    /// of queued, and the caller resumes the process straight away
+    /// (returns true). It would be popped next when `t` is strictly
+    /// below the queue minimum's time (an equal time loses the tie on
+    /// seq), the run is not about to end, and no wake-train peers are
+    /// waiting outside the queue to be dispatched first. The seq, the
+    /// counters, the budget check and the trace are those of the push
+    /// and pop it replaces, so the continuation is unobservable.
+    fn wake_self(&mut self, t: Ns, pid: Pid, reason: WakeReason) -> bool {
+        let kind = EventKind::Wake(pid, reason);
+        let seq = self.reserve_key(t, kind, 1);
+        if !self.train_pending
+            && self.live_users > 0
+            && self.events.min_t().is_none_or(|min| t < min)
+            && self.begin_dispatch(t)
+        {
+            self.begin_wake(pid, reason);
+            return true;
+        }
+        self.events.push_keyed(t, seq, kind);
+        false
     }
 
     fn wake_at(&mut self, t: Ns, pid: Pid, reason: WakeReason) {
@@ -386,10 +492,9 @@ impl EngineState {
             }
             n => {
                 self.batches[b as usize] = train;
-                self.events.push(t, EventKind::WakeBatch(b));
-                if self.telem_on() {
-                    self.telem.add(self.em.scheduled, n as u64);
-                }
+                let kind = EventKind::WakeBatch(b);
+                let seq = self.reserve_key(t, kind, n as u64);
+                self.events.push_keyed(t, seq, kind);
             }
         }
     }
@@ -737,6 +842,8 @@ impl<W> Engine<W> {
                 rng: StdRng::seed_from_u64(seed),
                 faults: FaultState::default(),
                 event_budget: 0,
+                processed: 0,
+                train_pending: false,
                 proc_core: Vec::new(),
                 proc_daemon: Vec::new(),
                 live_users: 0,
@@ -778,8 +885,13 @@ impl<W> Engine<W> {
     }
 
     /// Registers a barrier over `size` participants; returns its id.
+    #[track_caller]
     pub fn add_barrier(&mut self, size: u32) -> BarrierId {
-        assert!(size > 0, "barrier size must be positive");
+        assert!(
+            size > 0,
+            "barrier size must be positive: add_barrier(0) called at {}",
+            std::panic::Location::caller()
+        );
         let id = BarrierId(self.st.barriers.len() as u32);
         self.st.barriers.push(BarrierState {
             size,
@@ -998,25 +1110,22 @@ impl<W> Engine<W> {
 
     /// Runs to completion: until every non-daemon process is done.
     pub fn run(&mut self) -> Result<SimResult, SimError> {
-        let mut processed: u64 = 0;
-        let budget = self.st.event_budget;
+        self.st.processed = 0;
+        self.st.train_pending = false;
         while self.st.live_users > 0 {
             let Some((t, seq, kind)) = self.st.events.pop() else {
-                return Err(self.stall_error(processed, false));
+                return Err(self.stall_error(false));
             };
             match kind {
                 EventKind::Wake(pid, reason) => {
-                    if budget != 0 && processed >= budget {
+                    if !self.st.begin_dispatch(t) {
                         // Watchdog: the run keeps generating events
                         // without the user processes finishing. Park the
                         // event for a possible resume and report a
                         // structured livelock instead of spinning forever.
                         self.st.events.push_keyed(t, seq, kind);
-                        return Err(self.stall_error(processed, true));
+                        return Err(self.stall_error(true));
                     }
-                    processed += 1;
-                    self.st.clock = t;
-                    self.dispatch_telem();
                     self.run_process(pid, reason);
                 }
                 EventKind::WakeBatch(b) => {
@@ -1025,18 +1134,16 @@ impl<W> Engine<W> {
                     // exactly as if the train were N separate events.
                     let mut train = std::mem::take(&mut self.st.batches[b as usize]);
                     for i in 0..train.len() {
-                        if budget != 0 && processed >= budget {
+                        if !self.st.begin_dispatch(t) {
                             // Re-park the undispatched tail of the train
                             // at the original key; its wakes stay ahead
                             // of any later same-time arrivals.
                             train.drain(..i);
                             self.st.batches[b as usize] = train;
                             self.st.events.push_keyed(t, seq, EventKind::WakeBatch(b));
-                            return Err(self.stall_error(processed, true));
+                            return Err(self.stall_error(true));
                         }
-                        processed += 1;
-                        self.st.clock = t;
-                        self.dispatch_telem();
+                        self.st.train_pending = i + 1 < train.len();
                         let (pid, reason) = train[i];
                         self.run_process(pid, reason);
                     }
@@ -1049,16 +1156,15 @@ impl<W> Engine<W> {
                     // has left. Like a wake train, each ack counts as one
                     // processed event with the budget checked before it,
                     // and a budget stop re-parks the rest at this key.
+                    // Only the last ack wakes the sender, so its wake may
+                    // continue in place with no peers left behind.
                     let p = self.st.ipis[token as usize];
                     let acks = if p.weight == 1 { 1 } else { p.remaining };
                     for _ in 0..acks {
-                        if budget != 0 && processed >= budget {
+                        if !self.st.begin_dispatch(t) {
                             self.st.events.push_keyed(t, seq, kind);
-                            return Err(self.stall_error(processed, true));
+                            return Err(self.stall_error(true));
                         }
-                        processed += 1;
-                        self.st.clock = t;
-                        self.dispatch_telem();
                         if let Some(sender) = self.st.ack(token) {
                             self.run_process(sender, WakeReason::IpiDone);
                         }
@@ -1069,25 +1175,11 @@ impl<W> Engine<W> {
         Ok(SimResult {
             clock: self.st.clock,
             records: std::mem::take(&mut self.st.records),
-            events: processed,
+            events: self.st.processed,
         })
     }
 
-    /// Per-dispatch telemetry: counters, queue-depth gauges and the
-    /// time-series sampler. Inert (one branch) without telemetry.
-    #[inline]
-    fn dispatch_telem(&mut self) {
-        if self.st.telem_on() {
-            let em = self.st.em;
-            let depth = self.st.events.len() as u64;
-            self.st.telem.add(em.dispatched, 1);
-            self.st.telem.set(em.queue_depth, depth);
-            self.st.telem.set_max(em.queue_peak, depth);
-            self.st.telem.sample_tick(self.st.clock);
-        }
-    }
-
-    fn stall_error(&self, events: u64, livelock: bool) -> SimError {
+    fn stall_error(&self, livelock: bool) -> SimError {
         let blocked = (0..self.procs.len())
             .filter(|&i| !self.st.proc_done[i])
             .map(|i| {
@@ -1106,7 +1198,7 @@ impl<W> Engine<W> {
         });
         SimError::Stalled {
             clock: self.st.clock,
-            events,
+            events: self.st.processed,
             livelock,
             blocked,
             trace_tail,
@@ -1117,28 +1209,7 @@ impl<W> Engine<W> {
         if self.st.proc_done[pid.index()] {
             return;
         }
-        // Settle unknown-duration blocks now that the wake time is known.
-        // (Timer, I/O and RCU waits were settled when the effect was
-        // issued, because their end time was already known then.)
-        let settle = match wake {
-            WakeReason::LockGranted(_) => Some(LatComp::LockWait),
-            WakeReason::IpiDone => Some(LatComp::IpiWait),
-            WakeReason::BarrierReleased => Some(LatComp::BarrierWait),
-            WakeReason::Signaled(_) => Some(LatComp::QueueWait),
-            _ => None,
-        };
-        if let Some(comp) = settle {
-            let dt = self.st.clock - self.st.blocked_since[pid.index()];
-            self.st.lat[pid.index()].add(comp, dt);
-        }
-        if self.st.trace_on() {
-            self.st
-                .trace_push(pid, TraceEventKind::Wake { reason: wake });
-        }
-        if self.st.telem_on() {
-            let id = self.st.em.wakes;
-            self.st.telem.add(id, 1);
-        }
+        self.st.begin_wake(pid, wake);
         let core = self.st.proc_core[pid.index()];
         let Some(mut proc) = self.procs[pid.index()].take() else {
             panic!(
@@ -1161,7 +1232,9 @@ impl<W> Engine<W> {
             };
             let st = &mut self.st;
             let now = st.clock;
-            match effect {
+            // The four effects that end in a wake at a known time yield
+            // it here; every other arm continues or breaks itself.
+            let (t, reason) = match effect {
                 Effect::Delay(n) => {
                     let class = match st.proc_kind[pid.index()] {
                         ProcKind::User => OccClass::User,
@@ -1206,9 +1279,8 @@ impl<W> Engine<W> {
                             },
                         );
                     }
-                    st.wake_at(end, pid, WakeReason::Timer);
                     st.proc_blocked_on[pid.index()] = "delay";
-                    break;
+                    (end, WakeReason::Timer)
                 }
                 Effect::Sleep(n) => {
                     st.lat[pid.index()].add(LatComp::Sleep, n);
@@ -1220,9 +1292,8 @@ impl<W> Engine<W> {
                             },
                         );
                     }
-                    st.wake_at(now + n, pid, WakeReason::Timer);
                     st.proc_blocked_on[pid.index()] = "sleep";
-                    break;
+                    (now + n, WakeReason::Timer)
                 }
                 Effect::Acquire(lock, mode) => {
                     if st.locks[lock.index()].try_acquire(pid, mode) {
@@ -1324,9 +1395,8 @@ impl<W> Engine<W> {
                             },
                         );
                     }
-                    st.wake_at(done, pid, WakeReason::IoDone);
                     st.proc_blocked_on[pid.index()] = "io";
-                    break;
+                    (done, WakeReason::IoDone)
                 }
                 Effect::Barrier(b) => {
                     let full = {
@@ -1394,9 +1464,8 @@ impl<W> Engine<W> {
                             },
                         );
                     }
-                    st.wake_at(now + gp + jitter, pid, WakeReason::RcuDone);
                     st.proc_blocked_on[pid.index()] = "rcu";
-                    break;
+                    (now + gp + jitter, WakeReason::RcuDone)
                 }
                 Effect::Done => {
                     st.proc_done[pid.index()] = true;
@@ -1405,7 +1474,11 @@ impl<W> Engine<W> {
                     }
                     break;
                 }
+            };
+            if !st.wake_self(t, pid, reason) {
+                break;
             }
+            wake = reason;
         }
         self.procs[pid.index()] = Some(proc);
     }
@@ -1421,6 +1494,7 @@ mod tests {
         at: usize,
         wakes: Vec<WakeReason>,
         releases: Vec<(usize, LockId)>, // release lock before issuing effect #i
+        records: Vec<(usize, u64)>,     // record key before issuing effect #i
         finish_time: std::rc::Rc<std::cell::Cell<Ns>>,
         daemon: bool,
     }
@@ -1432,6 +1506,7 @@ mod tests {
                 at: 0,
                 wakes: Vec::new(),
                 releases: Vec::new(),
+                records: Vec::new(),
                 finish_time: Default::default(),
                 daemon: false,
             }
@@ -1447,6 +1522,11 @@ mod tests {
             self
         }
 
+        fn with_record(mut self, before: usize, key: u64) -> Self {
+            self.records.push((before, key));
+            self
+        }
+
         fn with_finish_probe(mut self, probe: std::rc::Rc<std::cell::Cell<Ns>>) -> Self {
             self.finish_time = probe;
             self
@@ -1459,6 +1539,11 @@ mod tests {
             for &(before, lock) in &self.releases {
                 if before == self.at {
                     ctx.release(lock);
+                }
+            }
+            for &(before, key) in &self.records {
+                if before == self.at {
+                    ctx.record(key, 0);
                 }
             }
             if self.at >= self.effects.len() {
@@ -1498,6 +1583,27 @@ mod tests {
         let res = eng.run().unwrap();
         assert_eq!(res.clock, 150);
         assert_eq!(probe.get(), 150);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "scheduling into the past: start wake of pid 1 at t=5ns, but the clock is at t=150ns"
+    )]
+    fn scheduling_into_the_past_names_the_event_pid_and_both_times() {
+        let mut eng = engine();
+        let c = eng.add_core(CoreConfig::default());
+        eng.spawn(c, Box::new(Scripted::new(vec![Effect::Delay(150)])), 0);
+        eng.run().unwrap();
+        eng.spawn(c, Box::new(Scripted::new(vec![])), 5);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "barrier size must be positive: add_barrier(0) called at crates/desim/src/engine.rs:"
+    )]
+    fn zero_size_barrier_names_its_caller() {
+        engine().add_barrier(0);
     }
 
     #[test]
@@ -2574,5 +2680,65 @@ mod tests {
         assert_eq!(depth(false, false), 2, "coalesced: one event for 7 acks");
         assert_eq!(depth(true, false), 8, "telemetry on: one event per ack");
         assert_eq!(depth(false, true), 8, "daemon sender: one event per ack");
+    }
+
+    #[test]
+    fn train_member_cannot_continue_ahead_of_its_peers() {
+        let mut eng = engine();
+        let cores = tickless_cores(&mut eng, 2);
+        let b = eng.add_barrier(2);
+        // Pid 0 reaches the barrier first, so it leads the release
+        // train; its delay must not run ahead of pid 1, whose wake is
+        // in the train and so not yet back in the queue.
+        eng.spawn(
+            cores[0],
+            Box::new(Scripted::new(vec![Effect::Barrier(b), Effect::Delay(10)]).with_record(2, 0)),
+            0,
+        );
+        eng.spawn(
+            cores[1],
+            Box::new(Scripted::new(vec![Effect::Barrier(b)]).with_record(1, 1)),
+            0,
+        );
+        let res = eng.run().unwrap();
+        let release = EngineParams::default().barrier_release;
+        let got: Vec<(Pid, Ns)> = res.records.iter().map(|r| (r.pid, r.t)).collect();
+        assert_eq!(got, vec![(Pid(1), release), (Pid(0), release + 10)]);
+        assert_eq!((res.clock, res.events), (release + 10, 5));
+    }
+
+    #[test]
+    fn budget_spent_inside_a_continued_chain_stalls_at_the_pushed_count() {
+        // Alone on an empty queue, every one of these wakes would
+        // continue in place. One push per wake counts the start wake
+        // and the wakes at 10 and 20 against a budget of 3, so the run
+        // stops before the wake at 30 with that wake queued.
+        let mut eng = engine();
+        let c = tickless_cores(&mut eng, 1)[0];
+        let probe = std::rc::Rc::new(std::cell::Cell::new(0));
+        eng.spawn(
+            c,
+            Box::new(
+                Scripted::new(vec![Effect::Delay(10); 5])
+                    .with_record(3, 0)
+                    .with_finish_probe(probe.clone()),
+            ),
+            0,
+        );
+        eng.set_event_budget(3);
+        let stalled = eng.run().unwrap_err();
+        let SimError::Stalled {
+            clock,
+            events,
+            livelock,
+            ..
+        } = &stalled;
+        assert_eq!((*clock, *events, *livelock), (20, 3, true), "{stalled}");
+        assert_eq!(eng.st.events.len(), 1, "the wake at 30 is parked");
+        eng.set_event_budget(0);
+        let res = eng.run().unwrap();
+        assert_eq!((res.clock, res.events, probe.get()), (50, 3, 50));
+        assert_eq!(res.records.len(), 1);
+        assert_eq!(res.records[0].t, 30);
     }
 }

@@ -679,9 +679,9 @@ pub fn dispatch_exit(
         let tasklist = h.k.locks.tasklist;
         let pidmap = h.k.locks.pidmap;
         let rq = h.k.locks.runqueue[slot];
-        h.push(KOp::Lock(tasklist, LockMode::Exclusive));
+        h.lock(tasklist);
         h.cpu(cost.task_reap * children.min(32));
-        h.push(KOp::Unlock(tasklist));
+        h.unlock(tasklist);
         h.lock(pidmap);
         h.cpu(cost.pid_alloc / 2 * children.min(32));
         h.unlock(pidmap);

@@ -73,9 +73,9 @@ pub fn sys_msgget(h: &mut HCtx) {
         return;
     }
     let ids = h.k.locks.ipc_ids;
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Exclusive));
+    h.lock(ids);
     h.cpu(cost.ipc_lookup + 500);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     let qs = &mut h.k.state.ipc.msgqs;
     qs.push(MsgQueue::default());
     h.seq.result = (qs.len() - 1) as u64;
@@ -101,9 +101,9 @@ pub fn sys_msgsnd(h: &mut HCtx, qid: u64, bytes: u64) {
     );
     let ids = h.k.locks.ipc_ids;
     let obj = h.k.locks.ipc_obj[h.slot];
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Shared));
+    h.rlock(ids);
     h.cpu(cost.ipc_lookup);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     if !h.try_slab_alloc(1, fault_site!("ipc.msgsnd.msg")) {
         // No msg_msg buffer: the queue is untouched.
         fail!(h, Errno::ENOMEM, "ipc.msgsnd.enomem");
@@ -130,9 +130,9 @@ pub fn sys_msgrcv(h: &mut HCtx, qid: u64, _bytes: u64) {
     }
     let ids = h.k.locks.ipc_ids;
     let obj = h.k.locks.ipc_obj[h.slot];
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Shared));
+    h.rlock(ids);
     h.cpu(cost.ipc_lookup);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     let qi = qid as usize % nq;
     let (msgs, qbytes) = {
         let q = &h.k.state.ipc.msgqs[qi];
@@ -168,9 +168,9 @@ pub fn sys_semget(h: &mut HCtx, nsems: u64) {
         return;
     }
     let ids = h.k.locks.ipc_ids;
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Exclusive));
+    h.lock(ids);
     h.cpu(cost.ipc_lookup + 90 * n as u64 + 400);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     let sems = &mut h.k.state.ipc.sems;
     sems.push(n);
     h.seq.result = (sems.len() - 1) as u64;
@@ -189,9 +189,9 @@ pub fn sys_semop(h: &mut HCtx, sid: u64, nops: u64) {
     cov!(h, "ipc.semop");
     let ids = h.k.locks.ipc_ids;
     let obj = h.k.locks.ipc_obj[h.slot];
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Shared));
+    h.rlock(ids);
     h.cpu(cost.ipc_lookup);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     let sems = h.k.state.ipc.sems[sid as usize % ns] as u64;
     h.lock(obj);
     h.cpu(250 + 100 * (nops % 8).max(1) + 20 * sems);
@@ -208,9 +208,9 @@ pub fn sys_shmget(h: &mut HCtx, pages: u64) {
         return;
     }
     let ids = h.k.locks.ipc_ids;
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Exclusive));
+    h.lock(ids);
     h.cpu(cost.ipc_lookup + 700);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     let shms = &mut h.k.state.ipc.shms;
     shms.push(ShmSeg { pages, attaches: 0 });
     h.seq.result = (shms.len() - 1) as u64;
@@ -231,9 +231,9 @@ pub fn sys_shmat(h: &mut HCtx, shmid: u64) {
     let pages = h.k.state.ipc.shms[si].pages;
     let ids = h.k.locks.ipc_ids;
     let mmap_sem = h.k.locks.mmap_sem[h.slot];
-    h.push(KOp::Lock(ids, ksa_desim::LockMode::Shared));
+    h.rlock(ids);
     h.cpu(cost.ipc_lookup);
-    h.push(KOp::Unlock(ids));
+    h.unlock(ids);
     h.lock(mmap_sem);
     h.cpu(cost.vma_alloc);
     h.unlock(mmap_sem);
@@ -259,10 +259,13 @@ pub fn sys_shmat(h: &mut HCtx, shmid: u64) {
 /// shmdt: detach unmaps — teardown plus a TLB shootdown.
 pub fn sys_shmdt(h: &mut HCtx, vma_sel: u64) {
     let cost = h.cost();
-    // Find a shm-backed mapped vma.
+    // Find a shm-backed mapped vma, scanning from the selected slot
+    // (reduced first, so a selector near u64::MAX cannot overflow).
     let vmas = &h.k.state.slots[h.slot].vmas;
+    let len = vmas.len().max(1);
+    let start = (vma_sel % len as u64) as usize;
     let pick = (0..vmas.len())
-        .map(|i| (vma_sel as usize + i) % vmas.len().max(1))
+        .map(|i| (start + i) % len)
         .find(|&i| vmas[i].mapped && vmas[i].shm.is_some());
     let Some(vi) = pick else {
         cov!(h, "ipc.shmdt.einval");

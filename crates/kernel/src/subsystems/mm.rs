@@ -335,7 +335,7 @@ pub fn sys_mincore(h: &mut HCtx, vma_sel: u64) {
     let pages = h.k.state.slots[h.slot].vmas[vi].pages;
     cov!(h, "mm.mincore");
     let mmap_sem = h.k.locks.mmap_sem[h.slot];
-    h.push(KOp::Lock(mmap_sem, ksa_desim::LockMode::Shared));
+    h.rlock(mmap_sem);
     h.cpu(30 * pages as Ns + 200);
-    h.push(KOp::Unlock(mmap_sem));
+    h.unlock(mmap_sem);
 }

@@ -114,9 +114,9 @@ pub fn sys_capget(h: &mut HCtx) {
     cov!(h, "perm.capget");
     let cost = h.cost();
     let tasklist = h.k.locks.tasklist;
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+    h.rlock(tasklist);
     h.cpu(cost.cap_compute);
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
 }
 
 /// capset: recompute + publish capability sets.
@@ -162,9 +162,9 @@ pub fn sys_prctl(h: &mut HCtx, option: u64) {
         0 => {
             cov!(h, "perm.prctl.name");
             let tasklist = h.k.locks.tasklist;
-            h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+            h.rlock(tasklist);
             h.cpu(300);
-            h.push(KOp::Unlock(tasklist));
+            h.unlock(tasklist);
         }
         1 => {
             cov!(h, "perm.prctl.seccomp");

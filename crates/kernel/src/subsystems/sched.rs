@@ -69,9 +69,9 @@ pub fn sys_clone(h: &mut HCtx, _flags: u64) {
     h.cpu(cost.pid_alloc);
     h.unlock(pidmap);
 
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Exclusive));
+    h.lock(tasklist);
     h.cpu(cost.task_create_base / 2);
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
 
     h.lock(rq);
     h.cpu(cost.rq_op);
@@ -88,9 +88,9 @@ pub fn sys_clone(h: &mut HCtx, _flags: u64) {
 pub fn sys_wait4(h: &mut HCtx, _pid: u64) {
     let cost = h.cost();
     let tasklist = h.k.locks.tasklist;
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+    h.rlock(tasklist);
     h.cpu(400);
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
     if h.k.state.slots[h.slot].children_pending > 0 {
         cov!(h, "sched.wait4.reap");
         // Release the pid and task struct; runqueue dequeue.
@@ -116,9 +116,9 @@ pub fn sys_wait4(h: &mut HCtx, _pid: u64) {
 pub fn sys_kill(h: &mut HCtx, _pid: u64, sig: u64) {
     let cost = h.cost();
     let tasklist = h.k.locks.tasklist;
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+    h.rlock(tasklist);
     h.cpu(350 + 15 * (h.k.state.sched.nr_tasks / 16).min(64));
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
     if sig == 0 {
         cov!(h, "sched.kill.probe");
     } else {
@@ -169,9 +169,9 @@ pub fn sys_setpriority(h: &mut HCtx, _nice: u64) {
     let cost = h.cost();
     let tasklist = h.k.locks.tasklist;
     let rq = h.k.locks.runqueue[h.slot];
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+    h.rlock(tasklist);
     h.cpu(250);
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
     h.lock(rq);
     h.cpu(cost.rq_op);
     h.unlock(rq);
@@ -204,7 +204,7 @@ pub fn sys_nanosleep(h: &mut HCtx, ns: u64) {
 pub fn sys_getrusage(h: &mut HCtx) {
     cov!(h, "sched.getrusage");
     let tasklist = h.k.locks.tasklist;
-    h.push(KOp::Lock(tasklist, ksa_desim::LockMode::Shared));
+    h.rlock(tasklist);
     h.cpu(500);
-    h.push(KOp::Unlock(tasklist));
+    h.unlock(tasklist);
 }

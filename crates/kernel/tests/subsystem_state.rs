@@ -248,6 +248,23 @@ fn shm_attach_detach_tracks_attaches() {
 }
 
 #[test]
+fn shmdt_with_a_huge_selector_wraps_onto_the_shm_mapping() {
+    let mut f = Fixture::new(1);
+    let id = f.call(SysNo::Shmget, &[64]).result;
+    f.call(SysNo::Shmat, &[id]);
+    f.call(SysNo::Mmap, &[16, 0]);
+    let vmas = &f.inst.state.slots[0].vmas;
+    let len = vmas.len() as u64;
+    // The selector lands on the plain mapping, so the scan must step
+    // past the end of the table and wrap to the shm one.
+    assert!(vmas[(u64::MAX % len) as usize].shm.is_none());
+    let seq = f.call(SysNo::Shmdt, &[u64::MAX]);
+    assert_eq!(seq.error, None);
+    assert!(f.covered("ipc.shmdt"));
+    assert_eq!(f.inst.state.ipc.shms[id as usize].attaches, 0);
+}
+
+#[test]
 fn same_futex_address_hashes_to_same_bucket_lock() {
     // Two dispatches with the same uaddr must serialize on one bucket;
     // different addresses spread. We check via the emitted lock ids.

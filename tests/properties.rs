@@ -192,6 +192,174 @@ fn engine_clock_is_monotone() {
     });
 }
 
+/// A process whose own next wake would be the queue minimum continues in
+/// place instead of queueing it; that must be invisible. Random scripts
+/// of delays, sleeps, I/O, RCU syncs and spin-lock sections around one
+/// barrier run alone, where continuations fire freely, and again beside
+/// a daemon doing `Delay(1)` forever on a spare core. The daemon always
+/// has a wake queued at or below `now + 1`, and every scripted wait is
+/// at least 1 ns, so there no user wake can continue in place. Records
+/// (with their times, in order) and the final clock must match.
+#[test]
+fn inline_continuation_is_unobservable() {
+    use ksa_core::desim::{BarrierId, DevId, DeviceModel, LockId, LockKind, LockMode, RcuId};
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Delay(u64),
+        Sleep(u64),
+        Io(u64),
+        Rcu,
+        /// Spin-lock section: acquire, compute this long, release.
+        Locked(u64),
+        Barrier,
+    }
+    struct Script {
+        ops: Vec<(Op, bool)>,
+        at: usize,
+        /// Record key for the op that just completed.
+        pending: Option<u64>,
+        acquiring: bool,
+        held: bool,
+        key: u64,
+        ids: (LockId, BarrierId, DevId, RcuId),
+    }
+    impl Process<()> for Script {
+        fn resume(&mut self, ctx: &mut SimCtx<'_, ()>, _w: WakeReason) -> Effect {
+            let (lock, barrier, dev, rcu) = self.ids;
+            if let Some(key) = self.pending.take() {
+                let now = ctx.now();
+                ctx.record(key, now);
+            }
+            if self.held {
+                ctx.release(lock);
+                self.held = false;
+            }
+            let Some(&(op, record)) = self.ops.get(self.at) else {
+                return Effect::Done;
+            };
+            if let Op::Locked(n) = op {
+                if !self.acquiring {
+                    self.acquiring = true;
+                    return Effect::Acquire(lock, LockMode::Exclusive);
+                }
+                self.acquiring = false;
+                self.held = true;
+                self.at += 1;
+                self.pending = record.then_some(self.key + self.at as u64);
+                return Effect::Delay(n);
+            }
+            self.at += 1;
+            self.pending = record.then_some(self.key + self.at as u64);
+            match op {
+                Op::Delay(n) => Effect::Delay(n),
+                Op::Sleep(n) => Effect::Sleep(n),
+                Op::Io(bytes) => Effect::Io { dev, bytes },
+                Op::Rcu => Effect::RcuSync(rcu),
+                Op::Barrier => Effect::Barrier(barrier),
+                Op::Locked(_) => unreachable!(),
+            }
+        }
+    }
+    struct Ticker;
+    impl Process<()> for Ticker {
+        fn resume(&mut self, _ctx: &mut SimCtx<'_, ()>, _w: WakeReason) -> Effect {
+            Effect::Delay(1)
+        }
+        fn is_daemon(&self) -> bool {
+            true
+        }
+    }
+
+    // Most waits, starts and engine latencies are multiples of one
+    // quantum, so wakes often tie on time and the strict `<` against
+    // the queue minimum is exercised.
+    let quantum = 50;
+    for_each_case("inline_continuation_is_unobservable", |seed, rng| {
+        let n_cores = rng.gen_range(2usize..5);
+        let n_procs = rng.gen_range(2usize..6);
+        let scripts: Vec<(usize, Vec<(Op, bool)>)> = (0..n_procs)
+            .map(|_| {
+                let len = rng.gen_range(2usize..10);
+                let barrier_at = rng.gen_range(0..len);
+                let ops = (0..len)
+                    .map(|i| {
+                        let op = if i == barrier_at {
+                            Op::Barrier
+                        } else {
+                            match rng.gen_range(0u32..6) {
+                                0 | 1 => Op::Delay(quantum * rng.gen_range(1u64..8)),
+                                2 => Op::Sleep(quantum * rng.gen_range(1u64..8)),
+                                3 => Op::Io(rng.gen_range(1u64..8_192)),
+                                4 => Op::Rcu,
+                                _ => Op::Locked(quantum * rng.gen_range(1u64..4)),
+                            }
+                        };
+                        (op, rng.gen_bool(0.6))
+                    })
+                    .collect();
+                (rng.gen_range(0..n_cores), ops)
+            })
+            .collect();
+        let params = EngineParams {
+            rcu_base: 4 * quantum,
+            rcu_per_core: quantum,
+            rcu_jitter: 0,
+            ..EngineParams::default()
+        };
+        let run = |ticker: bool| {
+            let mut eng: Engine<()> = Engine::new((), params, seed);
+            let cores: Vec<_> = (0..=n_cores)
+                .map(|_| {
+                    eng.add_core(CoreConfig {
+                        tick_period: 4 * quantum,
+                        tick_cost: quantum,
+                    })
+                })
+                .collect();
+            let ids = (
+                eng.add_lock(LockKind::Spin, "prop"),
+                eng.add_barrier(n_procs as u32),
+                eng.add_device(DeviceModel {
+                    base: 150,
+                    fs_per_byte: 50_000,
+                    jitter: 90,
+                    channels: 2,
+                }),
+                eng.add_rcu_domain(n_cores as u32),
+            );
+            for (i, (core, ops)) in scripts.iter().enumerate() {
+                let script = Script {
+                    ops: ops.clone(),
+                    at: 0,
+                    pending: None,
+                    acquiring: false,
+                    held: false,
+                    key: (i as u64) << 32,
+                    ids,
+                };
+                // Staggered starts, so the processes interleave.
+                eng.spawn(cores[*core], Box::new(script), quantum * (i as u64 % 3));
+            }
+            if ticker {
+                eng.spawn(cores[n_cores], Box::new(Ticker), 0);
+            }
+            let res = eng.run().unwrap();
+            let records: Vec<(u64, u64, u64)> = res
+                .records
+                .iter()
+                .map(|r| (r.pid.0 as u64, r.key, r.t))
+                .collect();
+            (records, res.clock)
+        };
+        let (alone, clock) = run(false);
+        let (ticked, ticked_clock) = run(true);
+        assert!(!alone.is_empty(), "seed {seed:#x}: no records");
+        assert_eq!(alone, ticked, "seed {seed:#x}: records differ");
+        assert_eq!(clock, ticked_clock, "seed {seed:#x}: clock differs");
+    });
+}
+
 /// A net-heavy trial replays bit-identically under the same seed: same
 /// sites, same sample vectors, same simulated clock. Softirq/NAPI
 /// deferral and NIC queue hashing must not introduce nondeterminism.
