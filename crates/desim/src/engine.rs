@@ -26,8 +26,8 @@ use crate::lock::{LockId, LockKind, LockMode, LockState};
 use crate::process::{Effect, Pid, Process, WakeReason};
 use crate::time::{Ns, US};
 use crate::trace::{
-    FaultInjectedArgs, IoSubmitArgs, LabelId, LatBreakdown, LatComp, LatSnapshot, ProcKind,
-    TimerTicksArgs, TraceConfig, TraceEvent, TraceEventKind, TraceLog, TraceRing,
+    FaultInjectedArgs, LabelId, LatBreakdown, LatComp, LatSnapshot, ProcKind, TraceConfig,
+    TraceEvent, TraceEventKind, TraceLog, TraceRing,
 };
 
 /// Identifier of a wait queue.
@@ -110,14 +110,19 @@ pub enum SimError {
         livelock: bool,
         /// `(pid, label, blocked_on)` for every live, blocked process.
         blocked: Vec<(Pid, String, String)>,
+        /// The earliest queued events in `(t, seq)` order, at most 16,
+        /// each as its time and a description naming the process it
+        /// concerns (empty after a deadlock, which drains the queue).
+        pending: Vec<(Ns, String)>,
         /// The last 16 trace events in merged order, with the run's
         /// label tables (`None` when tracing is off).
         trace_tail: Option<Box<TraceLog>>,
     },
 }
 
-/// Trace events a [`SimError::Stalled`] carries when tracing is on.
-const STALL_TRACE_EVENTS: usize = 16;
+/// Queued events a [`SimError::Stalled`] carries, and trace events
+/// when tracing is on.
+const STALL_EVENTS: usize = 16;
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -127,6 +132,7 @@ impl std::fmt::Display for SimError {
                 events,
                 livelock,
                 blocked,
+                pending,
                 trace_tail,
             } => {
                 if *livelock {
@@ -140,10 +146,16 @@ impl std::fmt::Display for SimError {
                 for (pid, label, on) in blocked {
                     writeln!(f, "  pid {} ({label}) blocked on {on}", pid.0)?;
                 }
+                if !pending.is_empty() {
+                    writeln!(f, "earliest {} queued events:", pending.len())?;
+                    for (t, what) in pending {
+                        writeln!(f, "  t={t}ns {what}")?;
+                    }
+                }
                 if let Some(tail) = trace_tail {
                     writeln!(f, "last {} trace events:", tail.total_events())?;
                     for ev in tail.merged() {
-                        writeln!(f, "  {}", tail.line(ev))?;
+                        writeln!(f, "  {}", tail.line(&ev))?;
                     }
                 }
                 Ok(())
@@ -1190,10 +1202,17 @@ impl<W> Engine<W> {
                 )
             })
             .collect();
+        let pending = self
+            .st
+            .events
+            .earliest(STALL_EVENTS)
+            .into_iter()
+            .map(|(t, kind)| (t, self.st.describe(kind)))
+            .collect();
         let trace_tail = self.st.trace_on().then(|| {
             Box::new(TraceLog {
                 lock_labels: self.lock_labels(),
-                ..self.st.trace.tail(STALL_TRACE_EVENTS)
+                ..self.st.trace.tail(STALL_EVENTS)
             })
         });
         SimError::Stalled {
@@ -1201,6 +1220,7 @@ impl<W> Engine<W> {
             events: self.st.processed,
             livelock,
             blocked,
+            pending,
             trace_tail,
         }
     }
@@ -1266,11 +1286,13 @@ impl<W> Engine<W> {
                     }
                     if st.trace_on() {
                         if ticks > 0 {
-                            let args = Box::new(TimerTicksArgs {
-                                n: ticks,
-                                cost_ns: tick_cost,
-                            });
-                            st.trace_push(pid, TraceEventKind::TimerTicks(args));
+                            st.trace_push(
+                                pid,
+                                TraceEventKind::TimerTicks {
+                                    n: ticks,
+                                    cost_ns: tick_cost,
+                                },
+                            );
                         }
                         st.trace_push(
                             pid,
@@ -1383,11 +1405,13 @@ impl<W> Engine<W> {
                     let done = st.devices[dev.index()].submit(now, bytes, jitter);
                     st.lat[pid.index()].add(LatComp::IoWait, done - now);
                     if st.trace_on() {
-                        let args = Box::new(IoSubmitArgs {
-                            bytes,
-                            dur_ns: done - now,
-                        });
-                        st.trace_push(pid, TraceEventKind::IoSubmit(args));
+                        st.trace_push(
+                            pid,
+                            TraceEventKind::IoSubmit {
+                                bytes,
+                                dur_ns: done - now,
+                            },
+                        );
                         st.trace_push(
                             pid,
                             TraceEventKind::Block {
@@ -1954,12 +1978,14 @@ mod tests {
             SimError::Stalled {
                 blocked,
                 livelock,
+                pending,
                 trace_tail,
                 ..
             } => {
                 assert!(!livelock, "drained heap is a deadlock, not a livelock");
                 assert_eq!(blocked.len(), 1);
                 assert_eq!(blocked[0].2, "queue");
+                assert!(pending.is_empty(), "a deadlock drains the queue");
                 assert_eq!(trace_tail, None, "tracing was off");
             }
         }
@@ -1995,7 +2021,7 @@ mod tests {
         let err = eng.run().unwrap_err();
         let SimError::Stalled { trace_tail, .. } = &err;
         let n = trace_tail.as_ref().expect("tracing was on").total_events();
-        assert!(n > 0 && n <= STALL_TRACE_EVENTS, "{n} events");
+        assert!(n > 0 && n <= STALL_EVENTS, "{n} events");
         let text = err.to_string();
         assert!(text.contains("blocked on inode"), "{text}");
         let contend = text
@@ -2039,6 +2065,44 @@ mod tests {
                 assert_eq!(blocked[0].1, "spinner");
             }
         }
+    }
+
+    #[test]
+    fn untraced_livelock_names_its_pending_wakes_in_key_order() {
+        // Two never-ending sleepers: pid 0 loops on 1 µs naps, pid 1
+        // naps for a millisecond, so the budget runs out with pid 0's
+        // next wake at the front of the queue and pid 1's behind it.
+        struct Napper(Ns);
+        impl Process<()> for Napper {
+            fn resume(&mut self, _ctx: &mut SimCtx<'_, ()>, _w: WakeReason) -> Effect {
+                Effect::Sleep(self.0)
+            }
+        }
+        let mut eng = engine();
+        let c = eng.add_core(CoreConfig::default());
+        eng.spawn(c, Box::new(Napper(1_000)), 0);
+        eng.spawn(c, Box::new(Napper(1_000_000)), 0);
+        eng.set_event_budget(10);
+        let err = eng.run().unwrap_err();
+        let SimError::Stalled {
+            pending,
+            trace_tail,
+            ..
+        } = &err;
+        assert_eq!(trace_tail, &None, "tracing was off");
+        assert_eq!(
+            pending,
+            &vec![
+                (9_000, "timer wake of pid 0".to_string()),
+                (1_000_000, "timer wake of pid 1".to_string()),
+            ]
+        );
+        let text = err.to_string();
+        let blocked = text.find("blocked on").expect("blocked list");
+        let queued = text
+            .find("earliest 2 queued events:\n  t=9000ns timer wake of pid 0\n")
+            .unwrap_or_else(|| panic!("no pending wakes in:\n{text}"));
+        assert!(blocked < queued, "pending events follow the blocked list");
     }
 
     #[test]

@@ -153,6 +153,20 @@ impl<T: Copy> EventQueue<T> {
         Some(top.into_parts())
     }
 
+    /// The `n` smallest-key events as `(t, payload)`, in key order.
+    /// Sorts a copy of the queue: for diagnostics, not the hot path.
+    pub(crate) fn earliest(&self, n: usize) -> Vec<(Ns, T)> {
+        let mut all: Vec<Entry<T>> = self.front.iter().chain(&self.heap).copied().collect();
+        all.sort_unstable_by_key(|e| e.key);
+        all.truncate(n);
+        all.into_iter()
+            .map(|e| {
+                let (t, _, payload) = e.into_parts();
+                (t, payload)
+            })
+            .collect()
+    }
+
     #[inline]
     fn heap_push(&mut self, entry: Entry<T>) {
         let mut i = self.heap.len();

@@ -72,7 +72,6 @@ pub use pool::{default_jobs, parallel_indexed, resolve_jobs, run_tasks, TaskResu
 pub use process::{Effect, Pid, Process, WakeReason};
 pub use time::{Ns, MS, SEC, US};
 pub use trace::{
-    FaultInjectedArgs, IoSubmitArgs, LabelId, LatBreakdown, LatComp, LatSnapshot, MarkArgs,
-    ProcKind, TimerTicksArgs, TraceArg, TraceConfig, TraceEvent, TraceEventKind, TraceLog,
-    TraceRing,
+    FaultInjectedArgs, LabelId, LatBreakdown, LatComp, LatSnapshot, MarkArgs, ProcKind, TraceArg,
+    TraceConfig, TraceEvent, TraceEventKind, TraceLog, TraceRing,
 };

@@ -3,8 +3,8 @@
 //!
 //! This is the simulation's ftrace/lockstat/perf analogue. Two layers:
 //!
-//! * **Trace rings** ([`TraceRing`], one per core) hold typed
-//!   [`TraceEvent`]s — scheduler wakeups/blocks, lock contention and
+//! * **Trace rings** ([`TraceRing`], one per core) hold byte-encoded
+//!   typed [`TraceEvent`]s — scheduler wakeups/blocks, lock contention and
 //!   grants *with wait durations*, RCU grace periods, IPI broadcasts,
 //!   I/O submissions, timer-tick overhead, fault injections, and
 //!   kernel-layer marks (syscall enter/exit, VM exits, softirq
@@ -221,9 +221,10 @@ impl LatSnapshot {
 
 /// A typed trace event. Times are absolute virtual nanoseconds.
 ///
-/// 32 bytes: a 16-byte header and a 16-byte [`TraceEventKind`]. Labels
-/// are not stored per event; lock labels and interned tags resolve
-/// through the owning [`TraceLog`].
+/// Rings do not hold `TraceEvent`s: [`TraceRing`] stores each one
+/// byte-encoded and rebuilds it on read. Labels are not stored per
+/// event; lock labels and interned tags resolve through the owning
+/// [`TraceLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time of the event.
@@ -236,17 +237,14 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-// A full-scale sweep holds millions of events: a variant carrying an
-// inline `&str` or `String` would grow every one of them.
-const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
-
 /// An interned trace label: an index into [`TraceLog::labels`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(pub u32);
 
-/// The event vocabulary — the simulation's tracepoint set. No variant
-/// holds a string or a field wider than 8 bytes, and each fits in 16
-/// bytes with the tag; the rare wider payloads sit behind a `Box`.
+/// The event vocabulary — the simulation's tracepoint set. Every variant
+/// but [`FaultInjected`](TraceEventKind::FaultInjected) and
+/// [`Mark`](TraceEventKind::Mark) reduces to at most two integer words,
+/// which is what a [`TraceRing`] stores.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// The process was resumed (sched_wakeup analogue).
@@ -293,9 +291,19 @@ pub enum TraceEventKind {
         handler_ns: Ns,
     },
     /// An I/O request was submitted.
-    IoSubmit(Box<IoSubmitArgs>),
+    IoSubmit {
+        /// Request size.
+        bytes: u64,
+        /// Submission → completion duration (queue + service).
+        dur_ns: Ns,
+    },
     /// A compute charge crossed timer ticks.
-    TimerTicks(Box<TimerTicksArgs>),
+    TimerTicks {
+        /// Ticks crossed.
+        n: u64,
+        /// Total tick overhead added.
+        cost_ns: Ns,
+    },
     /// The fault plan injected a failure at a site.
     FaultInjected(Box<FaultInjectedArgs>),
     /// Kernel-layer mark: syscall entry/exit (emitted by the executor).
@@ -314,24 +322,6 @@ pub enum TraceEventKind {
     },
     /// Generic labelled mark with two payload words.
     Mark(Box<MarkArgs>),
-}
-
-/// Payload of [`TraceEventKind::IoSubmit`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IoSubmitArgs {
-    /// Request size.
-    pub bytes: u64,
-    /// Submission → completion duration (queue + service).
-    pub dur_ns: Ns,
-}
-
-/// Payload of [`TraceEventKind::TimerTicks`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimerTicksArgs {
-    /// Ticks crossed.
-    pub n: u64,
-    /// Total tick overhead added.
-    pub cost_ns: Ns,
 }
 
 /// Payload of [`TraceEventKind::FaultInjected`].
@@ -370,8 +360,8 @@ impl TraceEventKind {
             TraceEventKind::LockReleased { .. } => "lock_released",
             TraceEventKind::RcuSync { .. } => "rcu_sync",
             TraceEventKind::IpiBroadcast { .. } => "ipi_broadcast",
-            TraceEventKind::IoSubmit(_) => "io_submit",
-            TraceEventKind::TimerTicks(_) => "timer_ticks",
+            TraceEventKind::IoSubmit { .. } => "io_submit",
+            TraceEventKind::TimerTicks { .. } => "timer_ticks",
             TraceEventKind::FaultInjected(_) => "fault_injected",
             TraceEventKind::Syscall { .. } => "syscall",
             TraceEventKind::VmExit { .. } => "vm_exit",
@@ -433,11 +423,227 @@ impl Default for TraceConfig {
     }
 }
 
+/// The byte encoding a [`TraceRing`] stores. Each event is a tag byte,
+/// then five LEB128 varints: the zigzagged time delta from the ring's
+/// previous event (signed, because `push` accepts any `t`), the pid,
+/// the core and two payload words. `LockAcquired`'s `contended` and
+/// `Syscall`'s `enter` fold into the tag. `FaultInjected` and `Mark`
+/// carry a `&'static str`, so their words are zero and the kind itself
+/// waits in the ring's side queue.
+mod codec {
+    use super::{LabelId, LatComp, LockId, TraceEventKind};
+    use crate::engine::QueueId;
+    use crate::process::WakeReason;
+
+    const WAKE: u8 = 0;
+    const BLOCK: u8 = 1;
+    const LOCK_CONTEND: u8 = 2;
+    const LOCK_ACQUIRED: u8 = 3;
+    const LOCK_ACQUIRED_CONTENDED: u8 = 4;
+    const LOCK_RELEASED: u8 = 5;
+    const RCU_SYNC: u8 = 6;
+    const IPI_BROADCAST: u8 = 7;
+    const IO_SUBMIT: u8 = 8;
+    const TIMER_TICKS: u8 = 9;
+    const FAULT_INJECTED: u8 = 10;
+    const SYSCALL_EXIT: u8 = 11;
+    const SYSCALL_ENTER: u8 = 12;
+    const VM_EXIT: u8 = 13;
+    const MARK: u8 = 14;
+
+    /// Longest encoded event: the tag and five 10-byte varints.
+    pub(super) const MAX_EVENT_BYTES: usize = 1 + 5 * 10;
+
+    /// Whether events of `tag` keep their kind in the side queue.
+    #[inline]
+    pub(super) fn in_side(tag: u8) -> bool {
+        tag == FAULT_INJECTED || tag == MARK
+    }
+
+    /// A kind's tag and payload words.
+    #[inline]
+    pub(super) fn words(kind: &TraceEventKind) -> (u8, u64, u64) {
+        match *kind {
+            TraceEventKind::Wake { reason } => {
+                let (code, id) = match reason {
+                    WakeReason::Start => (0, 0),
+                    WakeReason::Timer => (1, 0),
+                    WakeReason::LockGranted(lock) => (2, lock.0),
+                    WakeReason::IpiDone => (3, 0),
+                    WakeReason::IoDone => (4, 0),
+                    WakeReason::BarrierReleased => (5, 0),
+                    WakeReason::Signaled(queue) => (6, queue.0),
+                    WakeReason::RcuDone => (7, 0),
+                };
+                (WAKE, code, u64::from(id))
+            }
+            TraceEventKind::Block { comp } => (BLOCK, comp as u64, 0),
+            TraceEventKind::LockContend { lock } => (LOCK_CONTEND, u64::from(lock.0), 0),
+            TraceEventKind::LockAcquired {
+                lock,
+                wait_ns,
+                contended,
+            } => {
+                let tag = if contended {
+                    LOCK_ACQUIRED_CONTENDED
+                } else {
+                    LOCK_ACQUIRED
+                };
+                (tag, u64::from(lock.0), wait_ns)
+            }
+            TraceEventKind::LockReleased { lock, held_ns } => {
+                (LOCK_RELEASED, u64::from(lock.0), held_ns)
+            }
+            TraceEventKind::RcuSync { dur_ns } => (RCU_SYNC, dur_ns, 0),
+            TraceEventKind::IpiBroadcast {
+                targets,
+                handler_ns,
+            } => (IPI_BROADCAST, u64::from(targets), handler_ns),
+            TraceEventKind::IoSubmit { bytes, dur_ns } => (IO_SUBMIT, bytes, dur_ns),
+            TraceEventKind::TimerTicks { n, cost_ns } => (TIMER_TICKS, n, cost_ns),
+            TraceEventKind::FaultInjected(_) => (FAULT_INJECTED, 0, 0),
+            TraceEventKind::Syscall { no, enter } => {
+                let tag = if enter { SYSCALL_ENTER } else { SYSCALL_EXIT };
+                (tag, u64::from(no), 0)
+            }
+            TraceEventKind::VmExit { kind, cost_ns } => (VM_EXIT, u64::from(kind.0), cost_ns),
+            TraceEventKind::Mark(_) => (MARK, 0, 0),
+        }
+    }
+
+    /// The kind `words` encoded; `side` yields the side-queue kinds in
+    /// order. The words were widened from the fields, so the narrowing
+    /// casts are exact.
+    pub(super) fn kind<'a>(
+        tag: u8,
+        a: u64,
+        b: u64,
+        side: &mut impl Iterator<Item = &'a TraceEventKind>,
+    ) -> TraceEventKind {
+        match tag {
+            WAKE => {
+                let reason = match a {
+                    0 => WakeReason::Start,
+                    1 => WakeReason::Timer,
+                    2 => WakeReason::LockGranted(LockId(b as u32)),
+                    3 => WakeReason::IpiDone,
+                    4 => WakeReason::IoDone,
+                    5 => WakeReason::BarrierReleased,
+                    6 => WakeReason::Signaled(QueueId(b as u32)),
+                    7 => WakeReason::RcuDone,
+                    _ => unreachable!("wake reason code {a}"),
+                };
+                TraceEventKind::Wake { reason }
+            }
+            BLOCK => TraceEventKind::Block {
+                comp: LatComp::ALL[a as usize],
+            },
+            LOCK_CONTEND => TraceEventKind::LockContend {
+                lock: LockId(a as u32),
+            },
+            LOCK_ACQUIRED | LOCK_ACQUIRED_CONTENDED => TraceEventKind::LockAcquired {
+                lock: LockId(a as u32),
+                wait_ns: b,
+                contended: tag == LOCK_ACQUIRED_CONTENDED,
+            },
+            LOCK_RELEASED => TraceEventKind::LockReleased {
+                lock: LockId(a as u32),
+                held_ns: b,
+            },
+            RCU_SYNC => TraceEventKind::RcuSync { dur_ns: a },
+            IPI_BROADCAST => TraceEventKind::IpiBroadcast {
+                targets: a as u32,
+                handler_ns: b,
+            },
+            IO_SUBMIT => TraceEventKind::IoSubmit {
+                bytes: a,
+                dur_ns: b,
+            },
+            TIMER_TICKS => TraceEventKind::TimerTicks { n: a, cost_ns: b },
+            SYSCALL_EXIT | SYSCALL_ENTER => TraceEventKind::Syscall {
+                no: a as u16,
+                enter: tag == SYSCALL_ENTER,
+            },
+            VM_EXIT => TraceEventKind::VmExit {
+                kind: LabelId(a as u32),
+                cost_ns: b,
+            },
+            FAULT_INJECTED | MARK => side
+                .next()
+                .expect("a side-queue kind for every side-queue tag")
+                .clone(),
+            _ => unreachable!("trace tag {tag}"),
+        }
+    }
+
+    /// Appends `v` as a LEB128 varint at `buf[n..]`; returns the new end.
+    #[inline]
+    pub(super) fn put(buf: &mut [u8; MAX_EVENT_BYTES], mut n: usize, mut v: u64) -> usize {
+        while v >= 0x80 {
+            buf[n] = v as u8 | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        buf[n] = v as u8;
+        n + 1
+    }
+
+    /// Reads one LEB128 varint at `*pos`, advancing past it.
+    #[inline]
+    pub(super) fn get(bytes: &[u8], pos: &mut usize) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let byte = bytes[*pos];
+            *pos += 1;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A wrapping time delta as an unsigned word: small steps either
+    /// way stay small.
+    #[inline]
+    pub(super) fn zigzag(delta: u64) -> u64 {
+        let d = delta as i64;
+        ((d << 1) ^ (d >> 63)) as u64
+    }
+
+    /// Inverse of [`zigzag`].
+    #[inline]
+    pub(super) fn unzigzag(z: u64) -> u64 {
+        (z >> 1) ^ (z & 1).wrapping_neg()
+    }
+}
+
 /// One core's bounded event ring (the ftrace per-CPU buffer analogue).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Events are stored byte-encoded (see `codec`), about 8 bytes each on
+/// a full-scale sweep against 32 for a decoded [`TraceEvent`], and
+/// nothing is allocated until the first push. [`events`](Self::events) decodes them
+/// back. Capacity counts events, and eviction is oldest-first: it skips
+/// the front event's bytes, moves the delta base past it and compacts
+/// the buffer once the skipped prefix is more than half of it.
+/// Equality compares capacity, drop count and the retained events, not
+/// the byte layout.
+#[derive(Clone, Default)]
 pub struct TraceRing {
     cap: usize,
-    buf: std::collections::VecDeque<TraceEvent>,
+    len: usize,
+    /// Encoded events; the oldest retained one starts at `head`.
+    bytes: Vec<u8>,
+    head: usize,
+    /// Time of the event before the one at `head`: the delta base of
+    /// the oldest retained event.
+    head_base: Ns,
+    /// Time of the newest event: the delta base of the next push.
+    last_t: Ns,
+    /// Kinds of the retained `FaultInjected` and `Mark` events, oldest
+    /// first.
+    side: std::collections::VecDeque<TraceEventKind>,
     /// Events dropped (oldest-first) because the ring was full.
     pub dropped: u64,
 }
@@ -447,8 +653,7 @@ impl TraceRing {
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
-            buf: std::collections::VecDeque::with_capacity(cap.min(4096)),
-            dropped: 0,
+            ..Self::default()
         }
     }
 
@@ -459,26 +664,78 @@ impl TraceRing {
             self.dropped += 1;
             return;
         }
-        if self.buf.len() >= self.cap {
-            self.buf.pop_front();
+        if self.len >= self.cap {
+            self.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(ev);
+        let (tag, a, b) = codec::words(&ev.kind);
+        let mut buf = [0u8; codec::MAX_EVENT_BYTES];
+        buf[0] = tag;
+        let mut n = codec::put(&mut buf, 1, codec::zigzag(ev.t.wrapping_sub(self.last_t)));
+        n = codec::put(&mut buf, n, u64::from(ev.pid.0));
+        n = codec::put(&mut buf, n, u64::from(ev.core.0));
+        n = codec::put(&mut buf, n, a);
+        n = codec::put(&mut buf, n, b);
+        self.bytes.extend_from_slice(&buf[..n]);
+        if codec::in_side(tag) {
+            self.side.push_back(ev.kind);
+        }
+        self.last_t = ev.t;
+        self.len += 1;
     }
 
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.buf.iter()
+    /// Evicts the oldest retained event.
+    fn pop_front(&mut self) {
+        let mut pos = self.head;
+        let tag = self.bytes[pos];
+        pos += 1;
+        let dt = codec::unzigzag(codec::get(&self.bytes, &mut pos));
+        self.head_base = self.head_base.wrapping_add(dt);
+        for _ in 0..4 {
+            codec::get(&self.bytes, &mut pos);
+        }
+        if codec::in_side(tag) {
+            self.side.pop_front();
+        }
+        self.head = pos;
+        self.len -= 1;
+        if self.head > self.bytes.len() / 2 {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Events currently retained, oldest first, decoded.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let bytes = &self.bytes[..];
+        let mut pos = self.head;
+        let mut t = self.head_base;
+        let mut side = self.side.iter();
+        std::iter::from_fn(move || {
+            let tag = *bytes.get(pos)?;
+            pos += 1;
+            t = t.wrapping_add(codec::unzigzag(codec::get(bytes, &mut pos)));
+            let pid = Pid(codec::get(bytes, &mut pos) as u32);
+            let core = CoreId(codec::get(bytes, &mut pos) as u32);
+            let a = codec::get(bytes, &mut pos);
+            let b = codec::get(bytes, &mut pos);
+            Some(TraceEvent {
+                t,
+                pid,
+                core,
+                kind: codec::kind(tag, a, b, &mut side),
+            })
+        })
     }
 
     /// Retained event count.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Ring capacity.
@@ -486,10 +743,35 @@ impl TraceRing {
         self.cap
     }
 
-    /// Frees the buffer's unused growth room (the ring's `capacity` is
-    /// unchanged; a later push may grow the buffer again).
+    /// Drops the evicted prefix and frees the buffer's unused growth
+    /// room (the ring's `capacity` is unchanged; a later push may grow
+    /// the buffer again).
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.buf.shrink_to_fit();
+        self.bytes.drain(..self.head);
+        self.head = 0;
+        self.bytes.shrink_to_fit();
+        self.side.shrink_to_fit();
+    }
+}
+
+impl PartialEq for TraceRing {
+    fn eq(&self, other: &Self) -> bool {
+        self.cap == other.cap
+            && self.dropped == other.dropped
+            && self.len == other.len
+            && self.events().eq(other.events())
+    }
+}
+
+impl Eq for TraceRing {}
+
+impl fmt::Debug for TraceRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceRing")
+            .field("cap", &self.cap)
+            .field("dropped", &self.dropped)
+            .field("events", &self.events().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -519,9 +801,13 @@ impl TraceLog {
         self.rings.iter().map(|r| r.dropped).sum()
     }
 
-    /// All retained events merged in `(time, core)` order.
-    pub fn merged(&self) -> Vec<&TraceEvent> {
-        let mut all: Vec<&TraceEvent> = self.rings.iter().flat_map(|r| r.events()).collect();
+    /// All retained events, decoded and merged in `(time, core, pid)`
+    /// order (a stable sort, so ties keep ring order).
+    pub fn merged(&self) -> Vec<TraceEvent> {
+        let mut all = Vec::with_capacity(self.total_events());
+        for ring in &self.rings {
+            all.extend(ring.events());
+        }
         all.sort_by_key(|e| (e.t, e.core, e.pid));
         all
     }
@@ -587,13 +873,13 @@ impl TraceLog {
                 f("handler_ns", U(*handler_ns));
                 f("targets", U(u64::from(*targets)));
             }
-            TraceEventKind::IoSubmit(io) => {
-                f("bytes", U(io.bytes));
-                f("dur_ns", U(io.dur_ns));
+            TraceEventKind::IoSubmit { bytes, dur_ns } => {
+                f("bytes", U(*bytes));
+                f("dur_ns", U(*dur_ns));
             }
-            TraceEventKind::TimerTicks(ticks) => {
-                f("cost_ns", U(ticks.cost_ns));
-                f("ticks", U(ticks.n));
+            TraceEventKind::TimerTicks { n, cost_ns } => {
+                f("cost_ns", U(*cost_ns));
+                f("ticks", U(*n));
             }
             TraceEventKind::FaultInjected(fault) => {
                 f("fault", S(fault.kind.name()));
@@ -619,9 +905,10 @@ impl TraceLog {
     /// this log's label tables.
     pub(crate) fn tail(&self, n: usize) -> TraceLog {
         let merged = self.merged();
+        let skip = merged.len().saturating_sub(n);
         let mut ring = TraceRing::new(n);
-        for ev in &merged[merged.len().saturating_sub(n)..] {
-            ring.push((*ev).clone());
+        for ev in merged.into_iter().skip(skip) {
+            ring.push(ev);
         }
         TraceLog {
             enabled: self.enabled,
@@ -689,6 +976,44 @@ mod tests {
         assert_eq!(r.dropped, 2);
         let kept: Vec<Ns> = r.events().map(|e| e.t).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest events evicted first");
+    }
+
+    #[test]
+    fn eviction_keeps_side_kinds_and_deltas_in_step_and_compacts() {
+        // Marks (side queue) interleave with words-only events, and time
+        // jumps both ways across the whole u64 range.
+        let times = [5, u64::MAX, 0, 1 << 63, 7, 7, u64::MAX - 1, 3];
+        let mut pushed = Vec::new();
+        let mut r = TraceRing::new(3);
+        for round in 0..50u64 {
+            for (i, &t) in times.iter().enumerate() {
+                let kind = if i % 3 == 0 {
+                    TraceEventKind::mark("m", round, t)
+                } else {
+                    TraceEventKind::LockReleased {
+                        lock: LockId(u32::MAX),
+                        held_ns: t ^ round,
+                    }
+                };
+                let ev = TraceEvent {
+                    t,
+                    pid: Pid(i as u32 * 1_000_000),
+                    core: CoreId(u32::MAX - i as u32),
+                    kind,
+                };
+                r.push(ev.clone());
+                pushed.push(ev);
+                let kept: Vec<TraceEvent> = r.events().collect();
+                assert_eq!(kept, pushed[pushed.len().saturating_sub(3)..]);
+            }
+        }
+        assert_eq!(r.dropped, pushed.len() as u64 - 3);
+        // Compaction bounds the buffer at about twice the live bytes.
+        assert!(r.bytes.len() <= 2 * 3 * codec::MAX_EVENT_BYTES + 1);
+        let mut shrunk = r.clone();
+        shrunk.shrink_to_fit();
+        assert_eq!(shrunk, r, "equality is by retained events");
+        assert_eq!(shrunk.head, 0);
     }
 
     #[test]

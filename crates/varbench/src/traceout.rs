@@ -74,7 +74,7 @@ pub fn chrome_trace_json(trace: &TraceLog) -> String {
     out
 }
 
-fn write_chrome_trace(out: &mut String, trace: &TraceLog, events: &[&TraceEvent]) -> fmt::Result {
+fn write_chrome_trace(out: &mut String, trace: &TraceLog, events: &[TraceEvent]) -> fmt::Result {
     write!(
         out,
         r#"{{"displayTimeUnit":"ns","otherData":{{"dropped_events":{},"retained_events":{}}},"traceEvents":["#,
@@ -154,8 +154,7 @@ pub fn attribution_json(table: &AttributionTable) -> String {
 mod tests {
     use super::*;
     use ksa_desim::{
-        CoreId, FaultInjectedArgs, IoSubmitArgs, LabelId, LockId, Ns, Pid, TimerTicksArgs,
-        TraceEventKind, TraceRing, WakeReason,
+        CoreId, FaultInjectedArgs, LabelId, LockId, Ns, Pid, TraceEventKind, TraceRing, WakeReason,
     };
 
     /// One event's `args` as the reference renderer builds them.
@@ -191,13 +190,13 @@ mod tests {
                 args.push(("targets", Value::from(*targets)));
                 args.push(("handler_ns", Value::from(*handler_ns)));
             }
-            TraceEventKind::IoSubmit(io) => {
-                args.push(("bytes", Value::from(io.bytes)));
-                args.push(("dur_ns", Value::from(io.dur_ns)));
+            TraceEventKind::IoSubmit { bytes, dur_ns } => {
+                args.push(("bytes", Value::from(*bytes)));
+                args.push(("dur_ns", Value::from(*dur_ns)));
             }
-            TraceEventKind::TimerTicks(ticks) => {
-                args.push(("ticks", Value::from(ticks.n)));
-                args.push(("cost_ns", Value::from(ticks.cost_ns)));
+            TraceEventKind::TimerTicks { n, cost_ns } => {
+                args.push(("ticks", Value::from(*n)));
+                args.push(("cost_ns", Value::from(*cost_ns)));
             }
             TraceEventKind::FaultInjected(fault) => {
                 args.push(("fault", Value::from(fault.kind.name())));
@@ -233,7 +232,7 @@ mod tests {
                 // Chrome's ts unit is µs; sub-µs precision rides in the
                 // fractional part.
                 ("ts", Value::from(ev.t as f64 / 1000.0)),
-                ("args", reference_event_args(trace, ev)),
+                ("args", reference_event_args(trace, &ev)),
             ])
         });
         Value::object([
@@ -302,11 +301,11 @@ mod tests {
                 targets: u32::MAX,
                 handler_ns: max,
             },
-            TraceEventKind::IoSubmit(Box::new(IoSubmitArgs {
+            TraceEventKind::IoSubmit {
                 bytes: max,
                 dur_ns: t,
-            })),
-            TraceEventKind::TimerTicks(Box::new(TimerTicksArgs { n: max, cost_ns: 0 })),
+            },
+            TraceEventKind::TimerTicks { n: max, cost_ns: 0 },
             TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
                 kind: ksa_desim::FaultKind::IoError,
                 site: "io:\"q\\d\"\n\t\u{1}é😀",

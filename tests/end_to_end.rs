@@ -213,6 +213,25 @@ fn chrome_trace_bytes_are_pinned() {
 }
 
 #[test]
+fn full_scale_chrome_trace_bytes_are_pinned() {
+    // The trace perfbench's `observed_sweep` renders: the seed-42 native
+    // run of the Full default corpus (64 cores, 2 iterations). Its times
+    // and ids are far larger than a Tiny run's, so it exercises the trace
+    // rings' multi-byte encodings; the digest predates that encoding.
+    let corpus = experiments::default_corpus(Scale::Full);
+    let cfg = RunConfig {
+        trace: true,
+        ..RunConfig::new(EnvSpec::new(Scale::Full.machine(), EnvKind::Native), 2, 42)
+    };
+    let res = run_hooked(&cfg, &corpus.corpus, |_| {}).expect("trial failed");
+    let json = chrome_trace_json(&res.trace);
+    assert_eq!(
+        (res.trace.total_events(), json.len(), fnv1a(json.as_bytes())),
+        (459_332, 54_582_616, 0x92126e61206de57c)
+    );
+}
+
+#[test]
 fn failover_trace_bytes_are_pinned() {
     // The crash run of `ablate failover --tiny`: the fabric's recovery
     // marks, the only producer of `mark` events with two payload words.

@@ -618,23 +618,114 @@ fn attribution_components_sum_exactly() {
 
 /// A trace ring under arbitrary pressure keeps the *newest* `cap` events
 /// in order, counts every eviction, and never panics — including the
-/// zero-capacity ring, which drops everything.
+/// zero-capacity ring, which drops everything. Events are random over
+/// all 13 kinds, with times that step backwards as well as forwards and
+/// payloads, pids and cores at their extremes, so the byte encoding must
+/// round-trip every field, not just the time.
 #[test]
 fn trace_ring_overflow_drops_oldest() {
-    use ksa_core::desim::{CoreId, Pid, TraceEvent, TraceEventKind, TraceRing};
+    use ksa_core::desim::{
+        CoreId, FaultInjectedArgs, FaultKind, LabelId, LatComp, LockId, Pid, QueueId, TraceEvent,
+        TraceEventKind, TraceRing,
+    };
+    /// A word that is 0, the type's maximum, or anything between
+    /// (`max` is an all-ones mask: a type's `MAX`).
+    fn word(rng: &mut SmallRng, max: u64) -> u64 {
+        match rng.gen_range(0..4) {
+            0 => 0,
+            1 => max,
+            _ => rng.gen::<u64>() & max,
+        }
+    }
+    fn kind(rng: &mut SmallRng) -> TraceEventKind {
+        let u32w = |rng: &mut SmallRng| word(rng, u64::from(u32::MAX)) as u32;
+        match rng.gen_range(0..13) {
+            0 => TraceEventKind::Wake {
+                reason: match rng.gen_range(0..8) {
+                    0 => WakeReason::Start,
+                    1 => WakeReason::Timer,
+                    2 => WakeReason::LockGranted(LockId(u32w(rng))),
+                    3 => WakeReason::IpiDone,
+                    4 => WakeReason::IoDone,
+                    5 => WakeReason::BarrierReleased,
+                    6 => WakeReason::Signaled(QueueId(u32w(rng))),
+                    _ => WakeReason::RcuDone,
+                },
+            },
+            1 => TraceEventKind::Block {
+                comp: LatComp::ALL[rng.gen_range(0..LatComp::COUNT)],
+            },
+            2 => TraceEventKind::LockContend {
+                lock: LockId(u32w(rng)),
+            },
+            3 => TraceEventKind::LockAcquired {
+                lock: LockId(u32w(rng)),
+                wait_ns: word(rng, u64::MAX),
+                contended: rng.gen(),
+            },
+            4 => TraceEventKind::LockReleased {
+                lock: LockId(u32w(rng)),
+                held_ns: word(rng, u64::MAX),
+            },
+            5 => TraceEventKind::RcuSync {
+                dur_ns: word(rng, u64::MAX),
+            },
+            6 => TraceEventKind::IpiBroadcast {
+                targets: u32w(rng),
+                handler_ns: word(rng, u64::MAX),
+            },
+            7 => TraceEventKind::IoSubmit {
+                bytes: word(rng, u64::MAX),
+                dur_ns: word(rng, u64::MAX),
+            },
+            8 => TraceEventKind::TimerTicks {
+                n: word(rng, u64::MAX),
+                cost_ns: word(rng, u64::MAX),
+            },
+            9 => TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
+                kind: [
+                    FaultKind::AllocFail,
+                    FaultKind::IoError,
+                    FaultKind::LockTimeout,
+                ][rng.gen_range(0usize..3)],
+                site: ["mm:alloc", "io:submit", "lock:\"q\""][rng.gen_range(0usize..3)],
+            })),
+            10 => TraceEventKind::Syscall {
+                no: word(rng, u64::from(u16::MAX)) as u16,
+                enter: rng.gen(),
+            },
+            11 => TraceEventKind::VmExit {
+                kind: LabelId(u32w(rng)),
+                cost_ns: word(rng, u64::MAX),
+            },
+            _ => TraceEventKind::mark(
+                ["m", "fabric.retry"][rng.gen_range(0usize..2)],
+                word(rng, u64::MAX),
+                word(rng, u64::MAX),
+            ),
+        }
+    }
     for_each_case("trace_ring_overflow_drops_oldest", |seed, rng| {
         let cap = rng.gen_range(0usize..50);
         let n = rng.gen_range(0usize..200);
         let mut ring = TraceRing::new(cap);
-        for i in 0..n {
-            ring.push(TraceEvent {
-                t: i as u64,
-                pid: Pid(0),
-                core: CoreId(0),
-                kind: TraceEventKind::Wake {
-                    reason: WakeReason::Start,
-                },
-            });
+        let mut pushed = Vec::with_capacity(n);
+        let mut t = word(rng, u64::MAX);
+        for _ in 0..n {
+            // Mostly small steps either way, sometimes a jump anywhere.
+            t = match rng.gen_range(0..4) {
+                0 => t.wrapping_sub(rng.gen_range(0..1_000)),
+                1 => word(rng, u64::MAX),
+                _ => t.wrapping_add(rng.gen_range(0..1_000)),
+            };
+            let ev = TraceEvent {
+                t,
+                pid: Pid(word(rng, u64::from(u32::MAX)) as u32),
+                core: CoreId(word(rng, u64::from(u32::MAX)) as u32),
+                kind: kind(rng),
+            };
+            pushed.push(ev.clone());
+            ring.push(ev);
         }
         let kept = n.min(cap);
         assert_eq!(ring.len(), kept, "seed {seed:#x}: wrong retained count");
@@ -643,14 +734,14 @@ fn trace_ring_overflow_drops_oldest() {
             (n - kept) as u64,
             "seed {seed:#x}: evictions miscounted"
         );
-        // The survivors are exactly the newest `kept` events, oldest first.
-        for (offset, ev) in ring.events().enumerate() {
-            assert_eq!(
-                ev.t,
-                (n - kept + offset) as u64,
-                "seed {seed:#x}: ring did not drop oldest-first"
-            );
-        }
+        // The survivors are exactly the newest `kept` events, oldest
+        // first, every field intact.
+        let events: Vec<TraceEvent> = ring.events().collect();
+        assert_eq!(
+            events,
+            pushed[n - kept..],
+            "seed {seed:#x}: ring did not keep the newest events intact"
+        );
     });
 }
 
