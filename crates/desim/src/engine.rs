@@ -2,11 +2,9 @@
 //!
 //! The scheduling core is built for raw single-trial speed (see
 //! DESIGN.md, "engine hot path"): events live inline in a 4-ary heap
-//! behind a front slot ([`EventQueue`]), so an event pushed as the new
-//! minimum and popped next never touches the heap; IPI bookkeeping is
-//! a dense slab keyed by token index; same-time wake trains (lock
-//! grants, barrier releases, queue signals) coalesce into a single
-//! queue operation; a user process's IPI broadcast is one queue event
+//! ([`EventQueue`]); IPI bookkeeping is a dense slab keyed by token
+//! index; same-time wake trains (lock grants, barrier releases, queue
+//! signals) coalesce into a single queue operation; a user process's IPI broadcast is one queue event
 //! at its last ack's key; and a process whose own next wake would be
 //! popped next keeps running without queueing it (inline continuation,
 //! `EngineState::wake_self`). All of it is bit-identical to the naive

@@ -1,28 +1,13 @@
-//! Front-slot event priority queue.
+//! Event priority queue.
 //!
 //! The engine's hot loop is pop-one/push-a-few millions of times per
-//! trial. Once, about half of all pops (53% on the tailbench grid, 51%
-//! under tenant churn, 14% on the varbench sweep) took an event that
-//! was pushed as the new minimum, and the front slot below was built
-//! for them. Most of those events are now never queued: a process
-//! whose own next wake would be popped next keeps running in place
-//! (`Engine::run`'s inline continuation). Of the pops that remain, the
-//! front slot serves 5% on the tailbench grid, 7% under tenant churn
-//! and 5% on the sweep. The structure:
-//!
-//! * **Front slot.** `front` holds the queue minimum whenever that
-//!   minimum arrived by a push. A push below the front displaces it
-//!   into the heap; a push into an empty front that beats the heap top
-//!   takes the front; every other push goes into the heap. `pop` takes
-//!   the front first, so a pushed-then-popped event never touches the
-//!   heap.
-//! * **4-ary implicit heap with inline payloads.** Each entry is the
-//!   `(t, seq)` key packed into one `u128` (`t << 64 | seq`, so a key
-//!   compare is one integer compare) plus the payload. A 4-ary layout
-//!   halves the sift-down depth of a binary heap.
-//!
-//! Invariant: while the front is held, every heap key is larger than
-//! the front's.
+//! trial. The queue is a 4-ary implicit heap with inline payloads: each
+//! entry is the `(t, seq)` key packed into one `u128` (`t << 64 | seq`,
+//! so a key compare is one integer compare) plus the payload. A 4-ary
+//! layout halves the sift-down depth of a binary heap. An event that
+//! would be popped straight after its push mostly never reaches the
+//! queue: the engine continues the process in place instead
+//! (`Engine::run`'s inline continuation).
 //!
 //! ## Determinism
 //!
@@ -49,7 +34,6 @@ impl<T> Entry<T> {
 
 /// Min-queue of `(t, seq)`-keyed events carrying a `T` payload.
 pub struct EventQueue<T> {
-    front: Option<Entry<T>>,
     heap: Vec<Entry<T>>,
     next_seq: u64,
 }
@@ -63,31 +47,26 @@ impl<T: Copy> Default for EventQueue<T> {
 impl<T: Copy> EventQueue<T> {
     pub fn new() -> Self {
         Self {
-            front: None,
             heap: Vec::new(),
             next_seq: 0,
         }
     }
 
-    /// Number of queued events, the front slot included.
+    /// Number of queued events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.heap.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
+        self.heap.is_empty()
     }
 
     /// Time of the minimum-key event, without popping it.
     #[inline]
     pub(crate) fn min_t(&self) -> Option<Ns> {
-        // The front, when held, is the queue minimum.
-        self.front
-            .as_ref()
-            .or(self.heap.first())
-            .map(|e| (e.key >> 64) as Ns)
+        self.heap.first().map(|e| (e.key >> 64) as Ns)
     }
 
     /// Schedules `payload` at time `t`, after every event already
@@ -121,29 +100,21 @@ impl<T: Copy> EventQueue<T> {
             key: (t as u128) << 64 | seq as u128,
             payload,
         };
-        match &mut self.front {
-            Some(front) if entry.key < front.key => {
-                let old = std::mem::replace(front, entry);
-                self.heap_push(old);
+        let mut i = self.heap.len();
+        self.heap.push(entry);
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if self.heap[parent].key <= entry.key {
+                break;
             }
-            Some(_) => self.heap_push(entry),
-            None if self.heap.first().is_none_or(|top| entry.key < top.key) => {
-                self.front = Some(entry);
-            }
-            None => self.heap_push(entry),
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
+        self.heap[i] = entry;
     }
 
     /// Pops the minimum-key event, returning `(t, seq, payload)`.
     pub fn pop(&mut self) -> Option<(Ns, u64, T)> {
-        if let Some(front) = self.front.take() {
-            // The heap top is its minimum, so this covers every key.
-            debug_assert!(
-                self.heap.first().is_none_or(|top| top.key > front.key),
-                "front slot is not the queue minimum"
-            );
-            return Some(front.into_parts());
-        }
         let last = self.heap.pop()?;
         if self.heap.is_empty() {
             return Some(last.into_parts());
@@ -156,7 +127,7 @@ impl<T: Copy> EventQueue<T> {
     /// The `n` smallest-key events as `(t, payload)`, in key order.
     /// Sorts a copy of the queue: for diagnostics, not the hot path.
     pub(crate) fn earliest(&self, n: usize) -> Vec<(Ns, T)> {
-        let mut all: Vec<Entry<T>> = self.front.iter().chain(&self.heap).copied().collect();
+        let mut all = self.heap.clone();
         all.sort_unstable_by_key(|e| e.key);
         all.truncate(n);
         all.into_iter()
@@ -165,21 +136,6 @@ impl<T: Copy> EventQueue<T> {
                 (t, payload)
             })
             .collect()
-    }
-
-    #[inline]
-    fn heap_push(&mut self, entry: Entry<T>) {
-        let mut i = self.heap.len();
-        self.heap.push(entry);
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[parent].key <= entry.key {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = entry;
     }
 
     /// Fills the hole at the root with `entry`, moving it down to its
@@ -271,38 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn repark_at_popped_key_while_front_is_held() {
-        let mut q = EventQueue::new();
-        q.push(10, 'a');
-        q.push(20, 'c');
-        let (t, seq, p) = q.pop().unwrap();
-        assert_eq!(p, 'a');
-        // 'b' lands in the empty front (it beats the heap top 'c').
-        q.push(15, 'b');
-        assert!(q.front.is_some());
-        // Re-parking 'a' displaces 'b' from the front into the heap.
-        q.push_keyed(t, seq, p);
-        assert_eq!(q.front.map(|f| f.payload), Some('a'));
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn reserved_seq_push_displaces_the_front() {
-        let mut q = EventQueue::new();
-        let seq = q.reserve_seq();
-        q.push(10, 'b');
-        assert_eq!(q.front.map(|f| f.payload), Some('b'));
-        // Same time, earlier seq: the reserved key is the new minimum.
-        q.push_keyed(10, seq, 'a');
-        assert_eq!(q.front.map(|f| f.payload), Some('a'));
-        assert_eq!(q.heap.len(), 1);
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec!['a', 'b']);
-    }
-
-    #[test]
-    fn min_t_peeks_the_front_then_the_heap_top() {
+    fn min_t_peeks_the_heap_top() {
         let mut q = EventQueue::new();
         assert_eq!(q.min_t(), None);
         q.push(20, 'b');
@@ -311,24 +236,6 @@ mod tests {
         q.push(10, 'a');
         assert_eq!(q.min_t(), Some(10));
         q.pop();
-        // Front now empty: the heap top is the minimum.
-        assert!(q.front.is_none());
         assert_eq!(q.min_t(), Some(20));
-    }
-
-    #[test]
-    fn len_counts_the_front() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(10, 1u32);
-        assert!(q.front.is_some() && q.heap.is_empty());
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.push(20, 2);
-        q.push(5, 3);
-        assert_eq!((q.len(), q.heap.len()), (3, 2));
-        q.pop();
-        assert!(q.front.is_none());
-        assert_eq!(q.len(), 2);
     }
 }

@@ -28,12 +28,9 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use ksa_desim::{CoreId, Effect, Engine, FaultState, Ns, Process, SimCtx, WakeReason};
-use ksa_kernel::coverage::CoverageSet;
-use ksa_kernel::dispatch::{dispatch_exit, dispatch_into};
-use ksa_kernel::exec::OpRunner;
-use ksa_kernel::instance::KernelInstance;
-use ksa_kernel::ops::{KOp, OpSeq};
+use ksa_desim::{Effect, Engine, Ns, Process, SimCtx, WakeReason};
+use ksa_kernel::exec::{Compile, Executor};
+use ksa_kernel::ops::KOp;
 use ksa_kernel::world::HasKernel;
 use ksa_kernel::SysNo;
 use rand::rngs::SmallRng;
@@ -169,8 +166,6 @@ enum Running {
 /// One churn host pinned to a core: admits tenants up to the resident
 /// cap and multiplexes their lifecycles.
 pub struct TenantHost {
-    core: CoreId,
-    instance: usize,
     slot: usize,
     cap: usize,
     params: ChurnParams,
@@ -178,44 +173,18 @@ pub struct TenantHost {
     /// Resident tenants not currently running, min-first by
     /// `(ready_at, id)`. Between units of work every resident is here.
     waiting: BinaryHeap<Reverse<Tenant>>,
-    rng: SmallRng,
-    cover: CoverageSet,
-    runner: OpRunner,
-    runner_live: bool,
+    exec: Executor,
     running: Running,
-    seq_buf: OpSeq,
-    sub_buf: OpSeq,
+}
+
+/// Dispatches one call into `c` and returns its result if the call
+/// succeeded at compile time.
+fn ok<W: HasKernel>(c: &mut Compile<'_, '_, W>, no: SysNo, args: &[u64]) -> Option<u64> {
+    let call = c.call(no, args);
+    call.error.is_none().then_some(call.result)
 }
 
 impl TenantHost {
-    /// Dispatches one syscall into the scratch buffer, appends its ops
-    /// to the sequence under construction, and returns the result if
-    /// the call succeeded at compile time.
-    fn call(
-        &mut self,
-        inst: &mut KernelInstance,
-        faults: &mut FaultState,
-        no: SysNo,
-        args: &[u64],
-    ) -> Option<u64> {
-        dispatch_into(
-            inst,
-            self.slot,
-            no,
-            args,
-            &mut self.rng,
-            &mut self.cover,
-            faults,
-            &mut self.sub_buf,
-        );
-        self.seq_buf.ops.extend_from_slice(&self.sub_buf.ops);
-        if self.sub_buf.error.is_some() {
-            None
-        } else {
-            Some(self.sub_buf.result)
-        }
-    }
-
     /// Compiles the full tenant setup: fork, working set, file touch,
     /// loopback connection. The listening socket is closed inside the
     /// same compiled sequence, so the bound port (= this slot index) is
@@ -223,118 +192,71 @@ impl TenantHost {
     /// tenants or hosts.
     fn build_setup<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &mut Tenant) {
         let p = self.params;
-        let (world, faults) = ctx.world_and_faults();
-        let inst = &mut world.kernel_mut().instances[self.instance];
-        self.seq_buf.reset();
-
-        let cloned = self.call(inst, faults, SysNo::Clone, &[0]).is_some();
-        let name_sel = t.id.wrapping_mul(7).wrapping_add(3);
-        let file_fd = self.call(inst, faults, SysNo::Open, &[name_sel, 1]);
-        let vma = self
-            .call(inst, faults, SysNo::Mmap, &[p.ws_pages, 1])
-            .map(|handle| handle - 1);
-        if let Some(fd) = file_fd {
-            self.call(inst, faults, SysNo::Pwrite, &[fd, 4 * p.req_bytes]);
-        }
         let port = self.slot as u64;
-        let mut client_fd = None;
-        let mut conn_fd = None;
-        if let Some(ls) = self.call(inst, faults, SysNo::Socket, &[0]) {
-            let bound = self.call(inst, faults, SysNo::Bind, &[ls, port]).is_some()
-                && self.call(inst, faults, SysNo::Listen, &[ls, 8]).is_some();
+        let mut c = self.exec.compile(ctx);
+        t.cloned = ok(&mut c, SysNo::Clone, &[0]).is_some();
+        let name_sel = t.id.wrapping_mul(7).wrapping_add(3);
+        t.file_fd = ok(&mut c, SysNo::Open, &[name_sel, 1]);
+        t.vma = ok(&mut c, SysNo::Mmap, &[p.ws_pages, 1]).map(|handle| handle - 1);
+        if let Some(fd) = t.file_fd {
+            c.call(SysNo::Pwrite, &[fd, 4 * p.req_bytes]);
+        }
+        if let Some(ls) = ok(&mut c, SysNo::Socket, &[0]) {
+            let bound = ok(&mut c, SysNo::Bind, &[ls, port]).is_some()
+                && ok(&mut c, SysNo::Listen, &[ls, 8]).is_some();
             if bound {
-                client_fd = self.call(inst, faults, SysNo::Socket, &[0]);
-                if let Some(c) = client_fd {
-                    if self
-                        .call(inst, faults, SysNo::Connect, &[c, port])
-                        .is_some()
-                    {
-                        conn_fd = self.call(inst, faults, SysNo::Accept, &[ls]);
+                t.client_fd = ok(&mut c, SysNo::Socket, &[0]);
+                if let Some(cl) = t.client_fd {
+                    if ok(&mut c, SysNo::Connect, &[cl, port]).is_some() {
+                        t.conn_fd = ok(&mut c, SysNo::Accept, &[ls]);
                     }
                 }
             }
-            self.call(inst, faults, SysNo::Close, &[ls]);
+            c.call(SysNo::Close, &[ls]);
         }
-        debug_assert!(self.seq_buf.locks_balanced());
-        self.runner.relower(&self.seq_buf, inst, self.core);
-        self.runner_live = true;
-
-        t.cloned = cloned;
-        t.file_fd = file_fd;
-        t.client_fd = client_fd;
-        t.conn_fd = conn_fd;
-        t.vma = vma;
+        c.arm();
     }
 
     /// Compiles one request: loopback round trip plus the service
     /// compute, against the connection set up at admission.
     fn build_request<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &Tenant) {
         let p = self.params;
-        let (world, faults) = ctx.world_and_faults();
-        let inst = &mut world.kernel_mut().instances[self.instance];
-        self.seq_buf.reset();
-
-        if let (Some(c), Some(s)) = (t.client_fd, t.conn_fd) {
-            self.call(inst, faults, SysNo::Sendto, &[c, p.req_bytes, 0]);
-            self.call(inst, faults, SysNo::Recvfrom, &[s, p.req_bytes]);
+        let mut c = self.exec.compile(ctx);
+        if let (Some(cl), Some(s)) = (t.client_fd, t.conn_fd) {
+            c.call(SysNo::Sendto, &[cl, p.req_bytes, 0]);
+            c.call(SysNo::Recvfrom, &[s, p.req_bytes]);
         }
         if let Some(fd) = t.file_fd {
-            self.call(inst, faults, SysNo::Pread, &[fd, p.req_bytes]);
+            c.call(SysNo::Pread, &[fd, p.req_bytes]);
         }
         let mem = p.service_ns * p.mem_milli / 1000;
-        self.seq_buf.mem(mem);
-        self.seq_buf.push(KOp::UserCpu(p.service_ns - mem));
-        if let (Some(c), Some(s)) = (t.client_fd, t.conn_fd) {
-            self.call(inst, faults, SysNo::Sendto, &[s, p.req_bytes / 2, 0]);
-            self.call(inst, faults, SysNo::Recvfrom, &[c, p.req_bytes / 2]);
+        c.seq().mem(mem);
+        c.seq().push(KOp::UserCpu(p.service_ns - mem));
+        if let (Some(cl), Some(s)) = (t.client_fd, t.conn_fd) {
+            c.call(SysNo::Sendto, &[s, p.req_bytes / 2, 0]);
+            c.call(SysNo::Recvfrom, &[cl, p.req_bytes / 2]);
         }
-        debug_assert!(self.seq_buf.locks_balanced());
-        self.runner.relower(&self.seq_buf, inst, self.core);
-        self.runner_live = true;
+        c.arm();
     }
 
     /// Compiles the tenant's exit: close exactly the descriptors it
     /// opened (the socket-table slots reclaim here), unmap its working
     /// set, and reap the forked worker.
     fn build_exit<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>, t: &Tenant) {
-        let (world, faults) = ctx.world_and_faults();
-        let inst = &mut world.kernel_mut().instances[self.instance];
-        self.seq_buf.reset();
-
+        let mut c = self.exec.compile(ctx);
         for fd in [t.client_fd, t.conn_fd, t.file_fd].into_iter().flatten() {
-            self.call(inst, faults, SysNo::Close, &[fd]);
+            c.call(SysNo::Close, &[fd]);
         }
         if let Some(vma) = t.vma {
-            self.call(inst, faults, SysNo::Munmap, &[vma]);
+            c.call(SysNo::Munmap, &[vma]);
         }
         if t.cloned {
-            self.call(inst, faults, SysNo::Wait4, &[0]);
+            c.call(SysNo::Wait4, &[0]);
         }
-        debug_assert!(self.seq_buf.locks_balanced());
-        self.runner.relower(&self.seq_buf, inst, self.core);
-        self.runner_live = true;
+        c.arm();
     }
 
-    /// Compiles the host's final `exit_group` sweep: validates that the
-    /// lifecycles above leaked nothing (the sweep finds zero open
-    /// descriptors when every tenant exited cleanly) and resets the
-    /// slot for the audit.
-    fn build_host_exit<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) {
-        let (world, faults) = ctx.world_and_faults();
-        let inst = &mut world.kernel_mut().instances[self.instance];
-        dispatch_exit(
-            inst,
-            self.slot,
-            &mut self.rng,
-            &mut self.cover,
-            faults,
-            &mut self.seq_buf,
-        );
-        self.runner.relower(&self.seq_buf, inst, self.core);
-        self.runner_live = true;
-    }
-
-    /// Books the metrics for whatever the runner just finished.
+    /// Books the metrics for whatever the executor just finished.
     fn complete<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) {
         let now = ctx.now();
         match std::mem::replace(&mut self.running, Running::None) {
@@ -407,24 +329,26 @@ impl TenantHost {
             Some(at) => Effect::Sleep(at.max(now + 1) - now),
             None => {
                 // All tenants churned through: final slot-wide sweep,
-                // then the host (a non-daemon) finishes the run.
-                self.build_host_exit(ctx);
+                // then the host (a non-daemon) finishes the run. The
+                // sweep validates that the lifecycles above leaked
+                // nothing (it finds zero open descriptors when every
+                // tenant exited cleanly) and resets the slot for the
+                // audit.
+                let mut c = self.exec.compile(ctx);
+                c.exit();
+                c.arm();
                 self.running = Running::HostExit;
                 self.step(ctx)
             }
         }
     }
 
+    /// Steps the running sequence; once it finishes (or when nothing
+    /// runs), books it and moves on to the next unit of work.
     fn step<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
-        if self.runner_live {
-            if ctx.trace_enabled() {
-                self.runner.trace_exits(ctx);
-            }
-            if let Some(e) = self.runner.step(ctx) {
-                return e;
-            }
+        if let Some(e) = self.exec.step(ctx) {
+            return e;
         }
-        self.runner_live = false;
         if matches!(self.running, Running::HostExit) {
             return Effect::Done;
         }
@@ -435,10 +359,7 @@ impl TenantHost {
 
 impl<W: HasKernel + 'static> Process<W> for TenantHost {
     fn resume(&mut self, ctx: &mut SimCtx<'_, W>, _wake: WakeReason) -> Effect {
-        if self.runner_live {
-            return self.step(ctx);
-        }
-        self.next(ctx)
+        self.step(ctx)
     }
 
     fn label(&self) -> &'static str {
@@ -479,20 +400,13 @@ pub fn spawn_churn_hosts<W: HasKernel + 'static>(
     for (ci, &core) in built.cores.iter().enumerate() {
         let (instance, slot) = engine.world().kernel().locate(core);
         let host = TenantHost {
-            core,
-            instance,
             slot,
             cap,
             params: *params,
             arrivals: std::mem::take(&mut per_core[ci]),
             waiting: BinaryHeap::new(),
-            rng: SmallRng::seed_from_u64(seed ^ (0x7e2a_a27e << 8) ^ ci as u64),
-            cover: CoverageSet::new(),
-            runner: OpRunner::empty(),
-            runner_live: false,
+            exec: Executor::new(core, instance, slot, seed ^ (0x7e2a_a27e << 8) ^ ci as u64),
             running: Running::None,
-            seq_buf: OpSeq::new(),
-            sub_buf: OpSeq::new(),
         };
         engine.spawn(core, Box::new(host), 0);
     }

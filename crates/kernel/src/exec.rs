@@ -1,4 +1,4 @@
-//! Replaying compiled op sequences on the event engine.
+//! Compiling kernel calls and replaying them on the event engine.
 //!
 //! [`OpRunner`] lowers an [`OpSeq`] into engine effects, applying the
 //! instance's virtualization profile: CPU work is scaled by the
@@ -6,11 +6,23 @@
 //! bare metal), and `Tlb` ops expand into a local flush, per-target exit
 //! costs (vCPU kicks) and an IPI broadcast to the instance's *other*
 //! cores.
+//!
+//! [`Executor`] is the one place a process runs its kernel calls: it
+//! compiles a sequence of calls on its `(core, instance, slot)`, lowers
+//! it into its runner, traces its VM exits and replays it. The varbench
+//! corpus worker, the tailbench server and the churn host all drive the
+//! kernel through it.
 
 use ksa_desim::{CoreId, Effect, LockId, Ns, SimCtx};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
+use crate::coverage::CoverageSet;
+use crate::dispatch::{dispatch_exit, dispatch_into};
 use crate::instance::KernelInstance;
 use crate::ops::{KOp, OpSeq, VmExitKind};
+use crate::world::HasKernel;
+use crate::SysNo;
 
 /// One lowered step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +164,7 @@ impl OpRunner {
     /// Emits one trace mark per VM exit in this call (timestamped at the
     /// current clock, since exit costs are merged into compute delays).
     /// No-op when tracing is disabled.
-    pub fn trace_exits<W>(&self, ctx: &mut SimCtx<'_, W>) {
+    fn trace_exits<W>(&self, ctx: &mut SimCtx<'_, W>) {
         if !ctx.trace_enabled() {
             return;
         }
@@ -194,11 +206,6 @@ impl OpRunner {
         None
     }
 
-    /// True once every step has been issued.
-    pub fn finished(&self) -> bool {
-        self.at >= self.steps.len()
-    }
-
     /// Number of lowered steps (diagnostics).
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -226,6 +233,146 @@ impl OpRunner {
             .iter()
             .filter(|s| matches!(s, RunStep::Block(Effect::Ipi { .. })))
             .count()
+    }
+}
+
+/// Runs one process's kernel calls on one `(core, instance, slot)`.
+///
+/// It owns everything a call needs besides the kernel: the dispatch RNG,
+/// the coverage set, the sequence under construction, a scratch
+/// sequence each call compiles into, and the runner that replays the
+/// armed sequence. [`Executor::compile`] starts a sequence,
+/// [`Compile::arm`] lowers it, and [`Executor::step`] replays it.
+#[derive(Debug)]
+pub struct Executor {
+    core: CoreId,
+    instance: usize,
+    slot: usize,
+    rng: SmallRng,
+    cover: CoverageSet,
+    seq: OpSeq,
+    sub: OpSeq,
+    runner: OpRunner,
+    live: bool,
+}
+
+impl Executor {
+    /// Creates an executor for `slot` of kernel instance `instance`,
+    /// running on `core`, with its dispatch RNG seeded from `seed`.
+    pub fn new(core: CoreId, instance: usize, slot: usize, seed: u64) -> Self {
+        Self {
+            core,
+            instance,
+            slot,
+            rng: SmallRng::seed_from_u64(seed),
+            cover: CoverageSet::new(),
+            seq: OpSeq::new(),
+            sub: OpSeq::new(),
+            runner: OpRunner::empty(),
+            live: false,
+        }
+    }
+
+    /// Starts compiling a new sequence. Dispatch mutates kernel state
+    /// synchronously and consumes no virtual time.
+    pub fn compile<'a, 'w, W: HasKernel>(
+        &'a mut self,
+        ctx: &'a mut SimCtx<'w, W>,
+    ) -> Compile<'a, 'w, W> {
+        self.seq.reset();
+        Compile { ex: self, ctx }
+    }
+
+    /// Advances the armed sequence: returns its next blocking effect, or
+    /// `None` once it has finished (or when nothing is armed).
+    pub fn step<W>(&mut self, ctx: &mut SimCtx<'_, W>) -> Option<Effect> {
+        let effect = if self.live {
+            self.runner.step(ctx)
+        } else {
+            None
+        };
+        self.live = effect.is_some();
+        effect
+    }
+
+    /// True from [`Compile::arm`] until [`Executor::step`] finds the
+    /// sequence finished.
+    pub fn live(&self) -> bool {
+        self.live
+    }
+
+    /// VM-exit nanoseconds folded into the last armed sequence.
+    pub fn vm_exit_ns(&self) -> Ns {
+        self.runner.vm_exit_ns()
+    }
+}
+
+/// A sequence under construction on an [`Executor`]; see
+/// [`Executor::compile`]. Nothing runs until [`Compile::arm`].
+#[must_use = "a compiled sequence runs only once armed"]
+pub struct Compile<'a, 'w, W> {
+    ex: &'a mut Executor,
+    ctx: &'a mut SimCtx<'w, W>,
+}
+
+impl<W: HasKernel> Compile<'_, '_, W> {
+    /// Dispatches one call and appends its ops to the sequence. Each
+    /// call compiles into its own scratch sequence first, so op merging
+    /// never crosses a call boundary. Returns the compiled call (its
+    /// `result` and `error`).
+    pub fn call(&mut self, no: SysNo, args: &[u64]) -> &OpSeq {
+        let ex = &mut *self.ex;
+        let (world, faults) = self.ctx.world_and_faults();
+        let inst = &mut world.kernel_mut().instances[ex.instance];
+        dispatch_into(
+            inst,
+            ex.slot,
+            no,
+            args,
+            &mut ex.rng,
+            &mut ex.cover,
+            faults,
+            &mut ex.sub,
+        );
+        ex.seq.ops.extend_from_slice(&ex.sub.ops);
+        &ex.sub
+    }
+
+    /// Dispatches the slot-wide `exit_group` sweep and appends its ops.
+    pub fn exit(&mut self) {
+        let ex = &mut *self.ex;
+        let (world, faults) = self.ctx.world_and_faults();
+        let inst = &mut world.kernel_mut().instances[ex.instance];
+        dispatch_exit(
+            inst,
+            ex.slot,
+            &mut ex.rng,
+            &mut ex.cover,
+            faults,
+            &mut ex.sub,
+        );
+        ex.seq.ops.extend_from_slice(&ex.sub.ops);
+    }
+
+    /// The sequence under construction, for user-level ops between calls.
+    pub fn seq(&mut self) -> &mut OpSeq {
+        &mut self.ex.seq
+    }
+
+    /// The dispatch RNG, for draws between calls.
+    pub fn rng(&mut self) -> &mut SmallRng {
+        &mut self.ex.rng
+    }
+
+    /// Lowers the sequence into the runner and marks it live. Its VM
+    /// exits are traced here, once, at the current clock.
+    pub fn arm(self) {
+        let ex = self.ex;
+        debug_assert!(ex.seq.locks_balanced());
+        let inst = &self.ctx.world.kernel().instances[ex.instance];
+        ex.runner.relower(&ex.seq, inst, ex.core);
+        ex.live = true;
+        ex.runner.trace_exits(self.ctx);
     }
 }
 
@@ -323,5 +470,61 @@ mod tests {
         eng.spawn(cores[0], Box::new(Runner { r }), 0);
         let res = eng.run().unwrap();
         assert!(res.clock >= 100);
+    }
+
+    #[test]
+    fn executor_traces_each_exit_once() {
+        use crate::world::KernelWorld;
+        use ksa_desim::{Process, TraceConfig, TraceEventKind, WakeReason};
+
+        // Three guest syscalls split by sleeps: the armed sequence blocks
+        // five times, and each call's exit is traced once, at arm time.
+        struct Caller(Executor);
+        impl Process<KernelWorld> for Caller {
+            fn resume(&mut self, ctx: &mut SimCtx<'_, KernelWorld>, wake: WakeReason) -> Effect {
+                if matches!(wake, WakeReason::Start) {
+                    let mut c = self.0.compile(ctx);
+                    c.call(SysNo::Getpid, &[]);
+                    for _ in 0..2 {
+                        c.seq().push(KOp::SleepNs(1_000));
+                        c.call(SysNo::Getpid, &[]);
+                    }
+                    c.arm();
+                    assert_eq!(self.0.runner.len(), 5);
+                }
+                self.0.step(ctx).unwrap_or(Effect::Done)
+            }
+        }
+        let mut eng = Engine::new(KernelWorld::new(), EngineParams::default(), 3);
+        let disk = eng.add_device(DeviceModel::nvme_ssd());
+        let core = eng.add_core(Default::default());
+        let inst = KernelInstance::build(
+            &mut eng,
+            0,
+            InstanceConfig {
+                cores: vec![core],
+                mem_mib: 256,
+                virt: VirtProfile::kvm(),
+                tenancy: TenancyProfile::none(),
+                cost: CostModel::default(),
+                disk,
+                spec: SpecMask::full(),
+            },
+        );
+        eng.world_mut().push_instance(inst);
+        eng.set_trace(TraceConfig::enabled());
+        eng.spawn(core, Box::new(Caller(Executor::new(core, 0, 0, 7))), 0);
+        let res = eng.run().unwrap();
+        assert!(res.clock >= 2_000);
+        let trace = eng.take_trace();
+        let exits: Vec<&str> = trace
+            .merged()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::VmExit { kind, .. } => Some(trace.label(kind)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(exits, ["guest_syscall"; 3]);
     }
 }

@@ -5,14 +5,9 @@ use std::sync::Arc;
 use ksa_desim::{
     BarrierId, CoreId, Effect, LatSnapshot, Ns, Process, SimCtx, TraceEventKind, WakeReason,
 };
-use ksa_kernel::coverage::CoverageSet;
-use ksa_kernel::dispatch::dispatch_into;
-use ksa_kernel::exec::OpRunner;
-use ksa_kernel::ops::OpSeq;
+use ksa_kernel::exec::Executor;
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::world::HasKernel;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Encodes `(program, call)` into a record key.
 pub fn site_key(site_base: &[u64], prog: usize, call: usize) -> u64 {
@@ -33,7 +28,7 @@ pub fn site_bases(corpus: &Corpus) -> Vec<u64> {
 enum Phase {
     /// Waiting to enter the next program (barrier or direct).
     ProgramStart,
-    /// Executing a call through its op runner.
+    /// Executing a call through the executor.
     InCall,
     /// Userspace glue between calls.
     Glue,
@@ -47,11 +42,7 @@ pub struct CorpusWorker {
     site_base: Arc<Vec<u64>>,
     iterations: usize,
     sync: Option<BarrierId>,
-    core: CoreId,
-    instance: usize,
-    slot: usize,
-    rng: SmallRng,
-    cover: CoverageSet,
+    exec: Executor,
     user_glue: Ns,
     daemon: bool,
 
@@ -60,14 +51,10 @@ pub struct CorpusWorker {
     prog: usize,
     call: usize,
     results: Vec<u64>,
-    runner: OpRunner,
-    runner_live: bool,
-    seq_buf: OpSeq,
     args_buf: Vec<u64>,
     call_start: Ns,
     lat_before: LatSnapshot,
     lat_after: LatSnapshot,
-    pending_result: u64,
 }
 
 impl CorpusWorker {
@@ -88,11 +75,7 @@ impl CorpusWorker {
             site_base,
             iterations,
             sync,
-            core,
-            instance,
-            slot,
-            rng: SmallRng::seed_from_u64(seed),
-            cover: CoverageSet::new(),
+            exec: Executor::new(core, instance, slot, seed),
             user_glue: 200,
             daemon: false,
             phase: Phase::ProgramStart,
@@ -100,26 +83,18 @@ impl CorpusWorker {
             prog: 0,
             call: 0,
             results: Vec::new(),
-            runner: OpRunner::empty(),
-            runner_live: false,
-            seq_buf: OpSeq::new(),
             args_buf: Vec::new(),
             call_start: 0,
             lat_before: LatSnapshot::default(),
             lat_after: LatSnapshot::default(),
-            pending_result: 0,
         }
     }
 
-    /// Compiles the current call and arms its runner. Returns false when
-    /// the current program is empty.
-    fn begin_call<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> bool {
-        let corpus = Arc::clone(&self.corpus);
-        let program = &corpus.programs[self.prog];
-        if self.call >= program.len() {
-            return false;
-        }
-        let call = &program.calls[self.call];
+    /// Compiles the current call (which exists: programs are never
+    /// entered empty) and arms it.
+    fn begin_call<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) {
+        self.phase = Phase::InCall;
+        let call = &self.corpus.programs[self.prog].calls[self.call];
         self.args_buf.clear();
         self.args_buf
             .extend(call.args.iter().map(|a| a.resolve(&self.results)));
@@ -127,67 +102,56 @@ impl CorpusWorker {
         // snapshot pair brackets exactly this call's interval (dispatch
         // and lowering consume no virtual time).
         ctx.lat_snapshot_into(&mut self.lat_before);
-        let (world, faults) = ctx.world_and_faults();
-        let inst = &mut world.kernel_mut().instances[self.instance];
-        dispatch_into(
-            inst,
-            self.slot,
-            call.no,
-            &self.args_buf,
-            &mut self.rng,
-            &mut self.cover,
-            faults,
-            &mut self.seq_buf,
-        );
-        self.pending_result = self.seq_buf.result;
-        self.runner.relower(&self.seq_buf, inst, self.core);
-        self.runner_live = true;
         self.call_start = ctx.now();
         if ctx.trace_enabled() {
             ctx.trace_mark(TraceEventKind::Syscall {
                 no: call.no as u16,
                 enter: true,
             });
-            self.runner.trace_exits(ctx);
         }
-        true
+        // The result is known at compile time; later calls of the
+        // program may take it as an argument.
+        let mut c = self.exec.compile(ctx);
+        self.results.push(c.call(call.no, &self.args_buf).result);
+        c.arm();
     }
 
-    /// Advances past a finished call; returns the next effect.
+    /// Books the call that just finished; returns the next effect.
     fn finish_call<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
         let key = site_key(&self.site_base, self.prog, self.call);
         let latency = ctx.now() - self.call_start;
         ctx.record(key, latency);
-        if self.runner_live {
-            self.runner_live = false;
-            let no = self.corpus.programs[self.prog].calls[self.call].no;
-            ctx.lat_snapshot_into(&mut self.lat_after);
-            if ctx.trace_enabled() {
-                ctx.trace_mark(TraceEventKind::Syscall {
-                    no: no as u16,
-                    enter: false,
-                });
-            }
-            let now = ctx.now();
-            let (world, _faults) = ctx.world_and_faults();
-            let attrib = world.kernel_mut().observe_syscall(
-                no,
-                &self.lat_before,
-                &self.lat_after,
-                self.runner.vm_exit_ns(),
-                now,
-            );
-            // The components-tile-the-timeline invariant: the decomposed
-            // call must account for every recorded nanosecond.
-            debug_assert_eq!(attrib.total, latency, "attribution must sum to latency");
+        let no = self.corpus.programs[self.prog].calls[self.call].no;
+        ctx.lat_snapshot_into(&mut self.lat_after);
+        if ctx.trace_enabled() {
+            ctx.trace_mark(TraceEventKind::Syscall {
+                no: no as u16,
+                enter: false,
+            });
         }
-        self.results.push(self.pending_result);
+        let now = ctx.now();
+        let (world, _faults) = ctx.world_and_faults();
+        let attrib = world.kernel_mut().observe_syscall(
+            no,
+            &self.lat_before,
+            &self.lat_after,
+            self.exec.vm_exit_ns(),
+            now,
+        );
+        // The components-tile-the-timeline invariant: the decomposed
+        // call must account for every recorded nanosecond.
+        debug_assert_eq!(attrib.total, latency, "attribution must sum to latency");
         self.call += 1;
         if self.call < self.corpus.programs[self.prog].len() {
             self.phase = Phase::Glue;
             return Effect::Delay(self.user_glue);
         }
-        // Program finished: advance cursor.
+        self.next_program(ctx)
+    }
+
+    /// Advances the cursor past the current program and enters the next
+    /// one, or finishes after the last iteration.
+    fn next_program<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
         self.prog += 1;
         if self.prog >= self.corpus.programs.len() {
             self.prog = 0;
@@ -208,39 +172,24 @@ impl CorpusWorker {
         }
     }
 
-    /// Begins executing the current program's first call.
+    /// Begins executing the current program's first call; an empty
+    /// program is skipped.
     fn start_program<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
         self.call = 0;
         self.results.clear();
-        self.phase = Phase::InCall;
-        if !self.begin_call(ctx) {
-            // Empty program: skip it.
-            self.prog += 1;
-            if self.prog >= self.corpus.programs.len() {
-                self.prog = 0;
-                self.iter += 1;
-                if self.iter >= self.iterations {
-                    return Effect::Done;
-                }
-            }
-            return self.enter_program(ctx);
+        if self.corpus.programs[self.prog].is_empty() {
+            return self.next_program(ctx);
         }
-        self.step_runner(ctx)
+        self.begin_call(ctx);
+        self.step_call(ctx)
     }
 
-    /// Steps the op runner, finishing the call when it runs dry.
-    fn step_runner<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
-        if self.runner_live {
-            if let Some(effect) = self.runner.step(ctx) {
-                return effect;
-            }
+    /// Steps the armed call, finishing it when it runs dry.
+    fn step_call<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) -> Effect {
+        match self.exec.step(ctx) {
+            Some(effect) => effect,
+            None => self.finish_call(ctx),
         }
-        self.finish_call(ctx)
-    }
-
-    /// Coverage this worker observed (for diagnostics).
-    pub fn coverage(&self) -> &CoverageSet {
-        &self.cover
     }
 
     /// Marks the worker as a background noise generator: it no longer
@@ -265,14 +214,10 @@ impl<W: HasKernel> Process<W> for CorpusWorker {
                 }
                 self.start_program(ctx)
             }
-            Phase::InCall => self.step_runner(ctx),
+            Phase::InCall => self.step_call(ctx),
             Phase::Glue => {
-                self.phase = Phase::InCall;
-                if self.begin_call(ctx) {
-                    self.step_runner(ctx)
-                } else {
-                    self.finish_call(ctx)
-                }
+                self.begin_call(ctx);
+                self.step_call(ctx)
             }
         }
     }

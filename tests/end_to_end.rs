@@ -306,3 +306,68 @@ fn faulted_trace_bytes_are_pinned() {
         (9_762, 1_109_386, 0xdd23fce92e06bf3b)
     );
 }
+
+/// The VM-exit tags a trace recorded, in `(time, core, pid)` order, with
+/// their times.
+fn vm_exit_marks(trace: &ksa_core::desim::TraceLog) -> Vec<(u64, &'static str)> {
+    use ksa_core::desim::TraceEventKind;
+    trace
+        .merged()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            TraceEventKind::VmExit { kind, .. } => Some((e.t, trace.label(kind))),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn traced_churn_marks_each_vm_exit_once() {
+    // A traced churn run records one mark per VM exit of each compiled
+    // sequence (707 here), not one per exit per replay step, and tracing
+    // leaves the clock and the event count untouched.
+    use ksa_core::desim::{Engine, EngineParams, TraceConfig};
+    use ksa_core::envsim::{build_env_with, spawn_churn_hosts};
+    use ksa_core::kernel::KernelWorld;
+    use ksa_core::tailbench::{run_churn, ChurnConfig};
+    let cfg = ChurnConfig::quick(EnvKind::Vm(2), 8, 7);
+    let untraced = run_churn(&cfg);
+    let mut engine = Engine::new(KernelWorld::new(), EngineParams::default(), cfg.seed);
+    let built = build_env_with(
+        &mut engine,
+        &EnvSpec::new(cfg.machine, cfg.kind),
+        cfg.seed,
+        None,
+    );
+    engine.set_trace(TraceConfig::enabled());
+    spawn_churn_hosts(&mut engine, &built, &cfg.params, cfg.seed);
+    let res = engine.run().expect("churn run stalled");
+    let trace = engine.take_trace();
+    assert_eq!(trace.total_dropped(), 0);
+    assert_eq!(vm_exit_marks(&trace).len(), 707);
+    assert_eq!((res.clock, res.events), (untraced.sim_ns, untraced.events));
+    assert_eq!((res.clock, res.events), (1_357_527, 1_661));
+}
+
+#[test]
+fn traced_kvm_server_setup_exits_are_marked() {
+    // Server workers compile their ten-call warm-up sequence at t = 0;
+    // the client starts at 50 µs. Under KVM every call pays a
+    // guest-syscall exit, so each worker's setup leaves ten marks at 0.
+    use ksa_core::kernel::prog::Corpus;
+    use ksa_core::tailbench::{run_single_node, SingleNodeConfig};
+    let cfg = SingleNodeConfig {
+        requests: 20,
+        warmup: 0,
+        trace: true,
+        ..SingleNodeConfig::quick(true, false, 42)
+    };
+    let workers = cfg.machine.cores / cfg.groups;
+    let app = &ksa_core::tailbench::suite()[0];
+    let res = run_single_node(app, &cfg, &Corpus { programs: vec![] });
+    let setup = vm_exit_marks(&res.trace)
+        .into_iter()
+        .filter(|&(t, tag)| t == 0 && tag == "guest_syscall")
+        .count();
+    assert_eq!(setup, 10 * workers);
+}
