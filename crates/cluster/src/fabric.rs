@@ -1,9 +1,8 @@
 //! The cluster fabric's failure-detection and recovery machinery.
 //!
-//! [`run_cluster`](crate::run_cluster) models a *healthy* BSP cluster:
-//! per-iteration barriers reduce to a max over independent node
-//! simulations. This module lifts PR 1's per-site fault discipline to
-//! the node/link level: a seeded [`NodeFaultPlan`] schedules node
+//! A healthy BSP cluster's per-iteration barriers reduce to a max over
+//! independent node simulations. This module lifts the kernel's
+//! per-site fault discipline to the node/link level: a seeded [`NodeFaultPlan`] schedules node
 //! crash/reboot windows, partition and degraded-link windows, and
 //! probabilistic message drops, and the fabric rides through them with
 //! a real recovery path:
@@ -32,7 +31,9 @@
 //! semantics — healthy link latency is modelled as part of
 //! `barrier_ns`, so only fault-induced delays (degradation excess,
 //! retransmit backoff, detection timeouts, re-execution) move an
-//! iteration — pinned by `faulted_run_with_empty_plan_matches_healthy`.
+//! iteration. [`run_cluster`](crate::run_cluster) is that empty-plan
+//! run; `faulted_run_with_empty_plan_matches_healthy` pins that the
+//! fabric policy cannot reach it.
 
 use ksa_desim::{
     Backoff, CoreId, NodeFaultPlan, Ns, Pid, TraceEvent, TraceEventKind, TraceLog, TraceRing,
@@ -41,8 +42,10 @@ use ksa_kernel::cov_block;
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 use ksa_tailbench::apps::AppProfile;
+use ksa_tailbench::single_node::{run_node_batched, SingleNodeConfig};
+use ksa_telemetry::Registry;
 
-use crate::{run_nodes, ClusterConfig, ClusterResult};
+use crate::{ClusterConfig, ClusterResult};
 
 /// Failure-detection and retransmission knobs of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,8 +275,8 @@ fn deliver(
 
 /// Runs `app` across the cluster under a node/link fault plan, riding
 /// through crashes, partitions and lossy links with the recovery
-/// machinery above. With an empty plan this is bit-identical to
-/// [`run_cluster`](crate::run_cluster).
+/// machinery above. [`run_cluster`](crate::run_cluster) is this run
+/// under an empty plan.
 pub fn run_cluster_faulted(
     app: &AppProfile,
     cfg: &ClusterConfig,
@@ -281,11 +284,37 @@ pub fn run_cluster_faulted(
     plan: &NodeFaultPlan,
     fab: &FabricConfig,
 ) -> ClusterResult {
-    let per_node = run_nodes(app, cfg, noise_corpus);
-    let metrics = crate::merge_node_metrics(&per_node);
-    let events = per_node.iter().map(|(_, _, e)| e).sum();
-    let base: Vec<Vec<Ns>> = per_node.into_iter().map(|(d, _, _)| d).collect();
     let nodes = cfg.nodes;
+    // Node seeds derive from the node *index*, so pool scheduling cannot
+    // reach the simulated results.
+    let per_node = ksa_desim::pool::parallel_indexed(cfg.threads, nodes, |node| {
+        let node_cfg = SingleNodeConfig {
+            seed: cfg
+                .node
+                .seed
+                .wrapping_mul(0x9e3779b97f4a7c15)
+                .wrapping_add(node as u64),
+            ..cfg.node
+        };
+        let res = run_node_batched(
+            app,
+            &node_cfg,
+            noise_corpus,
+            cfg.iterations,
+            cfg.requests_per_iter,
+        );
+        (res.batch_durations, res.metrics, res.events)
+    });
+    // Each node's series are labelled `node=<index>` (inert when nodes
+    // ran without telemetry).
+    let mut metrics = Registry::disabled();
+    let mut events = 0;
+    let mut base: Vec<Vec<Ns>> = Vec::with_capacity(nodes);
+    for (i, (durations, reg, ev)) in per_node.into_iter().enumerate() {
+        metrics.absorb(&reg, &[("node", i.to_string().as_str())]);
+        events += ev;
+        base.push(durations);
+    }
     let mut rec = Recorder::new(nodes);
     let mut rep = FabricReport::default();
     let mut known_dead = vec![false; nodes];

@@ -16,11 +16,11 @@
 //! bit-identical for every worker count, including the sequential
 //! (`threads == 1`) baseline.
 
-use ksa_desim::{Ns, TraceLog};
+use ksa_desim::{NodeFaultPlan, Ns, TraceLog};
 use ksa_kernel::coverage::CoverageSet;
 use ksa_kernel::prog::Corpus;
 use ksa_tailbench::apps::AppProfile;
-use ksa_tailbench::single_node::{run_node_batched, SingleNodeConfig};
+use ksa_tailbench::single_node::SingleNodeConfig;
 
 pub mod fabric;
 
@@ -160,81 +160,16 @@ impl ClusterResult {
     }
 }
 
-/// Runs `app` across the cluster and combines iteration times with
-/// barrier (max) semantics.
+/// Runs `app` across a healthy cluster and combines iteration times
+/// with barrier (max) semantics: the fabric of [`run_cluster_faulted`]
+/// under an empty fault plan, with no fabric report and no trace.
 pub fn run_cluster(app: &AppProfile, cfg: &ClusterConfig, noise_corpus: &Corpus) -> ClusterResult {
-    // Each node simulation yields `iterations` durations.
-    let per_node = run_nodes(app, cfg, noise_corpus);
-    let metrics = merge_node_metrics(&per_node);
-    let events = per_node.iter().map(|(_, _, e)| e).sum();
-
-    let mut iteration_ns = Vec::with_capacity(cfg.iterations as usize);
-    for it in 0..cfg.iterations as usize {
-        let max = per_node
-            .iter()
-            .map(|(n, _, _)| n.get(it).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        iteration_ns.push(max + cfg.barrier_ns);
-    }
-    let total_ns = iteration_ns.iter().sum();
-    let mean_node_ns = {
-        let sums: Vec<Ns> = per_node.iter().map(|(n, _, _)| n.iter().sum()).collect();
-        let total: u128 = sums.iter().map(|&s| s as u128).sum();
-        (total / sums.len().max(1) as u128) as Ns + cfg.barrier_ns * cfg.iterations
-    };
+    let plan = NodeFaultPlan::none();
     ClusterResult {
-        app: app.name.to_string(),
-        iteration_ns,
-        total_ns,
-        mean_node_ns,
         fabric: None,
-        coverage: CoverageSet::new(),
         trace: TraceLog::default(),
-        metrics,
-        events,
+        ..run_cluster_faulted(app, cfg, noise_corpus, &plan, &FabricConfig::default())
     }
-}
-
-/// Folds per-node registries into one, labelling each node's series
-/// `node=<index>`. Inert (and allocation-free) when nodes ran without
-/// telemetry.
-pub(crate) fn merge_node_metrics(
-    per_node: &[(Vec<Ns>, ksa_telemetry::Registry, u64)],
-) -> ksa_telemetry::Registry {
-    let mut merged = ksa_telemetry::Registry::disabled();
-    for (i, (_, reg, _)) in per_node.iter().enumerate() {
-        let node = i.to_string();
-        merged.absorb(reg, &[("node", node.as_str())]);
-    }
-    merged
-}
-
-/// Simulates every node on the work-stealing pool, returning per-node
-/// `(iteration durations, telemetry, engine events)` in node order.
-/// Node seeds derive from the node *index*, so scheduling cannot reach
-/// the simulated results.
-pub(crate) fn run_nodes(
-    app: &AppProfile,
-    cfg: &ClusterConfig,
-    noise_corpus: &Corpus,
-) -> Vec<(Vec<Ns>, ksa_telemetry::Registry, u64)> {
-    ksa_desim::pool::parallel_indexed(cfg.threads, cfg.nodes, |node| {
-        let mut node_cfg = cfg.node;
-        node_cfg.seed = cfg
-            .node
-            .seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(node as u64);
-        let res = run_node_batched(
-            app,
-            &node_cfg,
-            noise_corpus,
-            cfg.iterations,
-            cfg.requests_per_iter,
-        );
-        (res.batch_durations, res.metrics, res.events)
-    })
 }
 
 #[cfg(test)]

@@ -972,18 +972,6 @@ impl<W> Engine<W> {
         self.st.clock
     }
 
-    /// `(acquisitions, contended)` counters for a lock.
-    pub fn lock_stats(&self, lock: LockId) -> (u64, u64) {
-        let l = &self.st.locks[lock.index()];
-        (l.acquisitions, l.contended)
-    }
-
-    /// `(total_wait_ns, max_wait_ns)` for a lock (contended waits only).
-    pub fn lock_wait_stats(&self, lock: LockId) -> (Ns, Ns) {
-        let l = &self.st.locks[lock.index()];
-        (l.total_wait_ns, l.max_wait_ns)
-    }
-
     /// Iterates `(label, acquisitions, contended, total_wait_ns,
     /// max_wait_ns)` over every registered lock — the lockstat
     /// analogue's raw material (durations, not just rates).
@@ -1074,11 +1062,6 @@ impl<W> Engine<W> {
         } else {
             EngineMetrics::NONE
         };
-    }
-
-    /// The engine's self-profiling metrics recorded so far.
-    pub fn telemetry(&self) -> &Registry {
-        &self.st.telem
     }
 
     /// Takes ownership of the recorded metrics after flushing a final
@@ -1808,7 +1791,7 @@ mod tests {
         // Waiter granted at 1000 + spin_handoff, then 10ns work.
         let expected = 1000 + EngineParams::default().spin_handoff + 10;
         assert_eq!(p2.get(), expected);
-        let (acq, cont) = eng.lock_stats(l);
+        let (_, acq, cont, _, _) = eng.all_lock_wait_stats().nth(l.index()).unwrap();
         assert_eq!(acq, 2);
         assert_eq!(cont, 1);
     }
@@ -2361,14 +2344,13 @@ mod tests {
         eng.run().unwrap();
         // Waiter enqueued at t=10, granted wake at t=1000+handoff.
         let expected = 1000 + params.spin_handoff - 10;
-        let (total, max) = eng.lock_wait_stats(l);
+        let (label, _, contended, total, max) = eng.all_lock_wait_stats().nth(l.index()).unwrap();
+        assert_eq!(label, "test");
+        assert_eq!(contended, 1);
         assert_eq!(total, expected);
         assert_eq!(max, expected);
         assert_eq!(eng.lat_breakdown(waiter).get(LatComp::LockWait), expected);
         assert_eq!(eng.proc_lock_waits(waiter), &[("test", expected)]);
-        let (_, _, contended, total_w, _) = eng.all_lock_wait_stats().next().unwrap();
-        assert_eq!(contended, 1);
-        assert_eq!(total_w, expected);
     }
 
     #[test]

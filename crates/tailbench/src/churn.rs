@@ -19,11 +19,11 @@
 //! per instance, with nothing live after the last exit. The pre-fix
 //! push-only allocator fails these audits at any density.
 
-use ksa_desim::{Engine, EngineParams, Ns};
+use ksa_desim::Ns;
 use ksa_envsim::tenant::{
     spawn_churn_hosts, split_key, ChurnParams, COLD_START_KEY, EXIT_KEY, REQUEST_KEY,
 };
-use ksa_envsim::{build_env_with, EnvKind, EnvSpec, Machine};
+use ksa_envsim::{EnvKind, EnvSpec, Machine, Trial};
 use ksa_kernel::world::KernelWorld;
 use ksa_kernel::SpecMask;
 use ksa_stats::Samples;
@@ -118,19 +118,11 @@ pub struct ChurnResult {
 
 /// Runs one churn configuration to completion.
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
-    let mut engine: Engine<KernelWorld> =
-        Engine::new(KernelWorld::new(), EngineParams::default(), cfg.seed);
     let spec = EnvSpec::new(cfg.machine, cfg.kind);
-    let built = build_env_with(&mut engine, &spec, cfg.seed, cfg.spec);
-    let (locks_allocated, daemons_spawned) = {
-        let k = engine.world();
-        (
-            k.instances.iter().map(|i| i.locks_allocated).sum(),
-            k.instances.iter().map(|i| i.daemons_spawned).sum(),
-        )
-    };
-    spawn_churn_hosts(&mut engine, &built, &cfg.params, cfg.seed);
-    let res = engine
+    let mut trial = Trial::new(KernelWorld::new(), &spec, cfg.seed, cfg.spec, false, false);
+    spawn_churn_hosts(&mut trial.engine, &trial.built, &cfg.params, cfg.seed);
+    let res = trial
+        .engine
         .run()
         .unwrap_or_else(|e| panic!("churn run stalled: {e}"));
 
@@ -166,7 +158,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
         .unwrap_or(0);
 
     // Post-churn table audits across the whole machine.
-    let k = engine.world();
+    let k = trial.engine.world();
     let mut fd_table_len = 0u64;
     let mut fd_peak = 0u64;
     let mut fd_open_after = 0u64;
@@ -221,8 +213,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
         sock_peak,
         sock_live_after,
         tables_bounded,
-        locks_allocated,
-        daemons_spawned,
+        locks_allocated: trial.locks_allocated,
+        daemons_spawned: trial.daemons_spawned,
         digest,
         cold_starts: cold_samples,
         requests: req_samples,

@@ -6,14 +6,12 @@
 //! varbench corpus as noise); under Docker, the same split as 4
 //! containers on one shared kernel. Clients drive ~75% utilization.
 
-use std::sync::Arc;
-
-use ksa_desim::{Engine, EngineParams, Ns, TraceConfig, TraceLog};
-use ksa_envsim::{build_env_with, EnvKind, EnvSpec, Machine};
+use ksa_desim::{Ns, TraceLog};
+use ksa_envsim::{EnvKind, EnvSpec, Machine, Trial};
 use ksa_kernel::prog::Corpus;
 use ksa_kernel::{AttributionTable, SpecMask};
 use ksa_stats::Samples;
-use ksa_varbench::worker::{site_bases, CorpusWorker};
+use ksa_varbench::worker::SharedCorpus;
 
 use crate::apps::AppProfile;
 use crate::client::{Client, ClientMode, RetryPolicy, ITER_KEY_BASE};
@@ -150,28 +148,10 @@ pub fn run_single_node(
     run_node(
         app,
         cfg,
-        &SharedNoise::new(noise_corpus),
+        &SharedCorpus::new(noise_corpus),
         None,
         RetryPolicy::lossless(),
     )
-}
-
-/// The noise corpus prepared for sharing across sweep points: the
-/// co-runner workers' owned handle plus the precomputed per-site record
-/// keys. Sweeps build this once so each point clones an `Arc`, not the
-/// corpus.
-struct SharedNoise {
-    corpus: Arc<Corpus>,
-    bases: Arc<Vec<u64>>,
-}
-
-impl SharedNoise {
-    fn new(corpus: &Corpus) -> Self {
-        Self {
-            corpus: Arc::new(corpus.clone()),
-            bases: Arc::new(site_bases(corpus)),
-        }
-    }
 }
 
 /// Runs a whole sweep of independent `(app, config)` points concurrently
@@ -188,7 +168,7 @@ pub fn run_points(
     noise_corpus: &Corpus,
     jobs: usize,
 ) -> Vec<TailResult> {
-    let noise = SharedNoise::new(noise_corpus);
+    let noise = SharedCorpus::new(noise_corpus);
     ksa_desim::pool::parallel_indexed(jobs, points.len(), |i| {
         let (app, cfg) = &points[i];
         run_node(app, cfg, &noise, None, RetryPolicy::lossless())
@@ -207,7 +187,7 @@ pub fn run_node_batched(
     run_node(
         app,
         cfg,
-        &SharedNoise::new(noise_corpus),
+        &SharedCorpus::new(noise_corpus),
         Some((batches, per_batch)),
         RetryPolicy::lossless(),
     )
@@ -216,53 +196,37 @@ pub fn run_node_batched(
 fn run_node(
     app: &AppProfile,
     cfg: &SingleNodeConfig,
-    noise: &SharedNoise,
+    noise: &SharedCorpus,
     batched: Option<(u64, u64)>,
     retry: RetryPolicy,
 ) -> TailResult {
     assert!(cfg.machine.cores.is_multiple_of(cfg.groups));
     let per_group = cfg.machine.cores / cfg.groups;
-
-    let mut engine: Engine<TbWorld> =
-        Engine::new(TbWorld::new(), EngineParams::default(), cfg.seed);
-    if cfg.metrics {
-        use ksa_kernel::world::HasKernel;
-        use ksa_telemetry::TelemetryConfig;
-        engine.set_telemetry(TelemetryConfig::enabled());
-        engine.world_mut().kernel_mut().metrics =
-            ksa_kernel::KernelTelemetry::new(TelemetryConfig::enabled());
-    }
     let kind = if cfg.virt {
         EnvKind::Vm(cfg.groups)
     } else {
         EnvKind::Container(cfg.groups)
     };
-    let spec = EnvSpec::new(cfg.machine, kind);
-    let built = build_env_with(&mut engine, &spec, cfg.seed, cfg.spec);
-    let (locks_allocated, daemons_spawned) = {
-        use ksa_kernel::world::HasKernel;
-        let k = engine.world().kernel();
-        (
-            k.instances.iter().map(|i| i.locks_allocated).sum(),
-            k.instances.iter().map(|i| i.daemons_spawned).sum(),
-        )
-    };
-    if cfg.trace {
-        engine.set_trace(TraceConfig::enabled());
-    }
+    let mut trial = Trial::new(
+        TbWorld::new(),
+        &EnvSpec::new(cfg.machine, kind),
+        cfg.seed,
+        cfg.spec,
+        cfg.trace,
+        cfg.metrics,
+    );
+    let engine = &mut trial.engine;
+    let cores = &trial.built.cores;
 
     // The app owns the first group of cores (instance 0 under KVM; the
     // first container's share under Docker).
-    let app_cores = &built.cores[..per_group];
+    let app_cores = &cores[..per_group];
     let app_id = engine.world_mut().add_queue();
     let req_q = engine.add_queue();
     let done_q = engine.add_queue();
 
     for (i, &core) in app_cores.iter().enumerate() {
-        let (instance, slot) = {
-            use ksa_kernel::world::HasKernel;
-            engine.world().kernel().locate(core)
-        };
+        let (instance, slot) = engine.world().kernel.locate(core);
         let worker = ServerWorker::new(
             app.clone(),
             app_id,
@@ -290,28 +254,17 @@ fn run_node(
     engine.spawn(app_cores[0], Box::new(client), 50_000);
 
     // Noise co-runners on the remaining cores.
-    if cfg.noise && built.cores.len() > per_group {
-        let noise_cores = &built.cores[per_group..];
+    if cfg.noise && cores.len() > per_group {
+        let noise_cores = &cores[per_group..];
 
         // The noise corpus barrier-synchronizes program starts across
         // all noise cores, exactly like the paper's varbench co-runner.
         let barrier = engine.add_barrier(noise_cores.len() as u32);
         for (i, &core) in noise_cores.iter().enumerate() {
-            let (instance, slot) = {
-                use ksa_kernel::world::HasKernel;
-                engine.world().kernel().locate(core)
-            };
-            let w = CorpusWorker::new(
-                Arc::clone(&noise.corpus),
-                Arc::clone(&noise.bases),
-                usize::MAX,
-                Some(barrier),
-                core,
-                instance,
-                slot,
-                cfg.seed ^ (0x517e + i as u64),
-            )
-            .as_daemon();
+            let seed = cfg.seed ^ (0x517e + i as u64);
+            let w = noise
+                .worker(engine, core, usize::MAX, Some(barrier), seed)
+                .as_daemon();
             engine.spawn(core, Box::new(w), 0);
         }
     }
@@ -336,19 +289,9 @@ fn run_node(
         .collect();
     let mut samples = Samples::from_values(kept);
     let p99 = samples.p99().unwrap_or(0);
-    let trace = engine.take_trace();
-    let now = engine.now();
-    let kernel_metrics = {
-        let kw = &mut engine.world_mut().kernel;
-        kw.metrics.finish(now, &kw.instances)
-    };
-    let mut metrics = engine.take_telemetry();
-    engine.fold_lock_counters(&mut metrics);
-    metrics.absorb(&kernel_metrics, &[]);
-    let request_attrib = std::mem::take(&mut engine.world_mut().request_attrib);
-    let noise_attrib = std::mem::take(&mut engine.world_mut().kernel.attrib);
-    let client_retries = engine.world().client_retries;
-    let client_gave_up = engine.world().client_gave_up;
+    let obs = trial.finish();
+    let world = trial.engine.world_mut();
+    let request_attrib = std::mem::take(&mut world.request_attrib);
     TailResult {
         app: app.name.to_string(),
         sojourns: samples,
@@ -357,13 +300,13 @@ fn run_node(
         sim_ns: res.clock,
         events: res.events,
         request_attrib,
-        noise_attrib,
-        client_retries,
-        client_gave_up,
-        locks_allocated,
-        daemons_spawned,
-        trace,
-        metrics,
+        noise_attrib: obs.attrib,
+        client_retries: world.client_retries,
+        client_gave_up: world.client_gave_up,
+        locks_allocated: trial.locks_allocated,
+        daemons_spawned: trial.daemons_spawned,
+        trace: obs.trace,
+        metrics: obs.metrics,
     }
 }
 
@@ -501,7 +444,7 @@ mod tests {
         let app = &suite()[1];
         let cfg = SingleNodeConfig::quick(false, false, 23);
         let plain = run_single_node(app, &cfg, &noise_corpus());
-        let noise = SharedNoise::new(&noise_corpus());
+        let noise = SharedCorpus::new(&noise_corpus());
         let wrapped = run_node(app, &cfg, &noise, None, RetryPolicy::lossless());
         assert_eq!(plain.p99, wrapped.p99);
         assert_eq!(plain.sim_ns, wrapped.sim_ns);
@@ -515,7 +458,7 @@ mod tests {
         let app = &suite()[1];
         let cfg = SingleNodeConfig::quick(false, false, 27);
         let clean = run_single_node(app, &cfg, &noise_corpus());
-        let noise = SharedNoise::new(&noise_corpus());
+        let noise = SharedCorpus::new(&noise_corpus());
         let policy = RetryPolicy::lossy(300, 91);
         let lossy = run_node(app, &cfg, &noise, None, policy);
         assert!(

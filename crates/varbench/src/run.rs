@@ -14,18 +14,16 @@
 //! `parallel_runner_matches_sequential_bit_identically` in
 //! `tests/properties.rs` pins this).
 
-use std::sync::Arc;
-
-use ksa_desim::{Engine, EngineParams, SimError, TraceConfig, TraceLog};
-use ksa_envsim::{build_env_with, EnvSpec};
+use ksa_desim::{Engine, SimError, TraceLog};
+use ksa_envsim::{EnvSpec, Trial};
 use ksa_kernel::prog::Corpus;
-use ksa_kernel::world::{HasKernel, KernelWorld};
-use ksa_kernel::{AttributionTable, Category, KernelTelemetry, SpecMask, SysNo};
+use ksa_kernel::world::KernelWorld;
+use ksa_kernel::{AttributionTable, Category, SpecMask, SysNo};
 use ksa_stats::Samples;
-use ksa_telemetry::{Registry, TelemetryConfig};
+use ksa_telemetry::Registry;
 
 use crate::contention::ContentionProfile;
-use crate::worker::{site_bases, CorpusWorker};
+use crate::worker::SharedCorpus;
 
 /// One measurement run's configuration.
 #[derive(Debug, Clone, Copy)]
@@ -185,77 +183,44 @@ pub fn run_hooked(
     run_hooked_shared(cfg, &shared, hook)
 }
 
-/// A corpus prepared for sharing across trials: the workers' owned
-/// handle plus the precomputed per-site record keys. Campaign runners
-/// build this once so each trial clones an `Arc`, not the corpus.
-struct SharedCorpus {
-    corpus: Arc<Corpus>,
-    bases: Arc<Vec<u64>>,
-}
-
-impl SharedCorpus {
-    fn new(corpus: &Corpus) -> Self {
-        Self {
-            corpus: Arc::new(corpus.clone()),
-            bases: Arc::new(site_bases(corpus)),
-        }
-    }
-}
-
 fn run_hooked_shared(
     cfg: &RunConfig,
     shared: &SharedCorpus,
     hook: impl FnOnce(&mut Engine<KernelWorld>),
 ) -> Result<RunResult, RunError> {
-    let corpus = &*shared.corpus;
-    let mut engine: Engine<KernelWorld> =
-        Engine::new(KernelWorld::new(), EngineParams::default(), cfg.seed);
-    if cfg.metrics {
-        engine.set_telemetry(TelemetryConfig::enabled());
-        engine.world_mut().kernel_mut().metrics = KernelTelemetry::new(TelemetryConfig::enabled());
-    }
-    let built = build_env_with(&mut engine, &cfg.env, cfg.seed, cfg.spec);
+    let mut trial = Trial::new(
+        KernelWorld::new(),
+        &cfg.env,
+        cfg.seed,
+        cfg.spec,
+        cfg.trace,
+        cfg.metrics,
+    );
+    let engine = &mut trial.engine;
     if cfg.max_events > 0 {
         engine.set_event_budget(cfg.max_events);
     }
-    if cfg.trace {
-        engine.set_trace(TraceConfig::enabled());
-    }
-    hook(&mut engine);
+    hook(engine);
 
-    let barrier = cfg
-        .sync
-        .then(|| engine.add_barrier(built.cores.len() as u32));
-    for (i, &core) in built.cores.iter().enumerate() {
-        let (instance, slot) = {
-            let w = engine.world().kernel();
-            w.locate(core)
-        };
-        let worker = CorpusWorker::new(
-            Arc::clone(&shared.corpus),
-            Arc::clone(&shared.bases),
-            cfg.iterations,
-            barrier,
-            core,
-            instance,
-            slot,
-            cfg.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-        );
+    let cores = &trial.built.cores;
+    let barrier = cfg.sync.then(|| engine.add_barrier(cores.len() as u32));
+    for (i, &core) in cores.iter().enumerate() {
+        let seed = cfg.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1));
+        let worker = shared.worker(engine, core, cfg.iterations, barrier, seed);
         engine.spawn(core, Box::new(worker), 0);
     }
 
     let res = engine.run()?;
 
     // Group records by site key.
-    let n_cores = built.cores.len();
     let mut sites: Vec<SiteResult> = Vec::new();
-    for (pi, p) in corpus.programs.iter().enumerate() {
+    for (pi, p) in shared.corpus.programs.iter().enumerate() {
         for (ci, call) in p.calls.iter().enumerate() {
             sites.push(SiteResult {
                 prog: pi,
                 call: ci,
                 sysno: call.no,
-                samples: Samples::with_capacity(n_cores * cfg.iterations),
+                samples: Samples::with_capacity(cores.len() * cfg.iterations),
             });
         }
     }
@@ -272,26 +237,16 @@ fn run_hooked_shared(
     for (label, acq, cont, total_wait, max_wait) in engine.all_lock_wait_stats() {
         contention.add_waits(label, acq, cont, total_wait, max_wait);
     }
-    let trace = engine.take_trace();
-    let now = engine.now();
-    let kernel_metrics = {
-        let kw = engine.world_mut().kernel_mut();
-        kw.metrics.finish(now, &kw.instances)
-    };
-    let mut metrics = engine.take_telemetry();
-    // The "lockstat" view of software interference, by lock label.
-    engine.fold_lock_counters(&mut metrics);
-    metrics.absorb(&kernel_metrics, &[]);
-    let attrib = std::mem::take(&mut engine.world_mut().kernel_mut().attrib);
+    let obs = trial.finish();
     Ok(RunResult {
         config: *cfg,
         sites,
         sim_ns: res.clock,
         events: res.events,
         contention,
-        attrib,
-        trace,
-        metrics,
+        attrib: obs.attrib,
+        trace: obs.trace,
+        metrics: obs.metrics,
     })
 }
 

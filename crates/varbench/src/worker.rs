@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use ksa_desim::{
-    BarrierId, CoreId, Effect, LatSnapshot, Ns, Process, SimCtx, TraceEventKind, WakeReason,
+    BarrierId, CoreId, Effect, Engine, LatSnapshot, Ns, Process, SimCtx, TraceEventKind, WakeReason,
 };
 use ksa_kernel::exec::Executor;
 use ksa_kernel::prog::Corpus;
@@ -57,22 +57,39 @@ pub struct CorpusWorker {
     lat_after: LatSnapshot,
 }
 
-impl CorpusWorker {
-    /// Creates a worker bound to (`core`, `instance`, `slot`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        corpus: Arc<Corpus>,
-        site_base: Arc<Vec<u64>>,
+/// A corpus prepared for sharing across trials: the workers' owned
+/// handle plus the precomputed per-site record keys. Campaign runners
+/// build this once so each trial's workers clone an `Arc`, not the
+/// corpus.
+pub struct SharedCorpus {
+    pub(crate) corpus: Arc<Corpus>,
+    bases: Arc<Vec<u64>>,
+}
+
+impl SharedCorpus {
+    /// Copies `corpus` behind an `Arc` and precomputes its site keys.
+    pub fn new(corpus: &Corpus) -> Self {
+        Self {
+            corpus: Arc::new(corpus.clone()),
+            bases: Arc::new(site_bases(corpus)),
+        }
+    }
+
+    /// Locates `core` in `engine`'s kernel and builds the worker that
+    /// runs the corpus `iterations` times there, entering each program
+    /// through `sync` when it is set.
+    pub fn worker<W: HasKernel>(
+        &self,
+        engine: &Engine<W>,
+        core: CoreId,
         iterations: usize,
         sync: Option<BarrierId>,
-        core: CoreId,
-        instance: usize,
-        slot: usize,
         seed: u64,
-    ) -> Self {
-        Self {
-            corpus,
-            site_base,
+    ) -> CorpusWorker {
+        let (instance, slot) = engine.world().kernel().locate(core);
+        CorpusWorker {
+            corpus: Arc::clone(&self.corpus),
+            site_base: Arc::clone(&self.bases),
             iterations,
             sync,
             exec: Executor::new(core, instance, slot, seed),
@@ -89,7 +106,9 @@ impl CorpusWorker {
             lat_after: LatSnapshot::default(),
         }
     }
+}
 
+impl CorpusWorker {
     /// Compiles the current call (which exists: programs are never
     /// entered empty) and arms it.
     fn begin_call<W: HasKernel>(&mut self, ctx: &mut SimCtx<'_, W>) {

@@ -326,23 +326,16 @@ fn traced_churn_marks_each_vm_exit_once() {
     // A traced churn run records one mark per VM exit of each compiled
     // sequence (707 here), not one per exit per replay step, and tracing
     // leaves the clock and the event count untouched.
-    use ksa_core::desim::{Engine, EngineParams, TraceConfig};
-    use ksa_core::envsim::{build_env_with, spawn_churn_hosts};
+    use ksa_core::envsim::{spawn_churn_hosts, Trial};
     use ksa_core::kernel::KernelWorld;
     use ksa_core::tailbench::{run_churn, ChurnConfig};
     let cfg = ChurnConfig::quick(EnvKind::Vm(2), 8, 7);
     let untraced = run_churn(&cfg);
-    let mut engine = Engine::new(KernelWorld::new(), EngineParams::default(), cfg.seed);
-    let built = build_env_with(
-        &mut engine,
-        &EnvSpec::new(cfg.machine, cfg.kind),
-        cfg.seed,
-        None,
-    );
-    engine.set_trace(TraceConfig::enabled());
-    spawn_churn_hosts(&mut engine, &built, &cfg.params, cfg.seed);
-    let res = engine.run().expect("churn run stalled");
-    let trace = engine.take_trace();
+    let spec = EnvSpec::new(cfg.machine, cfg.kind);
+    let mut trial = Trial::new(KernelWorld::new(), &spec, cfg.seed, None, true, false);
+    spawn_churn_hosts(&mut trial.engine, &trial.built, &cfg.params, cfg.seed);
+    let res = trial.engine.run().expect("churn run stalled");
+    let trace = trial.finish().trace;
     assert_eq!(trace.total_dropped(), 0);
     assert_eq!(vm_exit_marks(&trace).len(), 707);
     assert_eq!((res.clock, res.events), (untraced.sim_ns, untraced.events));
