@@ -25,7 +25,8 @@ use ksa_desim::NodeFaultPlan;
 use ksa_envsim::Machine;
 use ksa_tailbench::single_node::SingleNodeConfig;
 use ksa_tailbench::suite;
-use ksa_varbench::traceout::chrome_trace_json;
+use ksa_varbench::traceout::write_chrome_trace;
+use std::io::{BufWriter, Write};
 
 /// The Figure-4-shaped cluster for `scale`, sized like `experiments::fig4` but
 /// restoring the paper's 64 nodes at full scale (the failover gates are
@@ -155,7 +156,10 @@ pub fn run(cli: &Cli, gates: &mut Gates) {
     );
 
     if let Some(path) = &cli.trace_out {
-        std::fs::write(path, chrome_trace_json(&crash.trace)).expect("write trace");
+        let mut out = BufWriter::new(std::fs::File::create(path).expect("create trace"));
+        write_chrome_trace(&mut out, &crash.trace)
+            .and_then(|()| out.flush())
+            .expect("write trace");
         eprintln!("wrote {}", path.display());
     }
     let mut csv = String::from(

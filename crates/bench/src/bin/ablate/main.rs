@@ -19,7 +19,8 @@
 //!
 //! The first seven run pinned seeds on `Scale::Tiny` corpora, where
 //! their gates are known to hold; the last four honour `--scale`,
-//! `--seed`, `--jobs`, `--csv`, `--trace-out` and `--metrics-out` (see
+//! `--seed`, `--jobs`, `--csv` and `--metrics-out`, and `failover`
+//! writes its crash run's trace to `--trace-out` (see
 //! [`ksa_bench::cli`]).
 //!
 //! ```text
@@ -95,7 +96,7 @@ impl Gates {
 
 fn main() {
     let mut picked = Vec::new();
-    let cli = Cli::parse_with("[--list] [ENTRY...]", |arg, args| {
+    let cli = Cli::parse_with("[--list] [--trace-out PATH] [ENTRY...]", |arg, args| {
         if arg == "--list" {
             ENTRIES.iter().for_each(|(name, _)| println!("{name}"));
             std::process::exit(0);

@@ -9,7 +9,9 @@
 //!   are bit-identical for every value),
 //! * `--csv <dir>` — also write CSV artifacts into `dir`,
 //! * `--trace-out <path>` — write a Chrome-trace JSON of the run's
-//!   recorded trace (bins that record one),
+//!   recorded trace. Only `ablate` (its `failover` entry) records one;
+//!   [`Cli::parse`], which the bins without an extension use, refuses
+//!   the flag as a usage error,
 //! * `--metrics-out <path>` — write the run's telemetry: time-series
 //!   JSON at `path`, Prometheus text next to it (`.prom`), and — for
 //!   bins that collect a latency attribution — collapsed-stack
@@ -68,9 +70,16 @@ impl Args {
 }
 
 impl Cli {
-    /// Parses `std::env::args`; exits with usage on errors.
+    /// Parses `std::env::args`; exits with usage on errors. The bins
+    /// that parse this way record no trace, so `--trace-out` is a usage
+    /// error.
     pub fn parse() -> Self {
-        Self::parse_with("", |_, _| false)
+        Self::parse_with("", |flag, args| {
+            if flag == "--trace-out" {
+                args.usage("this bin records no trace, so it does not take --trace-out");
+            }
+            false
+        })
     }
 
     /// Parses the common flags plus a bin's own through `ext`. `ext`
@@ -175,7 +184,7 @@ fn usage_with(extra: &str, msg: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--tiny|--quick|--full] [--seed N] [--jobs N] [--csv DIR] \
-         [--trace-out PATH] [--metrics-out PATH]{}{extra}",
+         [--metrics-out PATH]{}{extra}",
         if extra.is_empty() { "" } else { " " }
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });

@@ -25,6 +25,9 @@
 //!   **exactly** to the elapsed virtual time — the invariant the
 //!   per-syscall attribution layer is built on.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{vec_deque, BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::cpu::CoreId;
@@ -237,6 +240,13 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+impl TraceEvent {
+    /// The key [`TraceLog::for_each_merged`] orders events by.
+    fn merge_key(&self) -> (Ns, CoreId, Pid) {
+        (self.t, self.core, self.pid)
+    }
+}
+
 /// An interned trace label: an index into [`TraceLog::labels`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(pub u32);
@@ -424,12 +434,16 @@ impl Default for TraceConfig {
 }
 
 /// The byte encoding a [`TraceRing`] stores. Each event is a tag byte,
-/// then five LEB128 varints: the zigzagged time delta from the ring's
-/// previous event (signed, because `push` accepts any `t`), the pid,
-/// the core and two payload words. `LockAcquired`'s `contended` and
-/// `Syscall`'s `enter` fold into the tag. `FaultInjected` and `Mark`
-/// carry a `&'static str`, so their words are zero and the kind itself
-/// waits in the ring's side queue.
+/// then up to five LEB128 varints: the zigzagged time delta from the
+/// ring's previous event (signed, because `push` accepts any `t`), the
+/// pid, the core and two payload words. The pid and core are skipped
+/// when they equal the previous event's, which the tag's
+/// `SAME_PID` and `SAME_CORE` bits record: a core's ring holds only
+/// that core's events, and nearly every event concerns the process that
+/// ran before it. `LockAcquired`'s `contended` and `Syscall`'s `enter`
+/// fold into the tag. `FaultInjected` and `Mark` carry a
+/// `&'static str`, so their words are zero and the kind itself waits in
+/// the ring's side queue.
 mod codec {
     use super::{LabelId, LatComp, LockId, TraceEventKind};
     use crate::engine::QueueId;
@@ -450,6 +464,13 @@ mod codec {
     const SYSCALL_ENTER: u8 = 12;
     const VM_EXIT: u8 = 13;
     const MARK: u8 = 14;
+
+    /// Tag bit: the event's pid is the previous event's, and not stored.
+    pub(super) const SAME_PID: u8 = 0x40;
+    /// Tag bit: the event's core is the previous event's, and not stored.
+    pub(super) const SAME_CORE: u8 = 0x80;
+    /// The tag bits that name the variant.
+    pub(super) const TAG: u8 = 0x0f;
 
     /// Longest encoded event: the tag and five 10-byte varints.
     pub(super) const MAX_EVENT_BYTES: usize = 1 + 5 * 10;
@@ -576,16 +597,14 @@ mod codec {
         }
     }
 
-    /// Appends `v` as a LEB128 varint at `buf[n..]`; returns the new end.
+    /// Appends `v` to `buf` as a LEB128 varint.
     #[inline]
-    pub(super) fn put(buf: &mut [u8; MAX_EVENT_BYTES], mut n: usize, mut v: u64) -> usize {
+    pub(super) fn put(buf: &mut Vec<u8>, mut v: u64) {
         while v >= 0x80 {
-            buf[n] = v as u8 | 0x80;
+            buf.push(v as u8 | 0x80);
             v >>= 7;
-            n += 1;
         }
-        buf[n] = v as u8;
-        n + 1
+        buf.push(v as u8);
     }
 
     /// Reads one LEB128 varint at `*pos`, advancing past it.
@@ -621,11 +640,11 @@ mod codec {
 
 /// One core's bounded event ring (the ftrace per-CPU buffer analogue).
 ///
-/// Events are stored byte-encoded (see `codec`), about 8 bytes each on
+/// Events are stored byte-encoded (see `codec`), under 5 bytes each on
 /// a full-scale sweep against 32 for a decoded [`TraceEvent`], and
 /// nothing is allocated until the first push. [`events`](Self::events) decodes them
 /// back. Capacity counts events, and eviction is oldest-first: it skips
-/// the front event's bytes, moves the delta base past it and compacts
+/// the front event's bytes, moves the decoding base past it and compacts
 /// the buffer once the skipped prefix is more than half of it.
 /// Equality compares capacity, drop count and the retained events, not
 /// the byte layout.
@@ -636,16 +655,25 @@ pub struct TraceRing {
     /// Encoded events; the oldest retained one starts at `head`.
     bytes: Vec<u8>,
     head: usize,
-    /// Time of the event before the one at `head`: the delta base of
-    /// the oldest retained event.
-    head_base: Ns,
-    /// Time of the newest event: the delta base of the next push.
-    last_t: Ns,
+    /// The event before the one at `head`: the decoding base of the
+    /// oldest retained event.
+    head_base: Base,
+    /// The newest event: the encoding base of the next push.
+    last: Base,
     /// Kinds of the retained `FaultInjected` and `Mark` events, oldest
     /// first.
-    side: std::collections::VecDeque<TraceEventKind>,
+    side: VecDeque<TraceEventKind>,
     /// Events dropped (oldest-first) because the ring was full.
     pub dropped: u64,
+}
+
+/// The fields an encoded event is stored relative to: its predecessor's
+/// time, pid and core (all zero before a ring's first event).
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Base {
+    t: Ns,
+    core: u32,
+    pid: u32,
 }
 
 impl TraceRing {
@@ -668,36 +696,45 @@ impl TraceRing {
             self.pop_front();
             self.dropped += 1;
         }
-        let (tag, a, b) = codec::words(&ev.kind);
-        let mut buf = [0u8; codec::MAX_EVENT_BYTES];
-        buf[0] = tag;
-        let mut n = codec::put(&mut buf, 1, codec::zigzag(ev.t.wrapping_sub(self.last_t)));
-        n = codec::put(&mut buf, n, u64::from(ev.pid.0));
-        n = codec::put(&mut buf, n, u64::from(ev.core.0));
-        n = codec::put(&mut buf, n, a);
-        n = codec::put(&mut buf, n, b);
-        self.bytes.extend_from_slice(&buf[..n]);
-        if codec::in_side(tag) {
+        let (mut tag, a, b) = codec::words(&ev.kind);
+        let (pid, core) = (ev.pid.0, ev.core.0);
+        if pid == self.last.pid {
+            tag |= codec::SAME_PID;
+        }
+        if core == self.last.core {
+            tag |= codec::SAME_CORE;
+        }
+        let bytes = &mut self.bytes;
+        bytes.reserve(codec::MAX_EVENT_BYTES);
+        bytes.push(tag);
+        codec::put(bytes, codec::zigzag(ev.t.wrapping_sub(self.last.t)));
+        if tag & codec::SAME_PID == 0 {
+            codec::put(bytes, u64::from(pid));
+        }
+        if tag & codec::SAME_CORE == 0 {
+            codec::put(bytes, u64::from(core));
+        }
+        codec::put(bytes, a);
+        codec::put(bytes, b);
+        if codec::in_side(tag & codec::TAG) {
             self.side.push_back(ev.kind);
         }
-        self.last_t = ev.t;
+        self.last = Base { t: ev.t, core, pid };
         self.len += 1;
     }
 
-    /// Evicts the oldest retained event.
+    /// Evicts the oldest retained event, carrying the decoding base past
+    /// it.
     fn pop_front(&mut self) {
-        let mut pos = self.head;
-        let tag = self.bytes[pos];
-        pos += 1;
-        let dt = codec::unzigzag(codec::get(&self.bytes, &mut pos));
-        self.head_base = self.head_base.wrapping_add(dt);
-        for _ in 0..4 {
-            codec::get(&self.bytes, &mut pos);
-        }
+        let mut d = self.decoder();
+        let tag = d.header().expect("a non-empty ring has a front event");
+        d.words();
+        let (pos, base) = (d.pos, d.base);
         if codec::in_side(tag) {
             self.side.pop_front();
         }
         self.head = pos;
+        self.head_base = base;
         self.len -= 1;
         if self.head > self.bytes.len() / 2 {
             self.bytes.drain(..self.head);
@@ -705,27 +742,45 @@ impl TraceRing {
         }
     }
 
+    /// A decoder positioned at the oldest retained event.
+    fn decoder(&self) -> Decoder<'_> {
+        Decoder {
+            bytes: &self.bytes,
+            pos: self.head,
+            base: self.head_base,
+            side: self.side.iter(),
+        }
+    }
+
     /// Events currently retained, oldest first, decoded.
     pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        let bytes = &self.bytes[..];
-        let mut pos = self.head;
-        let mut t = self.head_base;
-        let mut side = self.side.iter();
-        std::iter::from_fn(move || {
-            let tag = *bytes.get(pos)?;
-            pos += 1;
-            t = t.wrapping_add(codec::unzigzag(codec::get(bytes, &mut pos)));
-            let pid = Pid(codec::get(bytes, &mut pos) as u32);
-            let core = CoreId(codec::get(bytes, &mut pos) as u32);
-            let a = codec::get(bytes, &mut pos);
-            let b = codec::get(bytes, &mut pos);
-            Some(TraceEvent {
-                t,
-                pid,
-                core,
-                kind: codec::kind(tag, a, b, &mut side),
-            })
-        })
+        self.decoder()
+    }
+
+    /// A ring of the same events stably sorted by `(t, core, pid)`.
+    fn sorted(&self) -> TraceRing {
+        let mut events: Vec<TraceEvent> = self.events().collect();
+        events.sort_by_key(TraceEvent::merge_key);
+        let mut ring = TraceRing::new(events.len());
+        for ev in events {
+            ring.push(ev);
+        }
+        ring
+    }
+
+    /// Whether the retained events' `(t, core, pid)` keys never
+    /// decrease, read from the headers alone.
+    fn keys_sorted(&self) -> bool {
+        let mut d = self.decoder();
+        let mut prev = Base::default();
+        while d.header().is_some() {
+            if d.base < prev {
+                return false;
+            }
+            prev = d.base;
+            d.words();
+        }
+        true
     }
 
     /// Retained event count.
@@ -751,6 +806,56 @@ impl TraceRing {
         self.head = 0;
         self.bytes.shrink_to_fit();
         self.side.shrink_to_fit();
+    }
+}
+
+/// Reads a ring's events in order from some event on; `base` is the
+/// last event read (or the one before the start).
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: Base,
+    side: vec_deque::Iter<'a, TraceEventKind>,
+}
+
+impl Decoder<'_> {
+    /// Reads the next event's tag, time, pid and core into `base` and
+    /// returns its variant tag; `None` past the newest event.
+    #[inline]
+    fn header(&mut self) -> Option<u8> {
+        let tag = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        let dt = codec::unzigzag(codec::get(self.bytes, &mut self.pos));
+        self.base.t = self.base.t.wrapping_add(dt);
+        if tag & codec::SAME_PID == 0 {
+            self.base.pid = codec::get(self.bytes, &mut self.pos) as u32;
+        }
+        if tag & codec::SAME_CORE == 0 {
+            self.base.core = codec::get(self.bytes, &mut self.pos) as u32;
+        }
+        Some(tag & codec::TAG)
+    }
+
+    /// Reads the two payload words of the event whose header was read.
+    #[inline]
+    fn words(&mut self) -> (u64, u64) {
+        let a = codec::get(self.bytes, &mut self.pos);
+        (a, codec::get(self.bytes, &mut self.pos))
+    }
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        let tag = self.header()?;
+        let (a, b) = self.words();
+        Some(TraceEvent {
+            t: self.base.t,
+            pid: Pid(self.base.pid),
+            core: CoreId(self.base.core),
+            kind: codec::kind(tag, a, b, &mut self.side),
+        })
     }
 }
 
@@ -801,14 +906,53 @@ impl TraceLog {
         self.rings.iter().map(|r| r.dropped).sum()
     }
 
-    /// All retained events, decoded and merged in `(time, core, pid)`
-    /// order (a stable sort, so ties keep ring order).
+    /// Visits every retained event in `(time, core, pid)` order, ties in
+    /// ring order and then in push order: the order a stable sort of the
+    /// rings' concatenation gives, without building it.
+    ///
+    /// A k-way merge of ring decoders on a heap of ring heads keyed
+    /// `(time, core, pid, ring)`. A ring holds only its own core's
+    /// events and its clock never runs back, so its keys rarely
+    /// decrease; a ring whose keys ever do is decoded and stably sorted
+    /// on its own before it joins the merge.
+    pub fn for_each_merged(&self, mut f: impl FnMut(&TraceEvent)) {
+        let resorted: Vec<Option<TraceRing>> = self
+            .rings
+            .iter()
+            .map(|ring| (!ring.keys_sorted()).then(|| ring.sorted()))
+            .collect();
+        let mut heads = Vec::with_capacity(self.rings.len());
+        for (ring, resorted) in self.rings.iter().zip(&resorted) {
+            let mut d = resorted.as_ref().unwrap_or(ring).decoder();
+            if let Some(ev) = d.next() {
+                heads.push((ev, d));
+            }
+        }
+        let mut heap: BinaryHeap<_> = heads
+            .iter()
+            .enumerate()
+            .map(|(i, (ev, _))| Reverse((ev.merge_key(), i)))
+            .collect();
+        while let Some(mut top) = heap.peek_mut() {
+            let (ev, d) = &mut heads[top.0 .1];
+            f(ev);
+            match d.next() {
+                Some(next) => {
+                    top.0 .0 = next.merge_key();
+                    *ev = next;
+                }
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+    }
+
+    /// All retained events, decoded, in [`TraceLog::for_each_merged`]
+    /// order.
     pub fn merged(&self) -> Vec<TraceEvent> {
         let mut all = Vec::with_capacity(self.total_events());
-        for ring in &self.rings {
-            all.extend(ring.events());
-        }
-        all.sort_by_key(|e| (e.t, e.core, e.pid));
+        self.for_each_merged(|ev| all.push(ev.clone()));
         all
     }
 
@@ -904,12 +1048,12 @@ impl TraceLog {
     /// The last `n` events in merged order, in a one-ring log that keeps
     /// this log's label tables.
     pub(crate) fn tail(&self, n: usize) -> TraceLog {
-        let merged = self.merged();
-        let skip = merged.len().saturating_sub(n);
+        let mut skip = self.total_events().saturating_sub(n);
         let mut ring = TraceRing::new(n);
-        for ev in merged.into_iter().skip(skip) {
-            ring.push(ev);
-        }
+        self.for_each_merged(|ev| match skip {
+            0 => ring.push(ev.clone()),
+            _ => skip -= 1,
+        });
         TraceLog {
             enabled: self.enabled,
             rings: vec![ring],
@@ -980,11 +1124,15 @@ mod tests {
 
     #[test]
     fn eviction_keeps_side_kinds_and_deltas_in_step_and_compacts() {
-        // Marks (side queue) interleave with words-only events, and time
-        // jumps both ways across the whole u64 range.
+        // Marks (side queue) interleave with words-only events, time
+        // jumps both ways across the whole u64 range, and the pid and
+        // core repeat for a few events and then change, so the
+        // eviction point falls both on a stored pid (core) and on one
+        // carried from an evicted event.
         let times = [5, u64::MAX, 0, 1 << 63, 7, 7, u64::MAX - 1, 3];
         let mut pushed = Vec::new();
         let mut r = TraceRing::new(3);
+        let mut uncapped = TraceRing::new(usize::MAX);
         for round in 0..50u64 {
             for (i, &t) in times.iter().enumerate() {
                 let kind = if i % 3 == 0 {
@@ -997,23 +1145,47 @@ mod tests {
                 };
                 let ev = TraceEvent {
                     t,
-                    pid: Pid(i as u32 * 1_000_000),
-                    core: CoreId(u32::MAX - i as u32),
+                    pid: Pid((i / 2) as u32 * 1_000_000),
+                    core: CoreId(u32::MAX - (i / 3) as u32 - round as u32 % 2),
                     kind,
                 };
                 r.push(ev.clone());
+                uncapped.push(ev.clone());
                 pushed.push(ev);
                 let kept: Vec<TraceEvent> = r.events().collect();
                 assert_eq!(kept, pushed[pushed.len().saturating_sub(3)..]);
+                let skip = uncapped.len().saturating_sub(3);
+                assert!(r.events().eq(uncapped.events().skip(skip)));
             }
         }
         assert_eq!(r.dropped, pushed.len() as u64 - 3);
+        assert_eq!(uncapped.dropped, 0);
+        assert!(uncapped.events().eq(pushed.iter().cloned()));
         // Compaction bounds the buffer at about twice the live bytes.
         assert!(r.bytes.len() <= 2 * 3 * codec::MAX_EVENT_BYTES + 1);
         let mut shrunk = r.clone();
         shrunk.shrink_to_fit();
         assert_eq!(shrunk, r, "equality is by retained events");
         assert_eq!(shrunk.head, 0);
+    }
+
+    #[test]
+    fn a_repeated_pid_and_core_are_not_stored() {
+        let mut r = TraceRing::new(8);
+        let at = |t, pid, core| TraceEvent {
+            t,
+            pid: Pid(pid),
+            core: CoreId(core),
+            kind: TraceEventKind::LockContend { lock: LockId(9) },
+        };
+        // The first event is stored against a zero base.
+        r.push(at(100, 300, 2));
+        assert_eq!(r.bytes.len(), 1 + 2 + 2 + 1 + 1 + 1);
+        r.push(at(110, 300, 2));
+        assert_eq!(r.bytes.len(), 8 + 4, "tag, delta and two words");
+        r.push(at(110, 5, 2));
+        assert_eq!(r.bytes.len(), 12 + 5);
+        assert!(r.events().map(|e| e.pid.0).eq([300, 300, 5]));
     }
 
     #[test]

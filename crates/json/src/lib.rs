@@ -259,7 +259,12 @@ pub fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[c as usize >> 4]));
+                out.push(char::from(HEX[c as usize & 0xf]));
+            }
             c => out.push(c),
         }
     }
@@ -565,6 +570,18 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         assert_eq!(parse(&text).unwrap().render(), text);
         assert_eq!(parse(r#""\u00e9\u4e2d""#).unwrap().as_str().unwrap(), "é中");
+    }
+
+    #[test]
+    fn control_characters_escape_as_four_hex_digits() {
+        for c in (0u8..0x20)
+            .map(char::from)
+            .filter(|c| !"\n\r\t".contains(*c))
+        {
+            let mut out = String::new();
+            write_escaped(&c.to_string(), &mut out);
+            assert_eq!(out, format!("\"\\u{:04x}\"", c as u32));
+        }
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod worker;
 
 pub use contention::{ContentionProfile, LockContention};
 pub use run::{run_configs, run_hooked, RunConfig, RunError, RunResult, SiteResult};
-pub use traceout::{attribution_json, chrome_trace_json};
+pub use traceout::{attribution_json, chrome_trace_json, write_chrome_trace};
 pub use worker::CorpusWorker;

@@ -2,44 +2,106 @@
 //!
 //! Two machine-readable views of a traced run:
 //!
-//! * [`chrome_trace_json`] renders a [`TraceLog`] in the Chrome
-//!   trace-event format (the `chrome://tracing` / Perfetto JSON schema):
-//!   one instant event per trace record, with the core as the `pid`
-//!   lane, the simulated process as the `tid`, microsecond `ts` as the
-//!   format requires, and the exact nanosecond payloads preserved
-//!   losslessly in `args` (ksa-json keeps `u64` integers intact).
+//! * [`write_chrome_trace`] streams a [`TraceLog`] to any `io::Write`
+//!   in the Chrome trace-event format (the `chrome://tracing` /
+//!   Perfetto JSON schema): one instant event per trace record, with
+//!   the core as the `pid` lane, the simulated process as the `tid`,
+//!   microsecond `ts` as the format requires, and the exact nanosecond
+//!   payloads preserved losslessly in `args` (ksa-json keeps `u64`
+//!   integers intact). The `--trace-out` writers hand it a
+//!   `BufWriter<File>`; [`chrome_trace_json`] returns the same bytes as
+//!   a `String`.
 //! * [`attribution_json`] renders an [`AttributionTable`] as a summary
 //!   object — grand total, per-syscall and per-category decompositions
 //!   and per-label lock waits — for scripted comparison across
-//!   environments.
-//!
-//! Both return strings; callers (`--trace-out` in the examples, CI
-//! gates) decide where to write them.
+//!   environments, as a `String`.
 
-use std::fmt::{self, Write};
+use std::io::{self, Write};
 
 use ksa_desim::{TraceArg, TraceEvent, TraceLog};
 use ksa_json::{write_escaped, Value};
 use ksa_kernel::{Attribution, AttributionTable};
 
-/// Writes one event's `args` object (exact ns values as JSON integers).
-/// Keys go in sorted order, so the bytes equal a rendered
-/// `Value::Object`, whose `BTreeMap` sorts keys: the event's own
-/// arguments arrive sorted from [`TraceLog::for_each_arg`], and `ts_ns`
-/// is slotted in at its place among them.
-fn write_event_args(out: &mut String, trace: &TraceLog, ev: &TraceEvent) {
+/// Appends `v` in decimal.
+fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `t` ns as the microseconds `format!("{:?}", t as f64 / 1000.0)`
+/// prints (`Value::Float` renders floats that way). Below 2^43 ns the
+/// quotient has at most 13 significant digits, so it is the shortest
+/// decimal that round-trips and comes straight from the integer: whole
+/// µs, a point, then the ns remainder without trailing zeros (`.0` when
+/// there is none).
+fn put_ts(out: &mut Vec<u8>, t: u64) {
+    if t >= 1 << 43 {
+        write!(out, "{:?}", t as f64 / 1000.0).expect("writing to a Vec cannot fail");
+        return;
+    }
+    put_u64(out, t / 1000);
+    out.push(b'.');
+    let frac = t % 1000;
+    let digits = [
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ];
+    let len = if frac.is_multiple_of(100) {
+        1
+    } else if frac.is_multiple_of(10) {
+        2
+    } else {
+        3
+    };
+    out.extend_from_slice(&digits[..len]);
+}
+
+/// Appends `s` as a JSON string literal, through [`write_escaped`] only
+/// when some character needs an escape.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let mut escaped = String::new();
+        write_escaped(s, &mut escaped);
+        out.extend_from_slice(escaped.as_bytes());
+    } else {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    }
+}
+
+/// Appends one event: its `args` object (exact ns values as JSON
+/// integers), name, phase, lanes and `ts`. Keys go in sorted order, so
+/// the bytes equal a rendered `Value::Object`, whose `BTreeMap` sorts
+/// keys: the event's own arguments arrive sorted from
+/// [`TraceLog::for_each_arg`], and `ts_ns` is slotted in at its place
+/// among them. Keys and kind names are plain identifiers, written
+/// without escaping.
+fn put_event(out: &mut Vec<u8>, trace: &TraceLog, ev: &TraceEvent) {
     const TS: &str = "ts_ns";
-    let mut first = true;
+    out.extend_from_slice(br#"{"args":"#);
+    let mut sep = b'{';
     let mut ts_pending = true;
-    let mut field = |out: &mut String, key: &str, val: TraceArg<'_>| {
-        out.push(if first { '{' } else { ',' });
-        first = false;
-        write_escaped(key, out);
-        out.push(':');
+    let mut field = |out: &mut Vec<u8>, key: &str, val: TraceArg<'_>| {
+        out.push(sep);
+        sep = b',';
+        out.push(b'"');
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\":");
         match val {
-            TraceArg::U(u) => write!(out, "{u}").expect("writing to a String cannot fail"),
-            TraceArg::B(b) => out.push_str(if b { "true" } else { "false" }),
-            TraceArg::S(s) => write_escaped(s, out),
+            TraceArg::U(u) => put_u64(out, u),
+            TraceArg::B(b) => out.extend_from_slice(if b { b"true" } else { b"false" }),
+            TraceArg::S(s) => put_str(out, s),
         }
     };
     trace.for_each_arg(&ev.kind, |key, val| {
@@ -52,55 +114,63 @@ fn write_event_args(out: &mut String, trace: &TraceLog, ev: &TraceEvent) {
     if ts_pending {
         field(out, TS, TraceArg::U(ev.t));
     }
-    out.push('}');
+    out.extend_from_slice(br#"},"name":""#);
+    out.extend_from_slice(ev.kind.name().as_bytes());
+    out.extend_from_slice(br#"","ph":"i","pid":"#);
+    put_u64(out, ev.core.index() as u64);
+    out.extend_from_slice(br#","s":"t","tid":"#);
+    put_u64(out, ev.pid.index() as u64);
+    // Chrome's ts unit is µs; sub-µs precision rides in the fractional
+    // part.
+    out.extend_from_slice(br#","ts":"#);
+    put_ts(out, ev.t);
+    out.push(b'}');
 }
 
-/// Renders a trace in Chrome trace-event JSON (loadable in Perfetto /
-/// `chrome://tracing`). Events are instants on a `(core, process)` lane;
-/// `ts` is microseconds as the format demands, while `args.ts_ns` keeps
-/// the exact virtual nanosecond.
+/// Streams a trace to `w` as Chrome trace-event JSON (loadable in
+/// Perfetto / `chrome://tracing`). Events are instants on a
+/// `(core, process)` lane in [`TraceLog::for_each_merged`] order; `ts`
+/// is microseconds as the format demands, while `args.ts_ns` keeps the
+/// exact virtual nanosecond.
 ///
-/// A full-scale run holds ~500k events, so the document is written
-/// straight into one `String` with no `Value` or heap allocation per
-/// event. Keys go in the order a rendered `Value` tree sorts them, so
-/// the bytes equal the tree renderer's, which the tests keep as the
-/// reference.
+/// A full-scale run holds ~500k events, so nothing is held but the
+/// rings: each event is written into one reused buffer with no `Value`,
+/// no `fmt` and no heap allocation, and handed to `w` (wrap a file in a
+/// `BufWriter`). Keys go in the order a rendered `Value` tree sorts
+/// them, so the bytes equal the tree renderer's, which the tests keep
+/// as the reference.
+pub fn write_chrome_trace(w: &mut impl Write, trace: &TraceLog) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(256);
+    buf.extend_from_slice(br#"{"displayTimeUnit":"ns","otherData":{"dropped_events":"#);
+    put_u64(&mut buf, trace.total_dropped());
+    buf.extend_from_slice(br#","retained_events":"#);
+    put_u64(&mut buf, trace.total_events() as u64);
+    buf.extend_from_slice(br#"},"traceEvents":["#);
+    let mut res = w.write_all(&buf);
+    let mut first = true;
+    trace.for_each_merged(|ev| {
+        if res.is_err() {
+            return;
+        }
+        buf.clear();
+        if !first {
+            buf.push(b',');
+        }
+        first = false;
+        put_event(&mut buf, trace, ev);
+        res = w.write_all(&buf);
+    });
+    res?;
+    w.write_all(b"]}")
+}
+
+/// [`write_chrome_trace`] into a `String`.
 pub fn chrome_trace_json(trace: &TraceLog) -> String {
-    let events = trace.merged();
     // ~115 bytes per event on the default corpus; reserving up front
     // spares the doubling copies of a 50 MB document.
-    let mut out = String::with_capacity(128 * (events.len() + 1));
-    write_chrome_trace(&mut out, trace, &events).expect("writing to a String cannot fail");
-    out
-}
-
-fn write_chrome_trace(out: &mut String, trace: &TraceLog, events: &[TraceEvent]) -> fmt::Result {
-    write!(
-        out,
-        r#"{{"displayTimeUnit":"ns","otherData":{{"dropped_events":{},"retained_events":{}}},"traceEvents":["#,
-        trace.total_dropped(),
-        trace.total_events(),
-    )?;
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(r#"{"args":"#);
-        write_event_args(out, trace, ev);
-        out.push_str(r#","name":"#);
-        write_escaped(ev.kind.name(), out);
-        // Chrome's ts unit is µs; sub-µs precision rides in the
-        // fractional part (`{:?}`, as `Value::Float` renders it).
-        write!(
-            out,
-            r#","ph":"i","pid":{},"s":"t","tid":{},"ts":{:?}}}"#,
-            ev.core.index(),
-            ev.pid.index(),
-            ev.t as f64 / 1000.0,
-        )?;
-    }
-    out.push_str("]}");
-    Ok(())
+    let mut out = Vec::with_capacity(128 * (trace.total_events() + 1));
+    write_chrome_trace(&mut out, trace).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
 /// One attribution as a JSON object (`total_ns` plus every component).
@@ -387,6 +457,59 @@ mod tests {
         ] {
             assert_eq!(chrome_trace_json(&log), reference_chrome_trace_json(&log));
         }
+    }
+
+    #[test]
+    fn integer_ts_matches_the_float_debug_format() {
+        let fixed = [
+            0,
+            1,
+            999,
+            1000,
+            1001,
+            (1 << 43) - 1,
+            1 << 43,
+            1 << 53,
+            u64::MAX,
+        ];
+        // A seeded splitmix64 sample below 2^43: uniform, small, and
+        // whole or round microseconds (the `.0`, `.01` and `.1` forms).
+        let mut state = 43u64;
+        let sampled = (0..100_000u64).map(|i| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            match i % 3 {
+                0 => z % (1 << 43),
+                1 => z % 1_000_000,
+                _ => z % (1 << 30) * 1000 + [0, 10, 100, 120][(i / 3 % 4) as usize],
+            }
+        });
+        for t in fixed.into_iter().chain(sampled) {
+            let mut out = Vec::new();
+            put_ts(&mut out, t);
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                format!("{:?}", t as f64 / 1000.0),
+                "t = {t}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_writer_equals_the_string_wrapper() {
+        let mut log = log_with(
+            [1, 1_500, 2_000, 1 << 50]
+                .into_iter()
+                .flat_map(|t| every_kind(t).into_iter().map(move |k| (t, k)))
+                .collect(),
+        );
+        log.intern("io_kick");
+        let mut streamed = Vec::new();
+        write_chrome_trace(&mut streamed, &log).unwrap();
+        assert_eq!(streamed, chrome_trace_json(&log).into_bytes());
     }
 
     #[test]

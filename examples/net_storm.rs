@@ -18,8 +18,9 @@
 use ksa_core::envsim::{EnvKind, EnvSpec, Machine};
 use ksa_core::experiments::{net_corpus, Scale};
 use ksa_core::kernel::Category;
-use ksa_core::varbench::{attribution_json, chrome_trace_json, run_hooked, RunConfig};
+use ksa_core::varbench::{attribution_json, run_hooked, write_chrome_trace, RunConfig};
 use ksa_core::KernelSurfaceArea;
+use std::io::{BufWriter, Write};
 
 /// `<path>.json` → `<path>.attrib.json`; anything else gets the suffix
 /// appended.
@@ -79,7 +80,10 @@ fn main() {
         .expect("net storm trial failed");
         if trace {
             let path = trace_out.as_deref().unwrap();
-            std::fs::write(path, chrome_trace_json(&res.trace)).expect("write trace");
+            let mut out = BufWriter::new(std::fs::File::create(path).expect("create trace"));
+            write_chrome_trace(&mut out, &res.trace)
+                .and_then(|()| out.flush())
+                .expect("write trace");
             let apath = attrib_path(path);
             std::fs::write(&apath, attribution_json(&res.attrib)).expect("write attribution");
             println!(

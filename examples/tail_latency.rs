@@ -14,7 +14,8 @@ use ksa_core::experiments::{noise_corpus, Scale};
 use ksa_core::stats::fmt_ns;
 use ksa_core::tailbench::apps::suite;
 use ksa_core::tailbench::single_node::{run_single_node, SingleNodeConfig};
-use ksa_core::varbench::{attribution_json, chrome_trace_json};
+use ksa_core::varbench::{attribution_json, write_chrome_trace};
+use std::io::{BufWriter, Write};
 
 /// `<path>.json` → `<path>.attrib.json`; anything else gets the suffix
 /// appended.
@@ -92,7 +93,10 @@ fn main() {
         let mut cfg = SingleNodeConfig::quick(false, true, 17);
         cfg.trace = true;
         let res = run_single_node(&app, &cfg, &noise);
-        std::fs::write(&path, chrome_trace_json(&res.trace)).expect("write trace");
+        let mut out = BufWriter::new(std::fs::File::create(&path).expect("create trace"));
+        write_chrome_trace(&mut out, &res.trace)
+            .and_then(|()| out.flush())
+            .expect("write trace");
         let apath = attrib_path(&path);
         std::fs::write(&apath, attribution_json(&res.noise_attrib)).expect("write attribution");
         println!(

@@ -616,6 +616,89 @@ fn attribution_components_sum_exactly() {
     }
 }
 
+/// A trace word that is 0, the type's maximum, or anything between
+/// (`max` is an all-ones mask: a type's `MAX`).
+fn trace_word(rng: &mut SmallRng, max: u64) -> u64 {
+    match rng.gen_range(0..4) {
+        0 => 0,
+        1 => max,
+        _ => rng.gen::<u64>() & max,
+    }
+}
+
+/// A random trace event kind, any of the 13.
+fn trace_kind(rng: &mut SmallRng) -> ksa_core::desim::TraceEventKind {
+    use ksa_core::desim::{
+        FaultInjectedArgs, FaultKind, LabelId, LatComp, LockId, QueueId, TraceEventKind,
+    };
+    let u32w = |rng: &mut SmallRng| trace_word(rng, u64::from(u32::MAX)) as u32;
+    match rng.gen_range(0..13) {
+        0 => TraceEventKind::Wake {
+            reason: match rng.gen_range(0..8) {
+                0 => WakeReason::Start,
+                1 => WakeReason::Timer,
+                2 => WakeReason::LockGranted(LockId(u32w(rng))),
+                3 => WakeReason::IpiDone,
+                4 => WakeReason::IoDone,
+                5 => WakeReason::BarrierReleased,
+                6 => WakeReason::Signaled(QueueId(u32w(rng))),
+                _ => WakeReason::RcuDone,
+            },
+        },
+        1 => TraceEventKind::Block {
+            comp: LatComp::ALL[rng.gen_range(0..LatComp::COUNT)],
+        },
+        2 => TraceEventKind::LockContend {
+            lock: LockId(u32w(rng)),
+        },
+        3 => TraceEventKind::LockAcquired {
+            lock: LockId(u32w(rng)),
+            wait_ns: trace_word(rng, u64::MAX),
+            contended: rng.gen(),
+        },
+        4 => TraceEventKind::LockReleased {
+            lock: LockId(u32w(rng)),
+            held_ns: trace_word(rng, u64::MAX),
+        },
+        5 => TraceEventKind::RcuSync {
+            dur_ns: trace_word(rng, u64::MAX),
+        },
+        6 => TraceEventKind::IpiBroadcast {
+            targets: u32w(rng),
+            handler_ns: trace_word(rng, u64::MAX),
+        },
+        7 => TraceEventKind::IoSubmit {
+            bytes: trace_word(rng, u64::MAX),
+            dur_ns: trace_word(rng, u64::MAX),
+        },
+        8 => TraceEventKind::TimerTicks {
+            n: trace_word(rng, u64::MAX),
+            cost_ns: trace_word(rng, u64::MAX),
+        },
+        9 => TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
+            kind: [
+                FaultKind::AllocFail,
+                FaultKind::IoError,
+                FaultKind::LockTimeout,
+            ][rng.gen_range(0usize..3)],
+            site: ["mm:alloc", "io:submit", "lock:\"q\""][rng.gen_range(0usize..3)],
+        })),
+        10 => TraceEventKind::Syscall {
+            no: trace_word(rng, u64::from(u16::MAX)) as u16,
+            enter: rng.gen(),
+        },
+        11 => TraceEventKind::VmExit {
+            kind: LabelId(u32w(rng)),
+            cost_ns: trace_word(rng, u64::MAX),
+        },
+        _ => TraceEventKind::mark(
+            ["m", "fabric.retry"][rng.gen_range(0usize..2)],
+            trace_word(rng, u64::MAX),
+            trace_word(rng, u64::MAX),
+        ),
+    }
+}
+
 /// A trace ring under arbitrary pressure keeps the *newest* `cap` events
 /// in order, counts every eviction, and never panics — including the
 /// zero-capacity ring, which drops everything. Events are random over
@@ -624,105 +707,25 @@ fn attribution_components_sum_exactly() {
 /// round-trip every field, not just the time.
 #[test]
 fn trace_ring_overflow_drops_oldest() {
-    use ksa_core::desim::{
-        CoreId, FaultInjectedArgs, FaultKind, LabelId, LatComp, LockId, Pid, QueueId, TraceEvent,
-        TraceEventKind, TraceRing,
-    };
-    /// A word that is 0, the type's maximum, or anything between
-    /// (`max` is an all-ones mask: a type's `MAX`).
-    fn word(rng: &mut SmallRng, max: u64) -> u64 {
-        match rng.gen_range(0..4) {
-            0 => 0,
-            1 => max,
-            _ => rng.gen::<u64>() & max,
-        }
-    }
-    fn kind(rng: &mut SmallRng) -> TraceEventKind {
-        let u32w = |rng: &mut SmallRng| word(rng, u64::from(u32::MAX)) as u32;
-        match rng.gen_range(0..13) {
-            0 => TraceEventKind::Wake {
-                reason: match rng.gen_range(0..8) {
-                    0 => WakeReason::Start,
-                    1 => WakeReason::Timer,
-                    2 => WakeReason::LockGranted(LockId(u32w(rng))),
-                    3 => WakeReason::IpiDone,
-                    4 => WakeReason::IoDone,
-                    5 => WakeReason::BarrierReleased,
-                    6 => WakeReason::Signaled(QueueId(u32w(rng))),
-                    _ => WakeReason::RcuDone,
-                },
-            },
-            1 => TraceEventKind::Block {
-                comp: LatComp::ALL[rng.gen_range(0..LatComp::COUNT)],
-            },
-            2 => TraceEventKind::LockContend {
-                lock: LockId(u32w(rng)),
-            },
-            3 => TraceEventKind::LockAcquired {
-                lock: LockId(u32w(rng)),
-                wait_ns: word(rng, u64::MAX),
-                contended: rng.gen(),
-            },
-            4 => TraceEventKind::LockReleased {
-                lock: LockId(u32w(rng)),
-                held_ns: word(rng, u64::MAX),
-            },
-            5 => TraceEventKind::RcuSync {
-                dur_ns: word(rng, u64::MAX),
-            },
-            6 => TraceEventKind::IpiBroadcast {
-                targets: u32w(rng),
-                handler_ns: word(rng, u64::MAX),
-            },
-            7 => TraceEventKind::IoSubmit {
-                bytes: word(rng, u64::MAX),
-                dur_ns: word(rng, u64::MAX),
-            },
-            8 => TraceEventKind::TimerTicks {
-                n: word(rng, u64::MAX),
-                cost_ns: word(rng, u64::MAX),
-            },
-            9 => TraceEventKind::FaultInjected(Box::new(FaultInjectedArgs {
-                kind: [
-                    FaultKind::AllocFail,
-                    FaultKind::IoError,
-                    FaultKind::LockTimeout,
-                ][rng.gen_range(0usize..3)],
-                site: ["mm:alloc", "io:submit", "lock:\"q\""][rng.gen_range(0usize..3)],
-            })),
-            10 => TraceEventKind::Syscall {
-                no: word(rng, u64::from(u16::MAX)) as u16,
-                enter: rng.gen(),
-            },
-            11 => TraceEventKind::VmExit {
-                kind: LabelId(u32w(rng)),
-                cost_ns: word(rng, u64::MAX),
-            },
-            _ => TraceEventKind::mark(
-                ["m", "fabric.retry"][rng.gen_range(0usize..2)],
-                word(rng, u64::MAX),
-                word(rng, u64::MAX),
-            ),
-        }
-    }
+    use ksa_core::desim::{CoreId, Pid, TraceEvent, TraceRing};
     for_each_case("trace_ring_overflow_drops_oldest", |seed, rng| {
         let cap = rng.gen_range(0usize..50);
         let n = rng.gen_range(0usize..200);
         let mut ring = TraceRing::new(cap);
         let mut pushed = Vec::with_capacity(n);
-        let mut t = word(rng, u64::MAX);
+        let mut t = trace_word(rng, u64::MAX);
         for _ in 0..n {
             // Mostly small steps either way, sometimes a jump anywhere.
             t = match rng.gen_range(0..4) {
                 0 => t.wrapping_sub(rng.gen_range(0..1_000)),
-                1 => word(rng, u64::MAX),
+                1 => trace_word(rng, u64::MAX),
                 _ => t.wrapping_add(rng.gen_range(0..1_000)),
             };
             let ev = TraceEvent {
                 t,
-                pid: Pid(word(rng, u64::from(u32::MAX)) as u32),
-                core: CoreId(word(rng, u64::from(u32::MAX)) as u32),
-                kind: kind(rng),
+                pid: Pid(trace_word(rng, u64::from(u32::MAX)) as u32),
+                core: CoreId(trace_word(rng, u64::from(u32::MAX)) as u32),
+                kind: trace_kind(rng),
             };
             pushed.push(ev.clone());
             ring.push(ev);
@@ -742,6 +745,66 @@ fn trace_ring_overflow_drops_oldest() {
             pushed[n - kept..],
             "seed {seed:#x}: ring did not keep the newest events intact"
         );
+    });
+}
+
+/// The merged trace is the stable sort of the rings' concatenation by
+/// `(t, core, pid)`, whatever the rings hold: equal-time runs whose pids
+/// step back, time that steps back, several cores in one ring, the
+/// side-queue kinds, and rings that overflowed with the pid and core
+/// changing across the eviction point.
+#[test]
+fn trace_merge_equals_a_stable_sort() {
+    use ksa_core::desim::{CoreId, Pid, TraceEvent, TraceLog, TraceRing};
+    for_each_case("trace_merge_equals_a_stable_sort", |seed, rng| {
+        let n_rings = rng.gen_range(0usize..6);
+        // How often a ring steps back in time, and how often it records
+        // an event for a core other than its own (per mille).
+        let back = [0, 0, 20, 300][rng.gen_range(0usize..4)];
+        let foreign = [0, 0, 50, 500][rng.gen_range(0usize..4)];
+        let mut rings = Vec::with_capacity(n_rings);
+        let mut retained: Vec<Vec<TraceEvent>> = Vec::with_capacity(n_rings);
+        for core in 0..n_rings as u32 {
+            let cap = rng.gen_range(0usize..40);
+            let n = rng.gen_range(0usize..80);
+            let mut ring = TraceRing::new(cap);
+            let mut pushed = Vec::with_capacity(n);
+            let mut t = rng.gen_range(0u64..50);
+            for _ in 0..n {
+                t = if rng.gen_range(0..1000) < back {
+                    t.saturating_sub(rng.gen_range(1u64..20))
+                } else {
+                    // Equal times are common: cores and pids then break
+                    // the tie.
+                    t + rng.gen_range(0u64..3)
+                };
+                let ev = TraceEvent {
+                    t,
+                    pid: Pid(rng.gen_range(0..4)),
+                    core: CoreId(if rng.gen_range(0..1000) < foreign {
+                        rng.gen_range(0..n_rings as u32)
+                    } else {
+                        core
+                    }),
+                    kind: trace_kind(rng),
+                };
+                pushed.push(ev.clone());
+                ring.push(ev);
+            }
+            retained.push(pushed.split_off(n - n.min(cap)));
+            rings.push(ring);
+        }
+        let mut oracle: Vec<TraceEvent> = retained.into_iter().flatten().collect();
+        oracle.sort_by_key(|e| (e.t, e.core, e.pid));
+        let log = TraceLog {
+            enabled: true,
+            rings,
+            ..TraceLog::default()
+        };
+        let mut visited = Vec::new();
+        log.for_each_merged(|e| visited.push(e.clone()));
+        assert_eq!(visited, oracle, "seed {seed:#x}: for_each_merged");
+        assert_eq!(log.merged(), oracle, "seed {seed:#x}: merged");
     });
 }
 
