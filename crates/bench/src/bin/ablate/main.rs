@@ -21,7 +21,8 @@
 //! their gates are known to hold; the last four honour `--scale`,
 //! `--seed`, `--jobs`, `--csv` and `--metrics-out`, and `failover`
 //! writes its crash run's trace to `--trace-out` (see
-//! [`ksa_bench::cli`]).
+//! [`ksa_bench::cli`]); a run that does not pick `failover` refuses
+//! that flag as a usage error.
 //!
 //! ```text
 //! ablate --list                     # the entry names
@@ -94,9 +95,15 @@ impl Gates {
     }
 }
 
+/// The entry that writes `--trace-out`.
+const TRACE_WRITER: &str = "failover";
+
+/// `ablate`'s flags, appended to the common usage banner.
+const USAGE: &str = "[--list] [--trace-out PATH] [ENTRY...]";
+
 fn main() {
     let mut picked = Vec::new();
-    let cli = Cli::parse_with("[--list] [--trace-out PATH] [ENTRY...]", |arg, args| {
+    let cli = Cli::parse_with(USAGE, |arg, args| {
         if arg == "--list" {
             ENTRIES.iter().for_each(|(name, _)| println!("{name}"));
             std::process::exit(0);
@@ -111,6 +118,12 @@ fn main() {
     });
     if picked.is_empty() {
         picked = ENTRIES.to_vec();
+    }
+    if cli.trace_out.is_some() && !picked.iter().any(|&(name, _)| name == TRACE_WRITER) {
+        ksa_bench::cli::usage(
+            USAGE,
+            "--trace-out is written by the failover entry only, and it was not picked",
+        );
     }
 
     let mut gates = Gates::default();

@@ -65,7 +65,7 @@ impl Args {
 
     /// Exits with the usage banner (extension flags appended) and `msg`.
     pub fn usage(&self, msg: &str) -> ! {
-        usage_with(self.usage_extra, msg)
+        usage(self.usage_extra, msg)
     }
 }
 
@@ -178,7 +178,10 @@ impl Cli {
     }
 }
 
-fn usage_with(extra: &str, msg: &str) -> ! {
+/// Exits with the usage banner (`extra` appended) and `msg`: status 2,
+/// or 0 for an empty `msg` (`--help`). A bin calls it for a usage error
+/// it can only see once every argument is parsed.
+pub fn usage(extra: &str, msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }

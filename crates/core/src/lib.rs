@@ -44,4 +44,5 @@ pub use ksa_kernel as kernel;
 pub use ksa_stats as stats;
 pub use ksa_syzgen as syzgen;
 pub use ksa_tailbench as tailbench;
+pub use ksa_telemetry as telemetry;
 pub use ksa_varbench as varbench;

@@ -35,6 +35,7 @@ use crate::fault::FaultKind;
 use crate::lock::LockId;
 use crate::process::{Pid, WakeReason};
 use crate::time::Ns;
+use ksa_telemetry::varint;
 
 /// What kind of work a process contributes to a core's occupancy, and
 /// therefore how *other* processes' queueing behind it is attributed.
@@ -434,20 +435,28 @@ impl Default for TraceConfig {
 }
 
 /// The byte encoding a [`TraceRing`] stores. Each event is a tag byte,
-/// then up to five LEB128 varints: the zigzagged time delta from the
-/// ring's previous event (signed, because `push` accepts any `t`), the
-/// pid, the core and two payload words. The pid and core are skipped
-/// when they equal the previous event's, which the tag's
-/// `SAME_PID` and `SAME_CORE` bits record: a core's ring holds only
-/// that core's events, and nearly every event concerns the process that
-/// ran before it. `LockAcquired`'s `contended` and `Syscall`'s `enter`
-/// fold into the tag. `FaultInjected` and `Mark` carry a
-/// `&'static str`, so their words are zero and the kind itself waits in
-/// the ring's side queue.
+/// then up to five LEB128 varints ([`ksa_telemetry::varint`]): the
+/// zigzagged time delta from the ring's previous event (signed, because
+/// `push` accepts any `t`), the pid, the core and two payload words.
+/// A field the tag's bits mark is not stored:
+///
+/// * `SAME_TIME`: the time delta is zero (events a handler emits
+///   together share a timestamp);
+/// * `SAME_PID` / `SAME_CORE`: the pid (core) equals the previous
+///   event's (a core's ring holds only that core's events, and nearly
+///   every event concerns the process that ran before it);
+/// * `NO_B`: the second payload word is zero (`Block`, `LockContend`,
+///   `RcuSync` and `Syscall` never have one, nor do most `Wake`s and
+///   uncontended `LockAcquired`s).
+///
+/// `LockAcquired`'s `contended` and `Syscall`'s `enter` fold into the
+/// tag. `FaultInjected` and `Mark` carry a `&'static str`, so their
+/// words are zero and the kind itself waits in the ring's side queue.
 mod codec {
     use super::{LabelId, LatComp, LockId, TraceEventKind};
     use crate::engine::QueueId;
     use crate::process::WakeReason;
+    use ksa_telemetry::varint;
 
     const WAKE: u8 = 0;
     const BLOCK: u8 = 1;
@@ -465,6 +474,11 @@ mod codec {
     const VM_EXIT: u8 = 13;
     const MARK: u8 = 14;
 
+    /// Tag bit: the event's time is the previous event's, and no delta
+    /// is stored.
+    pub(super) const SAME_TIME: u8 = 0x10;
+    /// Tag bit: the event's second payload word is zero, and not stored.
+    pub(super) const NO_B: u8 = 0x20;
     /// Tag bit: the event's pid is the previous event's, and not stored.
     pub(super) const SAME_PID: u8 = 0x40;
     /// Tag bit: the event's core is the previous event's, and not stored.
@@ -472,8 +486,8 @@ mod codec {
     /// The tag bits that name the variant.
     pub(super) const TAG: u8 = 0x0f;
 
-    /// Longest encoded event: the tag and five 10-byte varints.
-    pub(super) const MAX_EVENT_BYTES: usize = 1 + 5 * 10;
+    /// Longest encoded event: the tag and five varints.
+    pub(super) const MAX_EVENT_BYTES: usize = 1 + 5 * varint::MAX_BYTES;
 
     /// Whether events of `tag` keep their kind in the side queue.
     #[inline]
@@ -596,56 +610,17 @@ mod codec {
             _ => unreachable!("trace tag {tag}"),
         }
     }
-
-    /// Appends `v` to `buf` as a LEB128 varint.
-    #[inline]
-    pub(super) fn put(buf: &mut Vec<u8>, mut v: u64) {
-        while v >= 0x80 {
-            buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        buf.push(v as u8);
-    }
-
-    /// Reads one LEB128 varint at `*pos`, advancing past it.
-    #[inline]
-    pub(super) fn get(bytes: &[u8], pos: &mut usize) -> u64 {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let byte = bytes[*pos];
-            *pos += 1;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-
-    /// A wrapping time delta as an unsigned word: small steps either
-    /// way stay small.
-    #[inline]
-    pub(super) fn zigzag(delta: u64) -> u64 {
-        let d = delta as i64;
-        ((d << 1) ^ (d >> 63)) as u64
-    }
-
-    /// Inverse of [`zigzag`].
-    #[inline]
-    pub(super) fn unzigzag(z: u64) -> u64 {
-        (z >> 1) ^ (z & 1).wrapping_neg()
-    }
 }
 
 /// One core's bounded event ring (the ftrace per-CPU buffer analogue).
 ///
-/// Events are stored byte-encoded (see `codec`), under 5 bytes each on
-/// a full-scale sweep against 32 for a decoded [`TraceEvent`], and
-/// nothing is allocated until the first push. [`events`](Self::events) decodes them
-/// back. Capacity counts events, and eviction is oldest-first: it skips
-/// the front event's bytes, moves the decoding base past it and compacts
-/// the buffer once the skipped prefix is more than half of it.
+/// Events are stored byte-encoded (see `codec`), about 3.3 bytes each
+/// on a full-scale sweep against 32 for a decoded [`TraceEvent`], and
+/// nothing is allocated until the first push. [`events`](Self::events)
+/// decodes them back. Capacity counts events, and eviction is
+/// oldest-first: it skips the front event's bytes, moves the decoding
+/// base past it and compacts the buffer once the skipped prefix is more
+/// than half of it.
 /// Equality compares capacity, drop count and the retained events, not
 /// the byte layout.
 #[derive(Clone, Default)]
@@ -698,6 +673,13 @@ impl TraceRing {
         }
         let (mut tag, a, b) = codec::words(&ev.kind);
         let (pid, core) = (ev.pid.0, ev.core.0);
+        let dt = ev.t.wrapping_sub(self.last.t);
+        if dt == 0 {
+            tag |= codec::SAME_TIME;
+        }
+        if b == 0 {
+            tag |= codec::NO_B;
+        }
         if pid == self.last.pid {
             tag |= codec::SAME_PID;
         }
@@ -707,15 +689,19 @@ impl TraceRing {
         let bytes = &mut self.bytes;
         bytes.reserve(codec::MAX_EVENT_BYTES);
         bytes.push(tag);
-        codec::put(bytes, codec::zigzag(ev.t.wrapping_sub(self.last.t)));
+        if dt != 0 {
+            varint::put(bytes, varint::zigzag(dt));
+        }
         if tag & codec::SAME_PID == 0 {
-            codec::put(bytes, u64::from(pid));
+            varint::put(bytes, u64::from(pid));
         }
         if tag & codec::SAME_CORE == 0 {
-            codec::put(bytes, u64::from(core));
+            varint::put(bytes, u64::from(core));
         }
-        codec::put(bytes, a);
-        codec::put(bytes, b);
+        varint::put(bytes, a);
+        if b != 0 {
+            varint::put(bytes, b);
+        }
         if codec::in_side(tag & codec::TAG) {
             self.side.push_back(ev.kind);
         }
@@ -728,9 +714,9 @@ impl TraceRing {
     fn pop_front(&mut self) {
         let mut d = self.decoder();
         let tag = d.header().expect("a non-empty ring has a front event");
-        d.words();
+        d.words(tag);
         let (pos, base) = (d.pos, d.base);
-        if codec::in_side(tag) {
+        if codec::in_side(tag & codec::TAG) {
             self.side.pop_front();
         }
         self.head = pos;
@@ -773,12 +759,12 @@ impl TraceRing {
     fn keys_sorted(&self) -> bool {
         let mut d = self.decoder();
         let mut prev = Base::default();
-        while d.header().is_some() {
+        while let Some(tag) = d.header() {
             if d.base < prev {
                 return false;
             }
             prev = d.base;
-            d.words();
+            d.words(tag);
         }
         true
     }
@@ -820,27 +806,34 @@ struct Decoder<'a> {
 
 impl Decoder<'_> {
     /// Reads the next event's tag, time, pid and core into `base` and
-    /// returns its variant tag; `None` past the newest event.
+    /// returns its tag byte; `None` past the newest event.
     #[inline]
     fn header(&mut self) -> Option<u8> {
         let tag = *self.bytes.get(self.pos)?;
         self.pos += 1;
-        let dt = codec::unzigzag(codec::get(self.bytes, &mut self.pos));
-        self.base.t = self.base.t.wrapping_add(dt);
+        if tag & codec::SAME_TIME == 0 {
+            let dt = varint::unzigzag(varint::get(self.bytes, &mut self.pos));
+            self.base.t = self.base.t.wrapping_add(dt);
+        }
         if tag & codec::SAME_PID == 0 {
-            self.base.pid = codec::get(self.bytes, &mut self.pos) as u32;
+            self.base.pid = varint::get(self.bytes, &mut self.pos) as u32;
         }
         if tag & codec::SAME_CORE == 0 {
-            self.base.core = codec::get(self.bytes, &mut self.pos) as u32;
+            self.base.core = varint::get(self.bytes, &mut self.pos) as u32;
         }
-        Some(tag & codec::TAG)
+        Some(tag)
     }
 
-    /// Reads the two payload words of the event whose header was read.
+    /// Reads the two payload words of the event whose header returned
+    /// `tag`.
     #[inline]
-    fn words(&mut self) -> (u64, u64) {
-        let a = codec::get(self.bytes, &mut self.pos);
-        (a, codec::get(self.bytes, &mut self.pos))
+    fn words(&mut self, tag: u8) -> (u64, u64) {
+        let a = varint::get(self.bytes, &mut self.pos);
+        let b = match tag & codec::NO_B {
+            0 => varint::get(self.bytes, &mut self.pos),
+            _ => 0,
+        };
+        (a, b)
     }
 }
 
@@ -849,12 +842,12 @@ impl Iterator for Decoder<'_> {
 
     fn next(&mut self) -> Option<TraceEvent> {
         let tag = self.header()?;
-        let (a, b) = self.words();
+        let (a, b) = self.words(tag);
         Some(TraceEvent {
             t: self.base.t,
             pid: Pid(self.base.pid),
             core: CoreId(self.base.core),
-            kind: codec::kind(tag, a, b, &mut self.side),
+            kind: codec::kind(tag & codec::TAG, a, b, &mut self.side),
         })
     }
 }
@@ -1178,14 +1171,47 @@ mod tests {
             core: CoreId(core),
             kind: TraceEventKind::LockContend { lock: LockId(9) },
         };
-        // The first event is stored against a zero base.
+        // The first event is stored against a zero base; a lock
+        // contention has no second word.
         r.push(at(100, 300, 2));
-        assert_eq!(r.bytes.len(), 1 + 2 + 2 + 1 + 1 + 1);
+        assert_eq!(r.bytes.len(), 1 + 2 + 2 + 1 + 1);
         r.push(at(110, 300, 2));
-        assert_eq!(r.bytes.len(), 8 + 4, "tag, delta and two words");
-        r.push(at(110, 5, 2));
-        assert_eq!(r.bytes.len(), 12 + 5);
+        assert_eq!(r.bytes.len(), 7 + 3, "tag, delta and one word");
+        r.push(at(111, 5, 2));
+        assert_eq!(r.bytes.len(), 10 + 4);
         assert!(r.events().map(|e| e.pid.0).eq([300, 300, 5]));
+    }
+
+    #[test]
+    fn a_zero_time_step_and_second_word_are_not_stored() {
+        let mut r = TraceRing::new(8);
+        let grant = |t, wait_ns| TraceEvent {
+            t,
+            pid: Pid(1),
+            core: CoreId(0),
+            kind: TraceEventKind::LockAcquired {
+                lock: LockId(3),
+                wait_ns,
+                contended: wait_ns > 0,
+            },
+        };
+        // Core 0 is the zero base's.
+        r.push(grant(500, 0));
+        assert_eq!(r.bytes.len(), 1 + 2 + 1 + 1, "tag, delta, pid and lock");
+        r.push(grant(500, 0));
+        assert_eq!(r.bytes.len(), 5 + 2, "the tag and the lock");
+        r.push(grant(500, 100));
+        assert_eq!(r.bytes.len(), 7 + 3, "the tag, the lock and the wait");
+        r.push(grant(400, 0));
+        assert_eq!(r.bytes.len(), 10 + 4, "the tag, a step back and the lock");
+        let waits: Vec<(Ns, Ns)> = r
+            .events()
+            .map(|e| match e.kind {
+                TraceEventKind::LockAcquired { wait_ns, .. } => (e.t, wait_ns),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(waits, [(500, 0), (500, 0), (500, 100), (400, 0)]);
     }
 
     #[test]

@@ -271,6 +271,36 @@ pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Appends `v` to `out` in decimal, the bytes [`Value::render`] writes
+/// for a `UInt`. The streaming exporters write every integer through it.
+pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `s` to `out` as [`write_escaped`] writes it, going through
+/// that function only when some character needs an escape.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let mut escaped = String::new();
+        write_escaped(s, &mut escaped);
+        out.extend_from_slice(escaped.as_bytes());
+    } else {
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    }
+}
+
 /// Deepest array/object nesting [`parse`] accepts (serde_json's default
 /// recursion limit). The parser recurses once per level, so without a
 /// bound a document of a few thousand `[` overflows the stack and aborts
@@ -581,6 +611,39 @@ mod tests {
             let mut out = String::new();
             write_escaped(&c.to_string(), &mut out);
             assert_eq!(out, format!("\"\\u{:04x}\"", c as u32));
+        }
+    }
+
+    #[test]
+    fn byte_writers_match_the_renderer() {
+        let mut out = Vec::new();
+        for v in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            out.clear();
+            put_u64(&mut out, v);
+            assert_eq!(out, Value::from(v).render().as_bytes());
+        }
+        for s in [
+            "",
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "tab\t",
+            "\u{1}\u{1f}",
+            "é",
+        ] {
+            out.clear();
+            put_str(&mut out, s);
+            assert_eq!(out, Value::str(s).render().as_bytes());
         }
     }
 

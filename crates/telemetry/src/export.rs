@@ -13,9 +13,9 @@
 //!   frames; this module stays agnostic of where the stacks come from
 //!   so the crate sits below the kernel in the dependency graph).
 
-use std::fmt::{self, Write};
+use std::fmt::Write;
 
-use ksa_json::{write_escaped, Value};
+use ksa_json::{put_str, put_u64, Value};
 use ksa_stats::Log2Histogram;
 
 use crate::registry::{Metric, MetricKind, Registry};
@@ -97,33 +97,38 @@ pub fn prometheus_text(reg: &Registry) -> String {
 /// dropped, samples: [[sim_ns, value], …]}]}`.
 ///
 /// A merged full-scale sweep holds ~380k samples, so the document is
-/// written straight into one pre-sized `String`, as the Chrome trace
-/// exporter does, with no `Value` per sample. Keys go in the order a
-/// rendered `ksa-json` object sorts them, and a series' labels are
-/// sorted by key with the last of a duplicated key winning, as the
-/// object's map would keep it; the bytes equal the tree renderer's,
-/// which the tests keep as the reference.
+/// written straight into one pre-sized buffer through `ksa-json`'s byte
+/// writers, as the Chrome trace exporter does, with no `Value` and no
+/// `fmt` per sample. Keys go in the order a rendered `ksa-json` object
+/// sorts them, and a series' labels are sorted by key with the last of
+/// a duplicated key winning, as the object's map would keep it; the
+/// bytes equal the tree renderer's, which the tests keep as the
+/// reference.
 pub fn timeseries_json(reg: &Registry) -> String {
     // The merged sweep registry renders 6.2 MB for 378k samples in
     // 3,030 series (~15 bytes per `[sim_ns,value]` pair, ~190 per
     // series header); reserving a little more up front spares the
     // doubling copies.
     let samples: usize = reg.metrics().iter().map(|m| m.ring.len()).sum();
-    let mut out = String::with_capacity(18 * samples + 256 * (reg.metrics().len() + 1));
-    write_timeseries(&mut out, reg).expect("writing to a String cannot fail");
-    out
+    let mut out = Vec::with_capacity(18 * samples + 256 * (reg.metrics().len() + 1));
+    write_timeseries(&mut out, reg);
+    String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
-fn write_timeseries(out: &mut String, reg: &Registry) -> fmt::Result {
-    write!(out, r#"{{"samples_taken":{},"series":["#, reg.samples_taken)?;
+fn write_timeseries(out: &mut Vec<u8>, reg: &Registry) {
+    out.extend_from_slice(br#"{"samples_taken":"#);
+    put_u64(out, reg.samples_taken);
+    out.extend_from_slice(br#","series":["#);
     let mut labels: Vec<(&str, &str)> = Vec::new();
     for (i, m) in reg.metrics().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        write!(out, r#"{{"dropped":{},"kind":"#, m.ring.dropped())?;
-        write_escaped(m.kind.prom(), out);
-        out.push_str(r#","labels":{"#);
+        out.extend_from_slice(br#"{"dropped":"#);
+        put_u64(out, m.ring.dropped());
+        out.extend_from_slice(br#","kind":"#);
+        put_str(out, m.kind.prom());
+        out.extend_from_slice(br#","labels":{"#);
         labels.clear();
         labels.extend(m.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
         // Stable: equal keys keep their order, so the last one is the
@@ -135,26 +140,31 @@ fn write_timeseries(out: &mut String, reg: &Registry) -> fmt::Result {
                 continue;
             }
             if !first {
-                out.push(',');
+                out.push(b',');
             }
             first = false;
-            write_escaped(k, out);
-            out.push(':');
-            write_escaped(v, out);
+            put_str(out, k);
+            out.push(b':');
+            put_str(out, v);
         }
-        out.push_str(r#"},"name":"#);
-        write_escaped(&m.name, out);
-        out.push_str(r#","samples":["#);
+        out.extend_from_slice(br#"},"name":"#);
+        put_str(out, &m.name);
+        out.extend_from_slice(br#","samples":["#);
         for (j, (t, v)) in m.ring.samples().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            write!(out, "[{t},{v}]")?;
+            out.push(b'[');
+            put_u64(out, t);
+            out.push(b',');
+            put_u64(out, v);
+            out.push(b']');
         }
-        write!(out, r#"],"value":{}}}"#, m.value)?;
+        out.extend_from_slice(br#"],"value":"#);
+        put_u64(out, m.value);
+        out.push(b'}');
     }
-    out.push_str("]}");
-    Ok(())
+    out.extend_from_slice(b"]}");
 }
 
 /// Renders weighted stacks in the flamegraph "collapsed" format

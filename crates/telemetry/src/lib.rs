@@ -39,6 +39,7 @@
 mod config;
 pub mod export;
 mod registry;
+pub mod varint;
 
 pub use config::TelemetryConfig;
 pub use registry::{Metric, MetricId, MetricKind, Ns, Registry, SeriesRing};

@@ -1,11 +1,13 @@
 //! The metric registry: typed metrics, bounded time-series rings, and
 //! coalesced sim-tick sampling.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::fmt;
 
 use ksa_stats::Log2Histogram;
 
 use crate::config::TelemetryConfig;
+use crate::varint;
 
 /// Simulated nanoseconds (kept local so the crate stays below
 /// `ksa-desim` in the dependency graph).
@@ -52,10 +54,30 @@ impl MetricKind {
 /// A bounded `(sim_time, value)` ring with oldest-first eviction — the
 /// same discipline as the trace rings: a full ring drops its oldest
 /// sample and counts the eviction, and zero capacity drops everything.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Like `ksa_desim::TraceRing`, it holds its samples as bytes: each is
+/// a zigzagged `(Δt, Δvalue)` pair of LEB128 varints (see [`varint`]),
+/// relative to the sample before it and to `(0, 0)` for the first.
+/// The deltas are signed because a gauge falls and an absorbed series
+/// can start before the one it follows ends. A series steps by the
+/// sample period and its value moves little, so a sample takes a few
+/// bytes against 16 for a pair, and nothing is allocated until the
+/// first push. Eviction skips the front sample, moves the decoding base
+/// past it and compacts the buffer once the skipped prefix is more than
+/// half of it. Equality compares capacity, drop count and the retained
+/// samples, not the byte layout.
+#[derive(Clone, Default)]
 pub struct SeriesRing {
     cap: usize,
-    buf: VecDeque<(Ns, u64)>,
+    len: usize,
+    /// Encoded samples; the oldest retained one starts at `head`.
+    bytes: Vec<u8>,
+    head: usize,
+    /// The sample before the one at `head`: the decoding base of the
+    /// oldest retained sample.
+    head_base: (Ns, u64),
+    /// The newest sample: the encoding base of the next push.
+    last: (Ns, u64),
     dropped: u64,
 }
 
@@ -64,11 +86,7 @@ impl SeriesRing {
     pub fn new(cap: usize) -> Self {
         SeriesRing {
             cap,
-            // Eager allocation would defeat the zero-cost-disabled
-            // guarantee for cap 0 and waste memory for rarely-sampled
-            // metrics; grow on demand instead.
-            buf: VecDeque::new(),
-            dropped: 0,
+            ..Self::default()
         }
     }
 
@@ -78,31 +96,100 @@ impl SeriesRing {
             self.dropped += 1;
             return;
         }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+        if self.len == self.cap {
+            self.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back((t, v));
+        let (t0, v0) = self.last;
+        varint::put(&mut self.bytes, varint::zigzag(t.wrapping_sub(t0)));
+        varint::put(&mut self.bytes, varint::zigzag(v.wrapping_sub(v0)));
+        self.last = (t, v);
+        self.len += 1;
+    }
+
+    /// Evicts the oldest retained sample, carrying the decoding base
+    /// past it.
+    fn pop_front(&mut self) {
+        let mut d = self.decoder();
+        d.next();
+        (self.head, self.head_base) = (d.pos, d.base);
+        self.len -= 1;
+        if self.head > self.bytes.len() / 2 {
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// A decoder positioned at the oldest retained sample.
+    fn decoder(&self) -> SeriesDecoder<'_> {
+        SeriesDecoder {
+            bytes: &self.bytes,
+            pos: self.head,
+            base: self.head_base,
+        }
     }
 
     /// Samples currently held, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = (Ns, u64)> + '_ {
-        self.buf.iter().copied()
+        self.decoder()
     }
 
     /// Samples currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True when no samples are held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Samples evicted (ring was full) or discarded (zero capacity).
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+}
+
+/// Reads a ring's samples in order; `base` is the last sample read (or
+/// the one before the start).
+struct SeriesDecoder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: (Ns, u64),
+}
+
+impl Iterator for SeriesDecoder<'_> {
+    type Item = (Ns, u64);
+
+    fn next(&mut self) -> Option<(Ns, u64)> {
+        if self.pos == self.bytes.len() {
+            return None;
+        }
+        let dt = varint::unzigzag(varint::get(self.bytes, &mut self.pos));
+        let dv = varint::unzigzag(varint::get(self.bytes, &mut self.pos));
+        self.base = (self.base.0.wrapping_add(dt), self.base.1.wrapping_add(dv));
+        Some(self.base)
+    }
+}
+
+impl PartialEq for SeriesRing {
+    fn eq(&self, other: &Self) -> bool {
+        self.cap == other.cap
+            && self.dropped == other.dropped
+            && self.len == other.len
+            && self.samples().eq(other.samples())
+    }
+}
+
+impl Eq for SeriesRing {}
+
+impl fmt::Debug for SeriesRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SeriesRing")
+            .field("cap", &self.cap)
+            .field("dropped", &self.dropped)
+            .field("samples", &self.samples().collect::<Vec<_>>())
+            .finish()
     }
 }
 

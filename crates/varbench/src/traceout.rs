@@ -19,23 +19,8 @@
 use std::io::{self, Write};
 
 use ksa_desim::{TraceArg, TraceEvent, TraceLog};
-use ksa_json::{write_escaped, Value};
+use ksa_json::{put_str, put_u64, Value};
 use ksa_kernel::{Attribution, AttributionTable};
-
-/// Appends `v` in decimal.
-fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
-}
 
 /// Appends `t` ns as the microseconds `format!("{:?}", t as f64 / 1000.0)`
 /// prints (`Value::Float` renders floats that way). Below 2^43 ns the
@@ -64,20 +49,6 @@ fn put_ts(out: &mut Vec<u8>, t: u64) {
         3
     };
     out.extend_from_slice(&digits[..len]);
-}
-
-/// Appends `s` as a JSON string literal, through [`write_escaped`] only
-/// when some character needs an escape.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        let mut escaped = String::new();
-        write_escaped(s, &mut escaped);
-        out.extend_from_slice(escaped.as_bytes());
-    } else {
-        out.push(b'"');
-        out.extend_from_slice(s.as_bytes());
-        out.push(b'"');
-    }
 }
 
 /// Appends one event: its `args` object (exact ns values as JSON

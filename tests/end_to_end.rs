@@ -184,7 +184,8 @@ fn experiments_are_neutral_to_jobs_and_metrics() {
     );
 }
 
-/// FNV-1a-64, the digest the Chrome-trace byte pins are stated in.
+/// FNV-1a-64, the digest the Chrome-trace and metered-export byte pins are
+/// stated in.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
@@ -305,6 +306,37 @@ fn faulted_trace_bytes_are_pinned() {
         (res.trace.total_events(), json.len(), fnv1a(json.as_bytes())),
         (9_762, 1_109_386, 0xdd23fce92e06bf3b)
     );
+}
+
+#[test]
+fn metered_exports_are_pinned() {
+    // FNV-1a-64 of the time-series JSON and Prometheus text of one
+    // Tiny-scale default-corpus run with telemetry on, as the exporters
+    // wrote them while the series rings held `(sim_ns, value)` pairs.
+    use ksa_core::telemetry::export::{prometheus_text, timeseries_json};
+    let corpus = experiments::default_corpus(Scale::Tiny);
+    for (kind, series, prom) in [
+        (
+            EnvKind::Native,
+            (20_635, 0xc4d524a172fd83ca),
+            (12_067, 0x7f9aec7172b68089),
+        ),
+        (
+            EnvKind::Vm(2),
+            (22_949, 0x93580e7b3afb842f),
+            (11_679, 0x05d4b16a62d8266e),
+        ),
+    ] {
+        let cfg = RunConfig {
+            metrics: true,
+            ..RunConfig::new(EnvSpec::new(Scale::Tiny.machine(), kind), 1, 42)
+        };
+        let res = run_hooked(&cfg, &corpus.corpus, |_| {}).expect("trial failed");
+        let json = timeseries_json(&res.metrics);
+        let text = prometheus_text(&res.metrics);
+        assert_eq!((json.len(), fnv1a(json.as_bytes())), series, "{kind:?}");
+        assert_eq!((text.len(), fnv1a(text.as_bytes())), prom, "{kind:?}");
+    }
 }
 
 /// The VM-exit tags a trace recorded, in `(time, core, pid)` order, with

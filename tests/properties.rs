@@ -616,17 +616,19 @@ fn attribution_components_sum_exactly() {
     }
 }
 
-/// A trace word that is 0, the type's maximum, or anything between
-/// (`max` is an all-ones mask: a type's `MAX`).
+/// A trace word that is 0 (a third of the time: the rings store no zero
+/// second word), the type's maximum, or anything between (`max` is an
+/// all-ones mask: a type's `MAX`).
 fn trace_word(rng: &mut SmallRng, max: u64) -> u64 {
-    match rng.gen_range(0..4) {
-        0 => 0,
-        1 => max,
+    match rng.gen_range(0..6) {
+        0 | 1 => 0,
+        2 => max,
         _ => rng.gen::<u64>() & max,
     }
 }
 
-/// A random trace event kind, any of the 13.
+/// A random trace event kind, any of the 13; every kind with a second
+/// payload word gets a zero one often (see [`trace_word`]).
 fn trace_kind(rng: &mut SmallRng) -> ksa_core::desim::TraceEventKind {
     use ksa_core::desim::{
         FaultInjectedArgs, FaultKind, LabelId, LatComp, LockId, QueueId, TraceEventKind,
@@ -702,9 +704,9 @@ fn trace_kind(rng: &mut SmallRng) -> ksa_core::desim::TraceEventKind {
 /// A trace ring under arbitrary pressure keeps the *newest* `cap` events
 /// in order, counts every eviction, and never panics — including the
 /// zero-capacity ring, which drops everything. Events are random over
-/// all 13 kinds, with times that step backwards as well as forwards and
-/// payloads, pids and cores at their extremes, so the byte encoding must
-/// round-trip every field, not just the time.
+/// all 13 kinds, with times that repeat and step backwards as well as
+/// forwards and payloads, pids and cores at their extremes, so the byte
+/// encoding must round-trip every field, not just the time.
 #[test]
 fn trace_ring_overflow_drops_oldest() {
     use ksa_core::desim::{CoreId, Pid, TraceEvent, TraceRing};
@@ -715,10 +717,12 @@ fn trace_ring_overflow_drops_oldest() {
         let mut pushed = Vec::with_capacity(n);
         let mut t = trace_word(rng, u64::MAX);
         for _ in 0..n {
-            // Mostly small steps either way, sometimes a jump anywhere.
-            t = match rng.gen_range(0..4) {
+            // Mostly small steps either way or none, sometimes a jump
+            // anywhere.
+            t = match rng.gen_range(0..5) {
                 0 => t.wrapping_sub(rng.gen_range(0..1_000)),
                 1 => trace_word(rng, u64::MAX),
+                2 => t,
                 _ => t.wrapping_add(rng.gen_range(0..1_000)),
             };
             let ev = TraceEvent {
@@ -805,6 +809,76 @@ fn trace_merge_equals_a_stable_sort() {
         log.for_each_merged(|e| visited.push(e.clone()));
         assert_eq!(visited, oracle, "seed {seed:#x}: for_each_merged");
         assert_eq!(log.merged(), oracle, "seed {seed:#x}: merged");
+    });
+}
+
+/// A telemetry series ring holds exactly what a `VecDeque` of
+/// `(t, value)` pairs capped at the same capacity holds, and counts the
+/// same drops, whatever it is fed: capacities 0 and 1, time that steps
+/// back, values that fall, words at `0` and `u64::MAX`, and enough
+/// pushes to evict and compact many times over. Equality is by the
+/// retained samples, whatever the pushes before them were.
+#[test]
+fn series_ring_matches_a_deque_model() {
+    use ksa_core::telemetry::SeriesRing;
+    use std::collections::VecDeque;
+    for_each_case("series_ring_matches_a_deque_model", |seed, rng| {
+        let cap = match rng.gen_range(0..4) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(2usize..40),
+        };
+        let n = rng.gen_range(0usize..300);
+        let mut ring = SeriesRing::new(cap);
+        let mut model: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut dropped = 0u64;
+        let (mut t, mut v) = (trace_word(rng, u64::MAX), trace_word(rng, u64::MAX));
+        for _ in 0..n {
+            t = match rng.gen_range(0..5) {
+                0 => t.wrapping_sub(rng.gen_range(0..1_000)),
+                1 => trace_word(rng, u64::MAX),
+                2 => t,
+                _ => t.wrapping_add(rng.gen_range(0..200_000)),
+            };
+            v = match rng.gen_range(0..5) {
+                0 => v.wrapping_sub(rng.gen_range(0..100)),
+                1 => trace_word(rng, u64::MAX),
+                2 => v,
+                _ => v.wrapping_add(rng.gen_range(0..100)),
+            };
+            ring.push(t, v);
+            if model.len() == cap {
+                model.pop_front();
+                dropped += 1;
+            }
+            if cap > 0 {
+                model.push_back((t, v));
+            }
+            assert!(
+                ring.samples().eq(model.iter().copied()),
+                "seed {seed:#x}: samples diverged from the model"
+            );
+        }
+        assert_eq!(ring.len(), model.len(), "seed {seed:#x}: len");
+        assert_eq!(ring.is_empty(), model.is_empty(), "seed {seed:#x}");
+        assert_eq!(ring.dropped(), dropped, "seed {seed:#x}: dropped");
+        // The same retained samples and drop count behind other evicted
+        // samples: equal.
+        let mut rebuilt = SeriesRing::new(cap);
+        for i in 0..dropped {
+            rebuilt.push(i.wrapping_mul(0x9e37_79b9_7f4a_7c15), u64::MAX - i);
+        }
+        for &(t, v) in &model {
+            rebuilt.push(t, v);
+        }
+        assert_eq!(rebuilt, ring, "seed {seed:#x}: equality is by samples");
+        if let Some(&(t, v)) = model.back() {
+            let mut other = rebuilt.clone();
+            other.push(t, v.wrapping_add(1));
+            let mut same = ring.clone();
+            same.push(t, v);
+            assert_ne!(other, same, "seed {seed:#x}: one value differs");
+        }
     });
 }
 
