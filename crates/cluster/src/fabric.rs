@@ -2,10 +2,10 @@
 //!
 //! A healthy BSP cluster's per-iteration barriers reduce to a max over
 //! independent node simulations. This module lifts the kernel's
-//! per-site fault discipline to the node/link level: a seeded [`NodeFaultPlan`] schedules node
-//! crash/reboot windows, partition and degraded-link windows, and
-//! probabilistic message drops, and the fabric rides through them with
-//! a real recovery path:
+//! per-site fault discipline to the node/link level: a seeded
+//! [`NodeFaultPlan`] schedules node crash/reboot windows, partition
+//! windows and probabilistic message drops, and the fabric rides through
+//! them with a real recovery path:
 //!
 //! * **Heartbeat detection** — a crashed node stops heartbeating; the
 //!   monitor walks `heartbeat → suspect → dead` on deterministic
@@ -57,10 +57,6 @@ pub struct FabricConfig {
     /// Missed heartbeats before a suspect is declared *dead* and its
     /// shard is handed to survivors (≥ `suspect_misses`).
     pub dead_misses: u32,
-    /// Healthy one-way message latency (modelled as part of
-    /// `barrier_ns`; only the *excess* under degradation delays an
-    /// iteration).
-    pub link_ns: Ns,
     /// Retransmit backoff policy (shared with the tailbench client).
     pub backoff: Backoff,
     /// Hard bound on transmission attempts per message; a message still
@@ -74,7 +70,6 @@ impl Default for FabricConfig {
             heartbeat_ns: 1_000_000, // 1ms heartbeats
             suspect_misses: 2,
             dead_misses: 3,
-            link_ns: 20_000, // 20µs one-way on the healthy fabric
             backoff: Backoff::new(50_000, 2_000_000, 250),
             max_attempts: 1 << 16,
         }
@@ -89,7 +84,6 @@ impl FabricConfig {
             heartbeat_ns: 100_000,
             suspect_misses: 2,
             dead_misses: 3,
-            link_ns: 10_000,
             backoff: Backoff::new(20_000, 500_000, 250),
             max_attempts: 1 << 16,
         }
@@ -127,15 +121,6 @@ pub struct FabricReport {
 }
 
 impl FabricReport {
-    /// Delivered fraction of expected completions, defined even for a
-    /// fully-failed run (an empty expectation delivers trivially).
-    pub fn completion_ratio(&self) -> f64 {
-        if self.expected_completions == 0 {
-            return 1.0;
-        }
-        self.completions as f64 / self.expected_completions as f64
-    }
-
     /// True when every expected completion arrived exactly once.
     pub fn conserved(&self) -> bool {
         self.lost_completions == 0 && self.completions == self.expected_completions
@@ -178,9 +163,8 @@ struct Delivery {
 }
 
 /// Drives one message from `from` to `coord`, retrying under the backoff
-/// policy across partitions, degraded links and probabilistic drops.
-/// Healthy latency is folded into `barrier_ns`, so only the excess over
-/// `link_ns` delays the arrival.
+/// policy across partitions and probabilistic drops. Link latency is
+/// folded into `barrier_ns`, so a delivered message arrives when sent.
 #[allow(clippy::too_many_arguments)]
 fn deliver(
     plan: &NodeFaultPlan,
@@ -204,22 +188,18 @@ fn deliver(
         // Unique per (iteration, attempt); sender/receiver ids are mixed
         // in by the decision hash itself.
         let seq = iter * 0x100000 + attempt as u64;
-        let mult = plan.latency_mult_milli(from, coord, send_t);
-        // Excess latency over the healthy link (already inside barrier_ns).
-        let extra_lat = (fab.link_ns * mult / 1000).saturating_sub(fab.link_ns);
         let cut = plan.partitioned(from, coord, send_t);
         let dropped = cut || plan.message_dropped("link.data", from, coord, seq);
         if !dropped {
-            let arrival = send_t + extra_lat;
             if first.is_none() {
-                first = Some(arrival);
+                first = Some(send_t);
             } else {
                 // The coordinator already has (iter, from): dedup.
                 rep.dup_completions_dropped += 1;
                 rec.cov.insert(cov_block!("recovery.cluster.dup_drop"));
-                rec.mark(coord, arrival, "barrier.dup_drop", from as u64, iter);
+                rec.mark(coord, send_t, "barrier.dup_drop", from as u64, iter);
             }
-            let ack_cut = plan.partitioned(coord, from, arrival)
+            let ack_cut = plan.partitioned(coord, from, send_t)
                 || plan.message_dropped("link.ack", coord, from, seq);
             if !ack_cut {
                 break;
@@ -228,7 +208,7 @@ fn deliver(
             // and the coordinator will see a duplicate.
             rec.cov.insert(cov_block!(err "cluster.ack_drop"));
             rec.cov.insert(cov_block!("recovery.cluster.retransmit"));
-            rec.mark(from, arrival, "net.ack_lost", coord as u64, seq);
+            rec.mark(from, send_t, "net.ack_lost", coord as u64, seq);
         } else {
             rep.retransmits += 1;
             if cut {
@@ -639,7 +619,6 @@ mod tests {
         assert!(rep.unserved_shards > 0);
         assert!(faulted.straggler_factor().is_finite());
         assert!(faulted.slowdown_vs(&faulted).is_finite());
-        assert_eq!(rep.completion_ratio(), 1.0, "empty expectation is trivial");
         assert_eq!(faulted.iteration_ns.len(), cfg.iterations as usize);
     }
 

@@ -27,12 +27,6 @@ impl KernelSurfaceArea {
         let mem_units = (self.mem_mib / 4).max(1) as f64;
         (self.cores as f64 * mem_units).sqrt()
     }
-
-    /// Reduction factor relative to `full` (1.0 = same surface; 1/64 for
-    /// a 1-core VM on a 64-core machine).
-    pub fn reduction_vs(&self, full: &KernelSurfaceArea) -> f64 {
-        self.scalar() / full.scalar()
-    }
 }
 
 impl std::fmt::Display for KernelSurfaceArea {
@@ -54,7 +48,7 @@ mod tests {
         let vm64 = KernelSurfaceArea::of(&EnvSpec::new(machine, EnvKind::Vm(64)));
         assert!(native.scalar() > vm8.scalar());
         assert!(vm8.scalar() > vm64.scalar());
-        assert!((vm8.reduction_vs(&native) - 1.0 / 8.0).abs() < 1e-9);
+        assert!((vm8.scalar() / native.scalar() - 1.0 / 8.0).abs() < 1e-9);
     }
 
     #[test]

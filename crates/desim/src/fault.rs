@@ -280,19 +280,6 @@ pub struct LinkPartition {
     pub island: Vec<usize>,
 }
 
-/// A degraded-link window: messages crossing between `island` and the
-/// rest (or every link when `island` is empty) pay `mult_milli`/1000
-/// times the healthy latency.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkDegrade {
-    /// When the degradation holds.
-    pub window: NsWindow,
-    /// The slow side (empty = all links).
-    pub island: Vec<usize>,
-    /// Latency multiplier in milli-units (1000 = unchanged).
-    pub mult_milli: u32,
-}
-
 /// SplitMix64-style mixer over `(seed, stream, a, b, n)` — the node-level
 /// analogue of the per-site `decision_hash`. `stream` namespaces
 /// independent decision families (message drops, ack drops, backoff
@@ -311,11 +298,11 @@ pub fn node_decision_hash(seed: u64, stream: &str, a: u64, b: u64, n: u64) -> u6
 }
 
 /// A seeded, bit-identically replayable schedule of node and link faults
-/// across a cluster: crash/reboot windows per node, partition and
-/// degraded-link windows between node groups, and a probabilistic
-/// per-message link-drop rate. Every query is a pure function of the
-/// plan and its arguments — no wall clock, no global RNG — mirroring the
-/// per-site [`FaultPlan`] discipline at the fabric level.
+/// across a cluster: crash/reboot windows per node, partition windows
+/// between node groups, and a probabilistic per-message link-drop rate.
+/// Every query is a pure function of the plan and its arguments — no
+/// wall clock, no global RNG — mirroring the per-site [`FaultPlan`]
+/// discipline at the fabric level.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeFaultPlan {
     /// Seed for probabilistic decisions (drops, jitter).
@@ -324,8 +311,6 @@ pub struct NodeFaultPlan {
     pub crashes: Vec<NodeCrash>,
     /// Partition windows.
     pub partitions: Vec<LinkPartition>,
-    /// Degraded-link windows.
-    pub degrades: Vec<LinkDegrade>,
     /// Per-message drop probability in milli-units (0 = lossless,
     /// applied to every non-partitioned link).
     pub drop_milli: u32,
@@ -356,16 +341,6 @@ impl NodeFaultPlan {
         self.partitions.push(LinkPartition {
             window: NsWindow { start, end },
             island,
-        });
-        self
-    }
-
-    /// Schedules a degraded-link window (builder style).
-    pub fn degrade(mut self, start: Ns, end: Ns, island: Vec<usize>, mult_milli: u32) -> Self {
-        self.degrades.push(LinkDegrade {
-            window: NsWindow { start, end },
-            island,
-            mult_milli,
         });
         self
     }
@@ -423,20 +398,6 @@ impl NodeFaultPlan {
             }
         }
         heal
-    }
-
-    /// Latency multiplier (milli-units) for a message between `a` and
-    /// `b` at `t`: the product of every active degradation crossing the
-    /// link. 1000 = healthy.
-    pub fn latency_mult_milli(&self, a: usize, b: usize, t: Ns) -> u64 {
-        let mut mult = 1000u64;
-        for d in &self.degrades {
-            let crosses = d.island.is_empty() || (d.island.contains(&a) != d.island.contains(&b));
-            if d.window.contains(t) && crosses {
-                mult = mult * d.mult_milli.max(1) as u64 / 1000;
-            }
-        }
-        mult.max(1)
     }
 
     /// Deterministic per-message drop verdict for transmission `seq` of
@@ -605,18 +566,6 @@ mod tests {
         assert!(!plan.partitioned(0, 2, 200), "half-open window");
         assert_eq!(plan.heal_at(0, 2, 150), Some(200));
         assert_eq!(plan.heal_at(0, 1, 150), None, "link not severed");
-    }
-
-    #[test]
-    fn node_plan_degrades_multiply() {
-        let plan =
-            NodeFaultPlan::new(3)
-                .degrade(0, 100, vec![], 2000)
-                .degrade(50, 100, vec![1], 3000);
-        assert_eq!(plan.latency_mult_milli(0, 2, 10), 2000);
-        assert_eq!(plan.latency_mult_milli(0, 1, 60), 6000, "stacked");
-        assert_eq!(plan.latency_mult_milli(0, 2, 60), 2000, "non-crossing");
-        assert_eq!(plan.latency_mult_milli(0, 1, 100), 1000, "expired");
     }
 
     #[test]

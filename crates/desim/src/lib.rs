@@ -63,7 +63,7 @@ pub use engine::{
 pub use equeue::EventQueue;
 pub use fault::{
     Backoff, FaultKind, FaultPlan, FaultSchedule, FaultSite, FaultState, InjectedFault,
-    LinkDegrade, LinkPartition, NodeCrash, NodeFaultPlan, NsWindow,
+    LinkPartition, NodeCrash, NodeFaultPlan, NsWindow,
 };
 pub use iodev::{DevId, DeviceModel};
 pub use lock::{LockId, LockKind, LockMode};

@@ -1,10 +1,11 @@
 //! Correlation measures for surface-area / variability analysis.
 
-/// Pearson correlation coefficient of two equal-length series.
+/// Pearson correlation coefficient of two equal-length series (here, the
+/// rank vectors [`spearman`] builds).
 ///
 /// Returns `None` for mismatched lengths, fewer than two points, or a
 /// zero-variance series.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }

@@ -1,11 +1,10 @@
-//! Log-scaled duration histograms (the lockstat wait-time view).
+//! Log-scaled histograms: the telemetry registry's histogram type.
 //!
-//! The engine records lock wait durations into power-of-two buckets
-//! (bucket *i* holds values in `[2^i, 2^(i+1))`, with 0 sharing bucket
-//! 0). This module aggregates, merges and summarizes those buckets:
-//! they survive aggregation across locks and runs losslessly, and they
-//! answer "how long are the waits" questions (approximate quantiles,
-//! worst-case bucket) without retaining per-event samples.
+//! Values land in power-of-two buckets (bucket *i* holds values in
+//! `[2^i, 2^(i+1))`, with 0 sharing bucket 0). Bucket counts survive
+//! merging across runs losslessly, and the Prometheus exporter renders
+//! them as cumulative `le` buckets from [`Log2Histogram::bucket_range`],
+//! without retaining per-event samples.
 
 /// Number of power-of-two buckets (covers the full `u64` range).
 pub const LOG2_BUCKETS: usize = 64;
@@ -70,52 +69,6 @@ impl Log2Histogram {
             *a += b;
         }
     }
-
-    /// Upper bound of the bucket containing the `p`-th percentile
-    /// (0 ≤ p ≤ 100); `None` when empty. Log-bucketed data can only
-    /// bound a quantile, so this reports the conservative (upper) edge.
-    pub fn percentile_upper_bound(&self, p: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_range(i).1);
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Index of the highest non-empty bucket; `None` when empty.
-    pub fn max_bucket(&self) -> Option<usize> {
-        self.buckets.iter().rposition(|&c| c > 0)
-    }
-
-    /// Renders the non-empty buckets as `[lo, hi) count` lines with a
-    /// proportional bar, lockstat-style.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let total = self.count();
-        if total == 0 {
-            out.push_str("(empty)\n");
-            return out;
-        }
-        let peak = *self.buckets.iter().max().unwrap();
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let (lo, hi) = Self::bucket_range(i);
-            let bar = "#".repeat(((c * 40).div_ceil(peak)) as usize);
-            let _ = writeln!(out, "[{lo:>12}, {hi:>12}) {c:>10} {bar}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -159,38 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn percentile_bound_walks_buckets() {
-        let mut h = Log2Histogram::new();
-        for _ in 0..99 {
-            h.record(100); // bucket 6: [64, 128)
-        }
-        h.record(1 << 30); // one huge outlier
-        assert_eq!(h.percentile_upper_bound(50.0), Some(128));
-        assert_eq!(h.percentile_upper_bound(99.0), Some(128));
-        assert_eq!(h.percentile_upper_bound(100.0), Some(1 << 31));
-        assert_eq!(Log2Histogram::new().percentile_upper_bound(50.0), None);
-    }
-
-    #[test]
-    fn render_shows_only_live_buckets() {
-        let mut h = Log2Histogram::new();
-        h.record(100);
-        h.record(100);
-        let s = h.render();
-        assert_eq!(s.lines().count(), 1);
-        assert!(s.contains("[          64,          128)"), "{s}");
-        assert!(Log2Histogram::new().render().contains("(empty)"));
-    }
-
-    #[test]
     fn empty_histogram_answers_every_query() {
         let h = Log2Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.max_bucket(), None);
-        for p in [0.0, 50.0, 99.9, 100.0] {
-            assert_eq!(h.percentile_upper_bound(p), None, "p={p}");
-        }
         let mut merged = Log2Histogram::new();
         merged.merge(&h);
         assert!(merged.is_empty(), "merging empties stays empty");
@@ -202,11 +127,9 @@ mod tests {
         h.record(700); // bucket 9: [512, 1024)
         assert_eq!(h.count(), 1);
         assert!(!h.is_empty());
-        let (_, hi) = Log2Histogram::bucket_range(Log2Histogram::bucket_of(700));
-        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(h.percentile_upper_bound(p), Some(hi), "p={p}");
-        }
-        assert_eq!(h.max_bucket(), Some(9));
+        assert_eq!(Log2Histogram::bucket_of(700), 9);
+        assert_eq!(h.buckets[9], 1, "the sample is the only live bucket");
+        assert_eq!(Log2Histogram::bucket_range(9), (512, 1024));
     }
 
     #[test]
@@ -216,38 +139,9 @@ mod tests {
         h.record(u64::MAX - 1);
         h.record(1u64 << 63);
         assert_eq!(h.buckets[63], 3, "all huge values land in bucket 63");
-        assert_eq!(h.max_bucket(), Some(63));
+        assert_eq!(h.count(), 3);
         // The top bucket's upper edge saturates at u64::MAX rather than
         // wrapping to 2^64.
-        assert_eq!(h.percentile_upper_bound(100.0), Some(u64::MAX));
-        assert_eq!(h.render().lines().count(), 1);
-    }
-
-    #[test]
-    fn percentile_upper_bound_is_monotone_in_p() {
-        let mut h = Log2Histogram::new();
-        for v in [0, 1, 3, 70, 700, 7_000, 1 << 20, 1 << 40, u64::MAX] {
-            h.record(v);
-        }
-        let mut last = 0u64;
-        for tenth in 0..=1000 {
-            let p = tenth as f64 / 10.0;
-            let bound = h.percentile_upper_bound(p).expect("non-empty");
-            assert!(
-                bound >= last,
-                "p={p}: bound {bound} dropped below previous {last}"
-            );
-            last = bound;
-        }
-        assert_eq!(last, u64::MAX, "p=100 reaches the top sample's bucket");
-    }
-
-    #[test]
-    fn max_bucket_tracks_worst_case() {
-        let mut h = Log2Histogram::new();
-        assert_eq!(h.max_bucket(), None);
-        h.record(3);
-        h.record(5_000_000);
-        assert_eq!(h.max_bucket(), Some(Log2Histogram::bucket_of(5_000_000)));
+        assert_eq!(Log2Histogram::bucket_range(63).1, u64::MAX);
     }
 }

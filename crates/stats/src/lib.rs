@@ -7,38 +7,31 @@
 //! * **latency bucket tables** — the cumulative percentage of system calls
 //!   whose median/p99/max falls below 1µs, 10µs, 100µs, 1ms and 10ms
 //!   (Tables 2 and 3),
-//! * **violin summaries** — quartiles, confidence interval and a kernel
-//!   density estimate of the distribution of per-site p99s (Figure 2),
-//! * **max-of-n combinators** for BSP straggler analysis (Figure 4),
-//! * **log2 duration histograms** aggregating the engine's lock
-//!   wait-time buckets (the lockstat view), and
-//! * simple correlation measures used to relate kernel surface area to
-//!   variability.
+//! * **violin summaries** — extrema, quartiles and the 2.5–97.5th
+//!   percentile interval of the distribution of per-site p99s (Figure 2),
+//! * **log2 duration histograms**, the telemetry registry's histogram
+//!   type, and
+//! * the **Spearman rank correlation** that relates kernel surface area
+//!   to variability (Figure 2's trend table).
 //!
 //! Everything in this crate is deterministic and allocation-conscious: the
-//! hot path (`Samples::push`) is a plain `Vec<u64>` append; summaries sort
+//! hot path (`Samples::push`) is a plain `Vec<u64>` append; quantiles sort
 //! once on demand.
 
 pub mod buckets;
 pub mod correlation;
-pub mod density;
 pub mod histogram;
 pub mod quantile;
 pub mod samples;
-pub mod summary;
 pub mod violin;
 
 pub use buckets::{BucketRow, BucketTable, LATENCY_BUCKET_EDGES_NS};
-pub use correlation::{pearson, spearman};
-pub use density::kernel_density;
+pub use correlation::spearman;
 pub use histogram::{Log2Histogram, LOG2_BUCKETS};
-pub use quantile::{percentile_ns, quantile_sorted};
+pub use quantile::quantile_sorted;
 pub use samples::Samples;
-pub use summary::SummaryStats;
 pub use violin::ViolinSummary;
 
-/// One nanosecond, the base time unit used across the workspace.
-pub const NS: u64 = 1;
 /// Nanoseconds per microsecond.
 pub const US: u64 = 1_000;
 /// Nanoseconds per millisecond.
@@ -73,7 +66,7 @@ mod tests {
 
     #[test]
     fn unit_constants_are_consistent() {
-        assert_eq!(US, 1_000 * NS);
+        assert_eq!(US, 1_000);
         assert_eq!(MS, 1_000 * US);
         assert_eq!(SEC, 1_000 * MS);
     }

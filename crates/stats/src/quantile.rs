@@ -24,11 +24,6 @@ pub fn quantile_sorted(sorted: &[u64], q: f64) -> Option<u64> {
     Some((a + (b - a) * frac).round() as u64)
 }
 
-/// Convenience wrapper: percentile (0..=100) of a sorted slice.
-pub fn percentile_ns(sorted: &[u64], pct: f64) -> Option<u64> {
-    quantile_sorted(sorted, pct / 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,12 +55,5 @@ mod tests {
         let v = [1u64, 2, 3];
         assert_eq!(quantile_sorted(&v, -1.0), Some(1));
         assert_eq!(quantile_sorted(&v, 2.0), Some(3));
-    }
-
-    #[test]
-    fn percentile_wrapper_matches() {
-        let v = [0u64, 100];
-        assert_eq!(percentile_ns(&v, 50.0), quantile_sorted(&v, 0.5));
-        assert_eq!(percentile_ns(&v, 99.0), quantile_sorted(&v, 0.99));
     }
 }

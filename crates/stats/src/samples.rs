@@ -1,7 +1,6 @@
 //! Raw sample storage with lazily sorted views.
 
 use crate::quantile::quantile_sorted;
-use crate::summary::SummaryStats;
 
 /// A bag of latency samples (nanoseconds) for one measurement site.
 ///
@@ -42,12 +41,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Appends all samples from `other`.
-    pub fn extend_from(&mut self, other: &Samples) {
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
-
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -69,12 +62,6 @@ impl Samples {
             self.values.sort_unstable();
             self.sorted = true;
         }
-    }
-
-    /// Sorted view; sorts on first use.
-    pub fn sorted(&mut self) -> &[u64] {
-        self.freeze();
-        &self.values
     }
 
     /// The `q`-quantile (0.0..=1.0) by linear interpolation.
@@ -100,23 +87,12 @@ impl Samples {
         self.values.iter().copied().max()
     }
 
-    /// Best-case (minimum) latency.
-    pub fn min(&self) -> Option<u64> {
-        self.values.iter().copied().min()
-    }
-
     /// Arithmetic mean.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
             return None;
         }
         Some(self.values.iter().map(|&v| v as f64).sum::<f64>() / self.values.len() as f64)
-    }
-
-    /// Full summary (median, p95, p99, max, mean, CV, ...).
-    pub fn summary(&mut self) -> Option<SummaryStats> {
-        self.freeze();
-        SummaryStats::from_sorted(&self.values)
     }
 }
 
@@ -138,7 +114,6 @@ mod tests {
         assert_eq!(s.p99(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.mean(), None);
-        assert!(s.summary().is_none());
     }
 
     #[test]
@@ -149,18 +124,9 @@ mod tests {
         }
         assert_eq!(s.len(), 5);
         assert_eq!(s.median(), Some(5));
-        assert_eq!(s.min(), Some(1));
         assert_eq!(s.max(), Some(9));
-        assert_eq!(s.sorted(), &[1, 3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn extend_merges_and_resorts() {
-        let mut a = Samples::from_values(vec![10, 20]);
-        let b = Samples::from_values(vec![5, 30]);
-        a.freeze();
-        a.extend_from(&b);
-        assert_eq!(a.sorted(), &[5, 10, 20, 30]);
+        s.freeze();
+        assert_eq!(s.raw(), &[1, 3, 5, 7, 9]);
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Violin-plot summaries (Figure 2 of the paper).
 //!
 //! Each violin in the paper shows, for one VM configuration and one syscall
-//! category, the distribution of per-syscall 99th percentiles: an
-//! interquartile box, a 95% confidence whisker, a median dot, and a kernel
-//! density outline. [`ViolinSummary`] captures exactly those elements as
-//! data so the text/CSV renderers (and any external plotting tool) can
-//! reproduce the figure.
+//! category, the distribution of per-syscall 99th percentiles.
+//! [`ViolinSummary`] keeps the numbers the text/CSV renderers print: the
+//! extrema, an interquartile box, a median dot, and whiskers spanning the
+//! 2.5–97.5th percentile interval. It keeps no density outline.
 
-use crate::density::kernel_density;
 use crate::quantile::quantile_sorted;
 
-/// Data behind one violin: quartiles, whiskers, extrema and a log-space KDE.
+/// Data behind one violin: quartiles, whiskers and extrema.
 #[derive(Debug, Clone)]
 pub struct ViolinSummary {
     /// Label for this violin (e.g. `"8 VMs"`).
@@ -31,26 +29,24 @@ pub struct ViolinSummary {
     pub whisker_hi: u64,
     /// Maximum value (top of the violin).
     pub max: u64,
-    /// KDE grid positions in log10(ns).
-    pub kde_grid: Vec<f64>,
-    /// KDE density values aligned with `kde_grid`.
-    pub kde_density: Vec<f64>,
 }
 
 impl ViolinSummary {
     /// Builds a violin from unsorted per-site values. Returns `None` when
     /// `values` is empty.
+    ///
+    /// `_kde_points` is unused: it stays in the signature until the
+    /// benchmark, which passes it, is next re-cut.
     pub fn from_values(
         label: impl Into<String>,
         values: &[u64],
-        kde_points: usize,
+        _kde_points: usize,
     ) -> Option<Self> {
         if values.is_empty() {
             return None;
         }
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
-        let (kde_grid, kde_density) = kernel_density(&sorted, kde_points, true);
         Some(Self {
             label: label.into(),
             count: sorted.len(),
@@ -61,30 +57,7 @@ impl ViolinSummary {
             q3: quantile_sorted(&sorted, 0.75)?,
             whisker_hi: quantile_sorted(&sorted, 0.975)?,
             max: sorted[sorted.len() - 1],
-            kde_grid,
-            kde_density,
         })
-    }
-
-    /// Fraction of KDE mass in the top decade below the max — a scalar proxy
-    /// for the "thick upper tail" the paper reads off the violins.
-    pub fn upper_tail_mass(&self) -> f64 {
-        if self.kde_grid.is_empty() {
-            return 0.0;
-        }
-        let top = (self.max.max(1) as f64).log10() - 1.0;
-        let total: f64 = self.kde_density.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let upper: f64 = self
-            .kde_grid
-            .iter()
-            .zip(&self.kde_density)
-            .filter(|(g, _)| **g >= top)
-            .map(|(_, d)| d)
-            .sum();
-        upper / total
     }
 
     /// One-line text rendering used by the fig2 experiment binary.
@@ -122,28 +95,6 @@ mod tests {
         assert!(v.median <= v.q3);
         assert!(v.q3 <= v.whisker_hi);
         assert!(v.whisker_hi <= v.max);
-    }
-
-    #[test]
-    fn upper_tail_mass_grows_with_outliers() {
-        let base: Vec<u64> = vec![10_000; 200];
-        let mut tailed = base.clone();
-        // Replace a quarter of the samples with values near a high max so a
-        // substantial share of mass sits in the top decade.
-        for v in tailed.iter_mut().take(50) {
-            *v = 90_000_000;
-        }
-        tailed.push(100_000_000);
-        let mut spiked = base.clone();
-        spiked.push(100_000_000); // same max, single outlier only
-        let v_spike = ViolinSummary::from_values("spike", &spiked, 128).unwrap();
-        let v_tail = ViolinSummary::from_values("tail", &tailed, 128).unwrap();
-        assert!(
-            v_tail.upper_tail_mass() > v_spike.upper_tail_mass(),
-            "{} vs {}",
-            v_tail.upper_tail_mass(),
-            v_spike.upper_tail_mass()
-        );
     }
 
     #[test]

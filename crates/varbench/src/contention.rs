@@ -33,11 +33,6 @@ impl LockContention {
             self.contended as f64 / self.acquisitions as f64
         }
     }
-
-    /// Mean wait per contended acquisition, in ns (0 when uncontended).
-    pub fn mean_wait_ns(&self) -> u64 {
-        self.total_wait_ns.checked_div(self.contended).unwrap_or(0)
-    }
 }
 
 /// Per-label contention profile of one run.
@@ -131,7 +126,6 @@ mod tests {
         let j = p.by_label["journal"];
         assert_eq!(j.total_wait_ns, 1_500);
         assert_eq!(j.max_wait_ns, 600, "max is a max, not a sum");
-        assert_eq!(j.mean_wait_ns(), 250);
         assert_eq!(p.total_wait_ns(), 1_500);
     }
 
@@ -170,6 +164,5 @@ mod tests {
     fn zero_acquisitions_rate_is_zero() {
         let c = LockContention::default();
         assert_eq!(c.contention_rate(), 0.0);
-        assert_eq!(c.mean_wait_ns(), 0);
     }
 }

@@ -67,7 +67,7 @@ fn main() {
     for (virt, noisy) in [(true, false), (false, false), (true, true), (false, true)] {
         let cfg = SingleNodeConfig::quick(virt, noisy, 17);
         let mut res = run_single_node(&app, &cfg, &noise);
-        let s = res.sojourns.summary().expect("samples");
+        let s = &mut res.sojourns;
         println!(
             "{:<22}{:>12}{:>12}{:>12}{:>12}",
             format!(
@@ -75,10 +75,10 @@ fn main() {
                 if virt { "KVM" } else { "Docker" },
                 if noisy { " + noise" } else { " isolated" }
             ),
-            fmt_ns(s.median),
-            fmt_ns(s.p95),
-            fmt_ns(s.p99),
-            fmt_ns(s.max),
+            fmt_ns(s.median().expect("samples")),
+            fmt_ns(s.quantile(0.95).expect("samples")),
+            fmt_ns(s.p99().expect("samples")),
+            fmt_ns(s.max().expect("samples")),
         );
     }
     println!(

@@ -119,11 +119,32 @@ fn experiments_table2_runs_at_tiny_scale() {
 
 #[test]
 fn experiments_fig2_trends_are_negative_where_expected() {
-    use ksa_core::analysis::surface_trends;
+    use ksa_core::analysis::{render_trends, surface_trends};
     use ksa_core::kernel::Category;
     let corpus = experiments::default_corpus(Scale::Tiny);
     let (f2, _) = experiments::fig2(&corpus.corpus, Scale::Tiny, 5, 0, false);
     let trends = surface_trends(&f2);
+    // Pin the figure's analysis output: every violin's
+    // `count,min,whisker_lo,q1,median,q3,whisker_hi,max` row (fig2.csv's
+    // numeric columns) and the rendered trend table.
+    let mut rows = String::new();
+    for v in f2.categories.iter().flat_map(|c| &c.violins) {
+        rows.push_str(&format!(
+            "{},{},{},{},{},{},{},{}\n",
+            v.count, v.min, v.whisker_lo, v.q1, v.median, v.q3, v.whisker_hi, v.max
+        ));
+    }
+    let table = render_trends(&trends);
+    assert_eq!(
+        (rows.len(), fnv1a(rows.as_bytes())),
+        (1228, 0x5cca853157ca68fb),
+        "violin rows:\n{rows}"
+    );
+    assert_eq!(
+        (table.len(), fnv1a(table.as_bytes())),
+        (652, 0x3493046dcfbab3e4),
+        "trend table:\n{table}"
+    );
     // Filesystem and permissions: the paper's two reliable responders.
     for want in [Category::Filesystem, Category::Permissions] {
         let t = trends.iter().find(|t| t.category == want).unwrap();
