@@ -21,7 +21,7 @@ pub fn run(_: &Cli, _: &mut Gates) {
     let mut sandbox = Sandbox::new(11);
     let mut random_cover = CoverageSet::new();
     for _ in 0..guided.corpus.len() {
-        random_cover.merge(&sandbox.run_fresh(&gen.random_program()));
+        random_cover.merge(sandbox.run_fresh(&gen.random_program()));
     }
     eprintln!(
         "blocks with {} programs: coverage-guided={} random={}",

@@ -22,7 +22,7 @@ use ksa_varbench::{run_hooked, RunConfig};
 fn replay(sb: &mut Sandbox, corpus: &Corpus) -> CoverageSet {
     let mut cover = CoverageSet::new();
     for p in &corpus.programs {
-        cover.merge(&sb.run_fresh(p));
+        cover.merge(sb.run_fresh(p));
     }
     cover
 }
@@ -80,7 +80,7 @@ pub fn run(_: &Cli, gates: &mut Gates) {
     let mut injected = CoverageSet::new();
     for e in &net_out.entries {
         sb.set_fault_plan(e.plan.clone());
-        injected.merge(&sb.run_fresh(&net_base.programs[e.prog]));
+        injected.merge(sb.run_fresh(&net_base.programs[e.prog]));
     }
     let injected = net_err(&injected);
     eprintln!(

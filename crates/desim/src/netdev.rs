@@ -77,6 +77,19 @@ impl NicState {
         }
     }
 
+    /// Returns the NIC to [`NicState::new`]`(model)`'s idle state in
+    /// place: the queue vector is resized to the model's queue count
+    /// without giving up its allocation.
+    pub fn reset(&mut self, model: NicModel) {
+        self.pending.clear();
+        self.pending.resize(model.queues.max(1) as usize, 0);
+        self.model = model;
+        self.next_queue = 0;
+        self.enqueued = 0;
+        self.dropped = 0;
+        self.polled = 0;
+    }
+
     /// RSS queue selection: a multiplicative hash of the flow id, so
     /// distinct flows spread across queues deterministically.
     #[inline]
@@ -170,6 +183,20 @@ mod tests {
         assert_eq!(n.poll(100), 14, "drains everything when under budget");
         assert_eq!(n.poll(100), 0, "idle poll drains nothing");
         assert_eq!(n.polled, 20);
+    }
+
+    #[test]
+    fn reset_matches_a_new_nic() {
+        let mut n = NicState::new(NicModel::virtio(8));
+        for q in 0..8 {
+            n.try_enqueue(q);
+        }
+        n.poll(3);
+        for queues in [2, 8] {
+            n.reset(NicModel::virtio(queues));
+            let fresh = NicState::new(NicModel::virtio(queues));
+            assert_eq!(format!("{n:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]

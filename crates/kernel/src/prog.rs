@@ -90,22 +90,30 @@ impl Program {
     /// down. Used by the corpus minimizer.
     pub fn remove_call(&self, idx: usize) -> Program {
         let mut out = Program::new();
-        for (i, call) in self.calls.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            let args = call
-                .args
-                .iter()
-                .map(|a| match *a {
-                    Arg::Ref(r) if r == idx => Arg::Const(0),
-                    Arg::Ref(r) if r > idx => Arg::Ref(r - 1),
-                    other => other,
-                })
-                .collect();
-            out.calls.push(Call::new(call.no, args));
-        }
+        self.remove_call_into(idx, &mut out);
         out
+    }
+
+    /// [`Program::remove_call`] written over `out`, reusing its call and
+    /// argument vectors instead of allocating new ones.
+    pub fn remove_call_into(&self, idx: usize, out: &mut Program) {
+        let kept = self.calls.iter().enumerate().filter(|&(i, _)| i != idx);
+        let mut len = 0;
+        for (_, call) in kept {
+            if len == out.calls.len() {
+                out.calls.push(Call::new(call.no, Vec::new()));
+            }
+            let dst = &mut out.calls[len];
+            dst.no = call.no;
+            dst.args.clear();
+            dst.args.extend(call.args.iter().map(|a| match *a {
+                Arg::Ref(r) if r == idx => Arg::Const(0),
+                Arg::Ref(r) if r > idx => Arg::Ref(r - 1),
+                other => other,
+            }));
+            len += 1;
+        }
+        out.calls.truncate(len);
     }
 
     /// A short human-readable rendering (one call per line).
@@ -222,6 +230,19 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.calls[1].args[0], Arg::Ref(0));
         assert!(r.refs_valid());
+    }
+
+    #[test]
+    fn remove_call_into_overwrites_any_scratch() {
+        let p = sample_program();
+        // A longer, unrelated scratch is overwritten and truncated.
+        let mut scratch = Program {
+            calls: vec![Call::new(SysNo::Getpid, vec![Arg::Const(7); 4]); 6],
+        };
+        for idx in [2, 0, 1] {
+            p.remove_call_into(idx, &mut scratch);
+            assert_eq!(scratch, p.remove_call(idx));
+        }
     }
 
     #[test]

@@ -106,6 +106,40 @@ pub struct SlotState {
 }
 
 impl SlotState {
+    /// Returns the slot to a freshly booted process's state in place,
+    /// keeping the tables' allocations.
+    pub fn reset(&mut self) {
+        let SlotState {
+            fds,
+            free_fds,
+            vmas,
+            mapped_idx,
+            brk_pages,
+            uid,
+            umask,
+            children_pending,
+            pcp_pages,
+            slab_objs,
+            names,
+            open_fds,
+            peak_open_fds,
+        } = self;
+        fds.clear();
+        free_fds.clear();
+        vmas.clear();
+        mapped_idx.clear();
+        *brk_pages = 16;
+        *uid = 1000;
+        *umask = 0o022;
+        *children_pending = 0;
+        *pcp_pages = 128;
+        *slab_objs = 256;
+        names.clear();
+        names.resize(NAMES_PER_SLOT, None);
+        *open_fds = 0;
+        *peak_open_fds = 0;
+    }
+
     /// True when every fd-table entry is `Closed` (post-exit state).
     pub fn fds_all_closed(&self) -> bool {
         self.fds.iter().all(|f| matches!(f.kind, FdKind::Closed))
@@ -270,24 +304,34 @@ pub struct NetState {
 pub const NET_PORT_SPACE: u64 = 512;
 
 impl NetState {
-    /// Creates networking state for an instance with `n_slots` cores:
-    /// the NIC gets `min(8, n_slots)` queue pairs, so a wide shared
-    /// kernel funnels many cores through few rings while small VM
-    /// instances see proportionally private ones.
-    pub fn init(n_slots: usize) -> Self {
-        let queues = n_slots.clamp(1, 8) as u32;
-        Self {
-            socks: Vec::new(),
-            free_socks: BinaryHeap::new(),
-            live_socks: 0,
-            peak_socks: 0,
-            ports: Vec::new(),
-            nic: ksa_desim::NicState::new(ksa_desim::NicModel::virtio(queues)),
-            stack_extra_ns: 0,
-            sent_bytes: 0,
-            recv_bytes: 0,
-            flushed_bytes: 0,
-        }
+    /// Returns the table to the boot state of an instance with `n_slots`
+    /// cores, in place, keeping every table's allocation: the NIC gets
+    /// `min(8, n_slots)` queue pairs, so a wide shared kernel funnels many
+    /// cores through few rings while small VM instances see
+    /// proportionally private ones.
+    pub fn reset(&mut self, n_slots: usize) {
+        let NetState {
+            socks,
+            free_socks,
+            live_socks,
+            peak_socks,
+            ports,
+            nic,
+            stack_extra_ns,
+            sent_bytes,
+            recv_bytes,
+            flushed_bytes,
+        } = self;
+        socks.clear();
+        free_socks.clear();
+        *live_socks = 0;
+        *peak_socks = 0;
+        ports.clear();
+        nic.reset(ksa_desim::NicModel::virtio(n_slots.clamp(1, 8) as u32));
+        *stack_extra_ns = 0;
+        *sent_bytes = 0;
+        *recv_bytes = 0;
+        *flushed_bytes = 0;
     }
 
     /// Allocates a socket-table slot, reusing the lowest reclaimed index
@@ -345,8 +389,21 @@ impl NetState {
 }
 
 impl Default for NetState {
+    /// Empty tables and an idle one-queue NIC; [`NetState::reset`] sizes
+    /// the NIC for the instance.
     fn default() -> Self {
-        Self::init(1)
+        Self {
+            socks: Vec::new(),
+            free_socks: BinaryHeap::new(),
+            live_socks: 0,
+            peak_socks: 0,
+            ports: Vec::new(),
+            nic: ksa_desim::NicState::new(ksa_desim::NicModel::virtio(1)),
+            stack_extra_ns: 0,
+            sent_bytes: 0,
+            recv_bytes: 0,
+            flushed_bytes: 0,
+        }
     }
 }
 
@@ -380,38 +437,67 @@ impl SubsysState {
     /// Initializes state for an instance with `n_slots` cores and
     /// `total_pages` pages of memory.
     pub fn init(n_slots: usize, total_pages: u64) -> Self {
-        let mut s = SubsysState {
-            mm: MmState {
-                total_pages,
-                // Boot-time kernel/static memory takes a slice.
-                free_pages: total_pages * 85 / 100,
-                lru_pages: total_pages / 50,
-                dirty_pages: 0,
-            },
-            ..Default::default()
-        };
-        s.sched.rq_len = vec![1; n_slots];
-        s.sched.nr_tasks = n_slots as u64 + 16; // app procs + kthreads
-        s.fs.dentries = 1_000 + 64 * n_slots as u64; // boot filesystem
-        s.net = NetState::init(n_slots);
-        for _ in 0..n_slots {
-            s.slots.push(SlotState {
-                fds: Vec::new(),
-                free_fds: BinaryHeap::new(),
-                vmas: Vec::new(),
-                mapped_idx: BTreeSet::new(),
-                brk_pages: 16,
-                uid: 1000,
-                umask: 0o022,
-                children_pending: 0,
-                pcp_pages: 128,
-                slab_objs: 256,
-                names: vec![None; NAMES_PER_SLOT],
-                open_fds: 0,
-                peak_open_fds: 0,
-            });
-        }
+        let mut s = Self::default();
+        s.reset(n_slots, total_pages);
         s
+    }
+
+    /// Returns every table to the boot state of an instance with
+    /// `n_slots` cores and `total_pages` pages, in place: tables are
+    /// cleared, not dropped, so a reused instance (the generation
+    /// sandbox reboots one per candidate program) keeps their
+    /// allocations. [`SubsysState::init`] is this applied to the default
+    /// state, so the boot state has one definition.
+    pub fn reset(&mut self, n_slots: usize, total_pages: u64) {
+        let SubsysState {
+            mm,
+            fs,
+            sched,
+            ipc,
+            net,
+            tenancy,
+            slots,
+        } = self;
+        *mm = MmState {
+            total_pages,
+            // Boot-time kernel/static memory takes a slice.
+            free_pages: total_pages * 85 / 100,
+            lru_pages: total_pages / 50,
+            dirty_pages: 0,
+        };
+        let FsState {
+            files,
+            dentries,
+            journal_dirty,
+            commits,
+        } = fs;
+        files.clear();
+        *dentries = 1_000 + 64 * n_slots as u64; // boot filesystem
+        *journal_dirty = 0;
+        *commits = 0;
+        let SchedState { rq_len, nr_tasks } = sched;
+        rq_len.clear();
+        rq_len.resize(n_slots, 1);
+        *nr_tasks = n_slots as u64 + 16; // app procs + kthreads
+        let IpcState {
+            msgqs,
+            sems,
+            shms,
+            pipes,
+        } = ipc;
+        msgqs.clear();
+        sems.clear();
+        shms.clear();
+        *pipes = 0;
+        net.reset(n_slots);
+        *tenancy = TenancyState::default();
+        slots.truncate(n_slots);
+        slots.iter_mut().for_each(SlotState::reset);
+        slots.resize_with(n_slots, || {
+            let mut slot = SlotState::default();
+            slot.reset();
+            slot
+        });
     }
 }
 
@@ -427,6 +513,16 @@ mod tests {
         assert_eq!(s.mm.total_pages, 1_000_000);
         assert!(s.mm.free_pages < s.mm.total_pages);
         assert!(s.mm.free_pages > s.mm.total_pages / 2);
+    }
+
+    #[test]
+    fn reset_reshapes_to_init() {
+        let mut s = SubsysState::init(64, 1_000);
+        for (n, pages) in [(1, 500), (4, 2_000), (64, 1_000)] {
+            s.reset(n, pages);
+            let fresh = SubsysState::init(n, pages);
+            assert_eq!(format!("{s:?}"), format!("{fresh:?}"), "{n} slots");
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub fn derive_profile(name: &str, corpus: &Corpus, seed: u64) -> SpecProfile {
     let mut sandbox = Sandbox::new(seed);
     let mut covered = CoverageSet::new();
     for prog in &corpus.programs {
-        covered.merge(&sandbox.run_fresh(prog));
+        covered.merge(sandbox.run_fresh(prog));
     }
     for id in covered.iter() {
         if let Some(cat) = block_category(&block_name(id)) {

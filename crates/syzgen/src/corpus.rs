@@ -75,15 +75,14 @@ pub fn generate(cfg: GenConfig) -> GeneratedCorpus {
         use rand::Rng;
         // Candidate: mutate an existing program or make a fresh one.
         let candidate = if !corpus.is_empty() && gen.rng().gen_range(0u32..100) < cfg.mutate_pct {
-            let base = corpus.choose(gen.rng()).unwrap().clone();
-            mutate(&mut gen, &base, &corpus)
+            let base = corpus.choose(gen.rng()).unwrap();
+            mutate(&mut gen, base, &corpus)
         } else {
             gen.random_program()
         };
 
-        let cover = sandbox.run_fresh(&candidate);
+        let new = global.new_blocks(sandbox.run_fresh(&candidate));
         stats.executed += 1;
-        let new = global.new_blocks(&cover);
         if new == 0 {
             stall += 1;
             continue;
@@ -98,8 +97,7 @@ pub fn generate(cfg: GenConfig) -> GeneratedCorpus {
         } else {
             candidate
         };
-        let cover = sandbox.run_fresh(&accepted);
-        global.merge(&cover);
+        global.merge(sandbox.run_fresh(&accepted));
         corpus.push(accepted);
         stats.accepted += 1;
     }
@@ -115,10 +113,11 @@ pub fn generate(cfg: GenConfig) -> GeneratedCorpus {
 /// Repeatedly tries to remove calls while the program still covers
 /// **all** the new blocks it contributed (Syzkaller keeps the full new
 /// signal, not just any of it). Returns the minimized program and the
-/// number of removed calls.
+/// number of removed calls. Removal candidates are built into one
+/// scratch program that trades places with `prog` on each acceptance.
 fn minimize(sandbox: &mut Sandbox, global: &CoverageSet, mut prog: Program) -> (Program, usize) {
-    let full = sandbox.run_fresh(&prog);
-    let target = global.new_blocks(&full);
+    let target = global.new_blocks(sandbox.run_fresh(&prog));
+    let mut candidate = Program::new();
     let mut removed = 0;
     let mut idx = prog.len();
     while idx > 0 {
@@ -126,10 +125,9 @@ fn minimize(sandbox: &mut Sandbox, global: &CoverageSet, mut prog: Program) -> (
         if prog.len() <= 1 {
             break;
         }
-        let candidate = prog.remove_call(idx);
-        let cover = sandbox.run_fresh(&candidate);
-        if global.new_blocks(&cover) >= target {
-            prog = candidate;
+        prog.remove_call_into(idx, &mut candidate);
+        if global.new_blocks(sandbox.run_fresh(&candidate)) >= target {
+            std::mem::swap(&mut prog, &mut candidate);
             removed += 1;
         }
     }
@@ -170,10 +168,10 @@ mod tests {
         let mut contributed = 0;
         for p in &out.corpus.programs {
             let c = sb.run_fresh(p);
-            if global.new_blocks(&c) > 0 {
+            if global.new_blocks(c) > 0 {
                 contributed += 1;
             }
-            global.merge(&c);
+            global.merge(c);
         }
         // State-dependent paths make strict per-program replay slightly
         // lossy, but the overwhelming majority must contribute.

@@ -92,8 +92,7 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
     // points, each program's in table order.
     let mut points: Vec<(usize, FaultSite, u64)> = Vec::new();
     for (pi, prog) in base.programs.iter().enumerate() {
-        let cover = sandbox.run_fresh(prog);
-        global.merge(&cover);
+        global.merge(sandbox.run_fresh(prog));
         points.extend(sandbox.fault_hits().map(|(site, hits)| (pi, site, hits)));
     }
     let probed: BTreeSet<u16> = points.iter().map(|(_, site, _)| site.id).collect();
@@ -116,12 +115,12 @@ pub fn fault_phase(base: &Corpus, cfg: FaultGenConfig) -> FaultCorpus {
             sandbox.set_fault_plan(plan.clone());
             let cover = sandbox.run_fresh(&base.programs[pi]);
             stats.executed += 1;
-            if global.new_blocks(&cover) == 0 {
+            if global.new_blocks(cover) == 0 {
                 stall += 1;
                 continue;
             }
             stall = 0;
-            global.merge(&cover);
+            global.merge(cover);
             entries.push(FaultEntry { prog: pi, plan });
             stats.accepted += 1;
         }
@@ -178,13 +177,13 @@ mod tests {
         }
         for e in &out.entries {
             sb.set_fault_plan(e.plan.clone());
-            let cover = sb.run_fresh(&base.programs[e.prog]);
+            let error_blocks = sb.run_fresh(&base.programs[e.prog]).error_blocks();
             assert!(
                 !sb.injected().is_empty(),
                 "plan {:?} injected nothing on replay",
                 e.plan
             );
-            assert!(cover.error_blocks() > 0);
+            assert!(error_blocks > 0);
         }
     }
 

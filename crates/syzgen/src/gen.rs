@@ -29,53 +29,26 @@ impl ProgramGenerator {
         &mut self.rng
     }
 
-    /// Generates one value for an argument spec, given the indices of
-    /// earlier calls producing each resource.
-    fn gen_arg(
-        &mut self,
-        spec: &ArgSpec,
-        providers: &dyn Fn(Resource) -> Option<usize>,
-    ) -> Option<Arg> {
-        Some(match spec {
-            ArgSpec::Any => Arg::Const(self.rng.gen()),
-            ArgSpec::Range(lo, hi) => Arg::Const(self.rng.gen_range(*lo..*hi)),
-            ArgSpec::Flags(set) => Arg::Const(*set.choose(&mut self.rng).unwrap()),
-            ArgSpec::Len(max) => Arg::Const(self.rng.gen_range(1..*max)),
-            ArgSpec::Pages(max) => Arg::Const(self.rng.gen_range(1..*max)),
-            ArgSpec::Path => Arg::Const(self.rng.gen_range(0..32)),
-            ArgSpec::Res(r) => Arg::Ref(providers(*r)?),
-        })
-    }
-
     /// Appends `no` to `prog`, inserting constructor calls for missing
     /// resources first (recursively).
     pub fn push_call(&mut self, prog: &mut Program, no: SysNo) {
+        let specs = arg_spec(no);
         // Ensure every consumed resource has a provider.
-        let needed: Vec<Resource> = arg_spec(no)
-            .iter()
-            .filter_map(|s| match s {
-                ArgSpec::Res(r) => Some(*r),
-                _ => None,
-            })
-            .collect();
-        for res in needed {
-            if find_provider(prog, res, &mut self.rng).is_none() {
-                let ctor = constructor(res);
-                self.push_call(prog, ctor);
+        for spec in specs {
+            if let ArgSpec::Res(r) = *spec {
+                if find_provider(&prog.calls, r, &mut self.rng).is_none() {
+                    self.push_call(prog, constructor(r));
+                }
             }
         }
-        let mut args = Vec::new();
-        // Borrow dance: capture provider lookups eagerly per spec.
-        for spec in arg_spec(no) {
-            let arg = match spec {
-                ArgSpec::Res(r) => {
-                    let p = find_provider(prog, *r, &mut self.rng)
-                        .expect("constructor insertion guarantees a provider");
-                    Arg::Ref(p)
-                }
-                other => self
-                    .gen_arg(other, &|_| None)
-                    .expect("non-resource args always generate"),
+        let mut args = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let arg = match *spec {
+                ArgSpec::Res(r) => Arg::Ref(
+                    find_provider(&prog.calls, r, &mut self.rng)
+                        .expect("constructor insertion guarantees a provider"),
+                ),
+                _ => Arg::Const(gen_const(spec, &mut self.rng)),
             };
             args.push(arg);
         }
@@ -109,16 +82,36 @@ impl ProgramGenerator {
     }
 }
 
-/// Finds a random earlier call in `prog` producing `res`.
-pub fn find_provider(prog: &Program, res: Resource, rng: &mut SmallRng) -> Option<usize> {
-    let candidates: Vec<usize> = prog
-        .calls
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| produces(c.no) == Some(res))
-        .map(|(i, _)| i)
-        .collect();
-    candidates.choose(rng).copied()
+/// Draws a constant for a non-resource argument spec. An
+/// [`ArgSpec::Res`] takes a reference, not a constant: callers resolve it
+/// with [`find_provider`] instead.
+pub(crate) fn gen_const(spec: &ArgSpec, rng: &mut SmallRng) -> u64 {
+    match *spec {
+        ArgSpec::Any => rng.gen(),
+        ArgSpec::Range(lo, hi) => rng.gen_range(lo..hi),
+        ArgSpec::Flags(set) => *set.choose(rng).unwrap(),
+        ArgSpec::Len(max) | ArgSpec::Pages(max) => rng.gen_range(1..max),
+        ArgSpec::Path => rng.gen_range(0..32),
+        ArgSpec::Res(r) => panic!("{r:?} is a resource, not a constant"),
+    }
+}
+
+/// Picks a random call among `calls` producing `res` and returns its
+/// index. Draws exactly what `SliceRandom::choose` draws over the
+/// producers' indices (one `gen_range(0..n)`, nothing when there are
+/// none) without collecting them.
+pub fn find_provider(calls: &[Call], res: Resource, rng: &mut SmallRng) -> Option<usize> {
+    let producers = || {
+        calls
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| produces(c.no) == Some(res))
+            .map(|(i, _)| i)
+    };
+    match producers().count() {
+        0 => None,
+        n => producers().nth(rng.gen_range(0..n)),
+    }
 }
 
 #[cfg(test)]

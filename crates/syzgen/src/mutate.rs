@@ -5,7 +5,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::argspec::{arg_spec, ArgSpec};
-use crate::gen::{find_provider, ProgramGenerator};
+use crate::gen::{find_provider, gen_const, ProgramGenerator};
 
 /// Applies one random mutation to `prog`, returning the mutant.
 pub fn mutate(gen: &mut ProgramGenerator, prog: &Program, corpus: &[Program]) -> Program {
@@ -53,23 +53,13 @@ fn mutate_arg(gen: &mut ProgramGenerator, prog: &Program) -> Program {
         return p;
     }
     let ai = gen.rng().gen_range(0..specs.len());
-    let new = match &specs[ai] {
-        ArgSpec::Any => Arg::Const(gen.rng().gen()),
-        ArgSpec::Range(lo, hi) => Arg::Const(gen.rng().gen_range(*lo..*hi)),
-        ArgSpec::Flags(set) => Arg::Const(*set.choose(gen.rng()).unwrap()),
-        ArgSpec::Len(max) => Arg::Const(gen.rng().gen_range(1..*max)),
-        ArgSpec::Pages(max) => Arg::Const(gen.rng().gen_range(1..*max)),
-        ArgSpec::Path => Arg::Const(gen.rng().gen_range(0..32)),
-        ArgSpec::Res(r) => {
-            // Re-point at a different provider among calls before ci.
-            let prefix = Program {
-                calls: p.calls[..ci].to_vec(),
-            };
-            match find_provider(&prefix, *r, gen.rng()) {
-                Some(i) => Arg::Ref(i),
-                None => return p, // keep as is
-            }
-        }
+    let new = match specs[ai] {
+        // Re-point at a different provider among calls before ci.
+        ArgSpec::Res(r) => match find_provider(&p.calls[..ci], r, gen.rng()) {
+            Some(i) => Arg::Ref(i),
+            None => return p, // keep as is
+        },
+        ref spec => Arg::Const(gen_const(spec, gen.rng())),
     };
     if ai < p.calls[ci].args.len() {
         p.calls[ci].args[ai] = new;

@@ -1,17 +1,31 @@
 //! The generation sandbox: a one-core kernel instance that executes
 //! candidate programs for their coverage signal (no timing needed — the
-//! handlers emit coverage when the call is compiled).
+//! handlers emit coverage when the call is compiled, so the engine that
+//! owns the instance's locks and devices never runs).
+//!
+//! Every execution reboots the instance's logical state in place
+//! ([`ksa_kernel::state::SubsysState::reset`]) and compiles each call
+//! into scratch buffers the sandbox keeps across runs: the op sequence,
+//! the resolved arguments, the call results and the coverage set. A run
+//! therefore reuses the previous run's allocations instead of making its
+//! own; only the slots' ordered VMA index (a `BTreeSet`) frees its nodes
+//! on reset.
+//!
+//! The dispatch RNG is *not* reseeded between runs: it carries across
+//! executions, so the order and number of executions are part of what a
+//! seed generates, and adding or skipping one run changes every later
+//! program.
 
 use ksa_desim::{
     CoreId, DeviceModel, Engine, EngineParams, FaultPlan, FaultSite, FaultState, InjectedFault,
 };
 use ksa_kernel::coverage::CoverageSet;
-use ksa_kernel::dispatch::dispatch;
+use ksa_kernel::dispatch::dispatch_into;
 use ksa_kernel::fault_sites;
 use ksa_kernel::instance::{InstanceConfig, KernelInstance, TenancyProfile, VirtProfile};
+use ksa_kernel::ops::OpSeq;
 use ksa_kernel::params::CostModel;
 use ksa_kernel::spec::SpecMask;
-use ksa_kernel::state::SubsysState;
 use ksa_kernel::Program;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,6 +38,13 @@ pub struct Sandbox {
     inst: KernelInstance,
     rng: SmallRng,
     faults: FaultState,
+    // Scratch reused by every run. Created empty: replaying a handful of
+    // programs (profile derivation) should not pay for buffers sized for
+    // a generation campaign.
+    seq: OpSeq,
+    args: Vec<u64>,
+    results: Vec<u64>,
+    cover: CoverageSet,
 }
 
 impl Sandbox {
@@ -50,6 +71,10 @@ impl Sandbox {
             inst,
             rng: SmallRng::seed_from_u64(seed),
             faults: FaultState::default(),
+            seq: OpSeq::new(),
+            args: Vec::new(),
+            results: Vec::new(),
+            cover: CoverageSet::new(),
         }
     }
 
@@ -58,14 +83,14 @@ impl Sandbox {
     /// schedule replays identically on the next program.
     pub fn reset(&mut self) {
         let pages = self.inst.mem_pages;
-        self.inst.state = SubsysState::init(1, pages);
+        self.inst.state.reset(1, pages);
         self.faults.rearm();
     }
 
     /// Installs a fault plan for subsequent runs (Syzkaller's
     /// fault-injection mode). `FaultPlan::none()` disables injection.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = FaultState::new(plan);
+        self.faults.reset(plan);
     }
 
     /// Faults injected since the last reset (in injection order).
@@ -82,30 +107,35 @@ impl Sandbox {
             .filter(|&(_, hits)| hits > 0)
     }
 
-    /// Executes `prog`, returning the blocks it covered.
-    pub fn run(&mut self, prog: &Program) -> CoverageSet {
-        let mut cover = CoverageSet::new();
-        let mut results: Vec<u64> = Vec::with_capacity(prog.len());
+    /// Executes `prog` from a freshly reset state and returns the blocks
+    /// it covered. The set is the sandbox's scratch, overwritten by the
+    /// next run; a caller that keeps it clones it.
+    pub fn run_fresh(&mut self, prog: &Program) -> &CoverageSet {
+        self.reset();
+        self.cover.clear();
+        self.results.clear();
         for call in &prog.calls {
-            let args: Vec<u64> = call.args.iter().map(|a| a.resolve(&results)).collect();
-            let seq = dispatch(
+            self.args.clear();
+            self.args
+                .extend(call.args.iter().map(|a| a.resolve(&self.results)));
+            dispatch_into(
                 &mut self.inst,
                 0,
                 call.no,
-                &args,
+                &self.args,
                 &mut self.rng,
-                &mut cover,
+                &mut self.cover,
                 &mut self.faults,
+                &mut self.seq,
             );
-            results.push(seq.result);
+            debug_assert!(
+                self.seq.locks_balanced(),
+                "{}: unbalanced locks",
+                call.no.name()
+            );
+            self.results.push(self.seq.result);
         }
-        cover
-    }
-
-    /// Executes `prog` from a freshly reset state.
-    pub fn run_fresh(&mut self, prog: &Program) -> CoverageSet {
-        self.reset();
-        self.run(prog)
+        &self.cover
     }
 
     /// Cumulative coverage the instance has seen.
@@ -161,9 +191,9 @@ mod tests {
                 Call::new(SysNo::Munmap, vec![Arg::Ref(0)]),
             ],
         };
-        let c_io = sb.run_fresh(&io);
+        let c_io = sb.run_fresh(&io).clone();
         let c_mm = sb.run_fresh(&mm);
-        assert!(c_io.new_blocks(&c_mm) > 0);
+        assert!(c_io.new_blocks(c_mm) > 0);
         assert!(c_mm.new_blocks(&c_io) > 0);
     }
 }

@@ -35,8 +35,12 @@ fn label_block(labels: &[(String, String)]) -> String {
 }
 
 fn prom_histogram(out: &mut String, m: &Metric) {
+    let hist = m
+        .hist
+        .as_deref()
+        .expect("a histogram metric has a distribution");
     let mut cumulative = 0u64;
-    for (i, &c) in m.hist.buckets.iter().enumerate() {
+    for (i, &c) in hist.buckets.iter().enumerate() {
         if c == 0 {
             continue;
         }
@@ -58,7 +62,7 @@ fn prom_histogram(out: &mut String, m: &Metric) {
         "{}_bucket{} {}",
         m.name,
         label_block(&labels),
-        m.hist.count()
+        hist.count()
     );
     let _ = writeln!(out, "{}_sum{} {}", m.name, label_block(&m.labels), m.value);
     let _ = writeln!(
@@ -66,7 +70,7 @@ fn prom_histogram(out: &mut String, m: &Metric) {
         "{}_count{} {}",
         m.name,
         label_block(&m.labels),
-        m.hist.count()
+        hist.count()
     );
 }
 

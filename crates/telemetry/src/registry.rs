@@ -204,8 +204,9 @@ pub struct Metric {
     pub kind: MetricKind,
     /// Current value (counter count, gauge level, histogram sum).
     pub value: u64,
-    /// Distribution (histograms only; empty otherwise).
-    pub hist: Log2Histogram,
+    /// Distribution: `Some` exactly for histograms. Boxed, so a counter
+    /// or gauge does not carry an unused 512-byte bucket array.
+    pub hist: Option<Box<Log2Histogram>>,
     /// The sampled time series.
     pub ring: SeriesRing,
 }
@@ -274,7 +275,7 @@ impl Registry {
             labels,
             kind,
             value: 0,
-            hist: Log2Histogram::new(),
+            hist: (kind == MetricKind::Histogram).then(Box::default),
             ring: SeriesRing::new(self.cfg.ring_capacity),
         });
         self.index.insert(key, i);
@@ -333,7 +334,9 @@ impl Registry {
             return;
         }
         let m = &mut self.metrics[id.0 as usize];
-        m.hist.record(sample);
+        if let Some(hist) = &mut m.hist {
+            hist.record(sample);
+        }
         m.value += sample;
     }
 
@@ -417,8 +420,8 @@ impl Registry {
                 fold_bytes(&mut h, v.as_bytes());
             }
             fold(&mut h, m.value);
-            if m.kind == MetricKind::Histogram {
-                for &c in &m.hist.buckets {
+            if let Some(hist) = &m.hist {
+                for &c in &hist.buckets {
                     fold(&mut h, c);
                 }
             }
@@ -460,7 +463,9 @@ impl Registry {
                 MetricKind::Counter | MetricKind::Histogram => dst.value += m.value,
                 MetricKind::Gauge => dst.value = dst.value.max(m.value),
             }
-            dst.hist.merge(&m.hist);
+            if let (Some(into), Some(from)) = (&mut dst.hist, &m.hist) {
+                into.merge(from);
+            }
             for (t, v) in m.ring.samples() {
                 dst.ring.push(t, v);
             }
@@ -503,7 +508,8 @@ mod tests {
         assert_eq!(r.value_of("events", &[("core", "0")]), Some(7));
         assert_eq!(r.value_of("depth", &[]), Some(12));
         assert_eq!(r.value_of("lat", &[]), Some(300));
-        assert_eq!(r.metrics()[2].hist.count(), 2);
+        assert_eq!(r.metrics()[2].hist.as_ref().map(|h| h.count()), Some(2));
+        assert!(r.metrics()[..2].iter().all(|m| m.hist.is_none()));
     }
 
     #[test]

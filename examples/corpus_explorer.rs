@@ -3,10 +3,14 @@
 //! and the coverage the corpus reaches.
 //!
 //! Run with: `cargo run --release --example corpus_explorer`
+//!
+//! The generation time and sandbox executions per second go to stderr, so
+//! stdout is a pure function of the seed and can be diffed across builds.
 
 use ksa_core::kernel::coverage;
 use ksa_core::kernel::Category;
 use ksa_core::syzgen::{generate, GenConfig, Sandbox};
+use std::time::Instant;
 
 fn main() {
     let cfg = GenConfig {
@@ -16,7 +20,15 @@ fn main() {
         mutate_pct: 70,
         minimize: true,
     };
+    let start = Instant::now();
     let out = generate(cfg);
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!(
+        "generation took {:.2} ms: {} executions, {:.0} executions/s",
+        secs * 1e3,
+        out.stats.executed,
+        out.stats.executed as f64 / secs
+    );
     println!(
         "generated {} programs / {} calls; executed {} candidates; \
          minimization removed {} calls; {} kernel blocks covered\n",

@@ -213,6 +213,59 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// `(programs, calls, render bytes, FNV-1a)` of a corpus, the digest taken
+/// over every program's `render()` concatenated in corpus order.
+fn corpus_digest(corpus: &ksa_core::kernel::prog::Corpus) -> (usize, usize, usize, u64) {
+    let text: String = corpus.programs.iter().map(|p| p.render()).collect();
+    (
+        corpus.len(),
+        corpus.total_calls(),
+        text.len(),
+        fnv1a(text.as_bytes()),
+    )
+}
+
+/// Pins every byte of the default and noise corpora at each scale. The
+/// generator's sandbox RNG runs across executions, so adding, skipping or
+/// reordering a single execution moves every later program and these
+/// digests with it.
+#[test]
+fn generated_corpora_are_pinned() {
+    let defaults = [
+        (
+            Scale::Tiny,
+            (63, 30, 114, 113),
+            (30, 100, 2_045, 0xb68e_ebfe_cb4c_b5f3),
+        ),
+        (
+            Scale::Quick,
+            (480, 80, 417, 178),
+            (80, 196, 4_008, 0xdefb_71f3_aaba_6b7f),
+        ),
+        (
+            Scale::Full,
+            (7_875, 111, 627, 213),
+            (111, 262, 5_355, 0xae6e_5e2e_9068_78ab),
+        ),
+    ];
+    for (scale, stats, digest) in defaults {
+        let out = experiments::default_corpus(scale);
+        let s = out.stats;
+        let got = (s.executed, s.accepted, s.minimized_away, s.blocks);
+        assert_eq!(got, stats, "{scale:?} default GenStats");
+        assert_eq!(corpus_digest(&out.corpus), digest, "{scale:?} default");
+    }
+    let noise = [
+        (Scale::Tiny, (12, 75, 1_549, 0x1a9a_6fe4_1cbd_3e0c)),
+        (Scale::Quick, (18, 120, 2_479, 0xb544_1dfa_757c_ef0d)),
+        (Scale::Full, (28, 177, 3_668, 0x0777_dd7f_ea5e_1d3e)),
+    ];
+    for (scale, digest) in noise {
+        let corpus = experiments::noise_corpus(scale);
+        assert_eq!(corpus_digest(&corpus), digest, "{scale:?} noise");
+    }
+}
+
 #[test]
 fn chrome_trace_bytes_are_pinned() {
     // FNV-1a-64 of the Chrome trace of one Tiny-scale default-corpus run,

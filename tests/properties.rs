@@ -1629,3 +1629,151 @@ fn indexed_kernel_tables_match_linear_scans() {
         assert_eq!(net.free_socks.len(), net.socks.len());
     });
 }
+
+/// A one-site plan failing the n-th hit of a random site among `reached`
+/// (`(site, hits)` pairs of an earlier run), so the fault lands on the
+/// program's path; `None` when nothing was reached.
+fn reached_site_plan(
+    seed: u64,
+    rng: &mut SmallRng,
+    reached: impl Iterator<Item = (ksa_core::desim::FaultSite, u64)>,
+) -> Option<ksa_core::desim::FaultPlan> {
+    use ksa_core::desim::{FaultPlan, FaultSchedule};
+    let reached: Vec<_> = reached.collect();
+    if reached.is_empty() {
+        return None;
+    }
+    let (site, hits) = reached[rng.gen_range(0..reached.len())];
+    let nth = FaultSchedule::Nth(rng.gen_range(1..hits + 1));
+    Some(FaultPlan::new(seed).site(site, nth))
+}
+
+/// An in-place `SubsysState::reset` after random programs ran on random
+/// slots leaves the state rendering exactly like a freshly booted one of
+/// the same shape. Half the cases then replay the programs with one fault
+/// point on their path failed and check the reset again.
+#[test]
+fn subsys_reset_equals_init() {
+    use ksa_core::desim::{DeviceModel, FaultState};
+    use ksa_core::kernel::dispatch::dispatch_into;
+    use ksa_core::kernel::fault_sites;
+    use ksa_core::kernel::state::SubsysState;
+    use ksa_core::kernel::OpSeq;
+
+    for_each_case("subsys_reset_equals_init", |seed, rng| {
+        let n = [1usize, 4, 64][rng.gen_range(0..3usize)];
+        let mut eng: Engine<()> = Engine::new((), EngineParams::default(), 1);
+        let disk = eng.add_device(DeviceModel::nvme_ssd());
+        let cores = (0..n)
+            .map(|_| eng.add_core(CoreConfig::default()))
+            .collect();
+        let mut inst = KernelInstance::build(
+            &mut eng,
+            0,
+            InstanceConfig {
+                cores,
+                mem_mib: 64,
+                virt: VirtProfile::native(),
+                tenancy: TenancyProfile::none(),
+                cost: CostModel::default(),
+                disk,
+                spec: SpecMask::full(),
+            },
+        );
+        let pages = inst.mem_pages;
+        let boot = format!("{:?}", SubsysState::init(n, pages));
+        let mut gen = ProgramGenerator::new(seed);
+        let progs: Vec<_> = (0..4)
+            .map(|_| (rng.gen_range(0..n), gen.random_program()))
+            .collect();
+        let mut faults = FaultState::default();
+        let (mut call_rng, mut cover, mut seq) = (
+            SmallRng::seed_from_u64(seed),
+            CoverageSet::new(),
+            OpSeq::new(),
+        );
+        let mut run_and_reset = |inst: &mut KernelInstance,
+                                 faults: &mut FaultState,
+                                 rng: &mut SmallRng| {
+            for (slot, prog) in &progs {
+                let mut results = Vec::new();
+                for call in &prog.calls {
+                    let args: Vec<u64> = call.args.iter().map(|a| a.resolve(&results)).collect();
+                    dispatch_into(
+                        inst,
+                        *slot,
+                        call.no,
+                        &args,
+                        &mut call_rng,
+                        &mut cover,
+                        faults,
+                        &mut seq,
+                    );
+                    results.push(seq.result);
+                }
+            }
+            // Environment construction sets this one; no syscall does.
+            inst.state.net.stack_extra_ns = rng.gen();
+            inst.state.reset(n, pages);
+            assert_eq!(
+                format!("{:?}", inst.state),
+                boot,
+                "seed {seed:#x}: reset of a {n}-slot state differs from init ({} injected)",
+                faults.injected().len()
+            );
+        };
+        run_and_reset(&mut inst, &mut faults, rng);
+        if rng.gen_bool(0.5) {
+            let reached = fault_sites::all()
+                .map(|site| (site, faults.hits(site)))
+                .filter(|&(_, hits)| hits > 0);
+            if let Some(plan) = reached_site_plan(seed, rng, reached) {
+                faults.reset(plan);
+                run_and_reset(&mut inst, &mut faults, rng);
+            }
+        }
+    });
+}
+
+/// Whole generated programs with a third of their constants replaced by
+/// boundary values run through the generation sandbox without a panic;
+/// half of them run again with one fault point on their path failed. The
+/// sandbox checks every compiled call for lock balance in debug builds.
+#[test]
+fn sandbox_survives_boundary_arguments() {
+    use ksa_core::desim::FaultPlan;
+    use ksa_core::kernel::Arg;
+    use ksa_core::syzgen::Sandbox;
+
+    for_each_case("sandbox_survives_boundary_arguments", |seed, rng| {
+        let mut gen = ProgramGenerator::new(seed);
+        let mut sb = Sandbox::new(seed);
+        for _ in 0..32 {
+            let mut prog = gen.random_program();
+            for arg in prog.calls.iter_mut().flat_map(|c| &mut c.args) {
+                if matches!(arg, Arg::Const(_)) && rng.gen_range(0u32..3) == 0 {
+                    *arg = Arg::Const(match rng.gen_range(0u32..5) {
+                        0 => 0,
+                        1 => 1 << 63,
+                        2 => u64::MAX - 1,
+                        3 => u64::MAX,
+                        _ => rng.gen(),
+                    });
+                }
+            }
+            sb.set_fault_plan(FaultPlan::none());
+            sb.run_fresh(&prog);
+            if rng.gen_bool(0.5) {
+                if let Some(plan) = reached_site_plan(seed, rng, sb.fault_hits()) {
+                    sb.set_fault_plan(plan);
+                    sb.run_fresh(&prog);
+                    assert_eq!(
+                        sb.injected().len(),
+                        1,
+                        "seed {seed:#x}: the fault fires once"
+                    );
+                }
+            }
+        }
+    });
+}
